@@ -32,6 +32,7 @@ except ImportError:  # pragma: no cover - fallback exercised only without it
     _highs_core = None
 
 from .algebra import AlgebraSpec, Element
+from .blas import single_threaded
 from .characters import Character, characters, gelfand_norm
 from .function_algebras import (
     FunctionSystem,
@@ -255,10 +256,17 @@ class _LinprogRounds:
 
 
 class _HighsRounds:
-    """Incremental backend: added rows keep the basis, so re-runs are warm."""
+    """Incremental backend: added rows keep the basis, so re-runs are warm.
+
+    HiGHS occasionally gives up on a dense model (``run`` returns kError).
+    The rows are therefore mirrored into a ``_LinprogRounds``, which then
+    re-solves them and solves every later round of this LP.
+    """
 
     def __init__(self, k: int, v_t: np.ndarray):
         self.k = k
+        self.linprog = _LinprogRounds(k, v_t)
+        self.highs_failed = False
         inf = _highs_core.kHighsInf
         h = _highs_core._Highs()
         h.setOptionValue("output_flag", False)
@@ -294,6 +302,9 @@ class _HighsRounds:
             raise CertificationError("HiGHS rejected constraint rows")
 
     def add_rows(self, block: np.ndarray) -> None:
+        self.linprog.add_rows(block)
+        if self.highs_failed:
+            return
         nrows = block.shape[0]
         self._add(
             self.h, block,
@@ -301,7 +312,12 @@ class _HighsRounds:
         )
 
     def solve(self) -> tuple[np.ndarray, float]:
-        if self.h.run() != _highs_core.HighsStatus.kOk:
+        if not self.highs_failed:
+            status = self.h.run()
+            self.highs_failed = status == _highs_core.HighsStatus.kError
+        if self.highs_failed:
+            return self.linprog.solve()
+        if status != _highs_core.HighsStatus.kOk:
             raise CertificationError("HiGHS run failed")
         if self.h.getModelStatus() != _highs_core.HighsModelStatus.kOptimal:
             raise CertificationError(
@@ -488,6 +504,7 @@ def _refine_first_order(
     return c_start + N @ y
 
 
+@single_threaded()
 def certify_peak(
     W: WitnessFamily,
     target: int,
@@ -789,7 +806,7 @@ def _product_comparison(Q, regime, tol, m, refine, chars_E):
         preconditions["admissible"] = admissible.to_dict()
         closed = B.closed and Q.vector_system.closed
         preconditions["systems_closed"] = closed
-        natural = closed and check_natural(Q)
+        natural = closed and check_natural(Q, chars_E)
         preconditions["natural"] = natural
         ok = admissible.passed and closed and natural
     else:

@@ -625,10 +625,10 @@ def check_pi_injective(Q: Quadruple, pi: list[Character] | None = None) -> bool:
     return True
 
 
-def check_natural(Q: Quadruple) -> bool:
+def check_natural(Q: Quadruple, chars_E: list[Character] | None = None) -> bool:
     """pi is injective and its image is all of M(B~) (matched as sets)."""
     vector_algebra = as_algebra(Q.vector_system)
-    pi = build_pi(Q, vector_algebra=vector_algebra)
+    pi = build_pi(Q, chars_E, vector_algebra)
     if not check_pi_injective(Q, pi):
         return False
     abstract = characters(vector_algebra)

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+
+# Before numpy loads: the suite's small dense products run slower when
+# OpenBLAS spreads them over threads (about 7x over the whole suite on 2 cores).
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 import scipy.linalg

@@ -1,5 +1,7 @@
 """Structure-constant algebras: products, norms, validation, inversion."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,40 @@ def test_validate_catches_noncommutative():
     check = report.check("commutativity")
     assert not check.passed
     assert "e_0*e_1" in check.detail or "e_1*e_0" in check.detail
+
+
+def test_validate_catches_nonassociative_worst_triple():
+    # e_0 = 1, e_1^2 = e_2, e_2^2 = e_3, e_2 e_3 = 2 e_2, all other products
+    # of e_1, e_2, e_3 zero: commutative with a unit, but not associative.
+    c = np.zeros((4, 4, 4), dtype=complex)
+    for i in range(4):
+        c[0, i, i] = c[i, 0, i] = 1.0
+    c[1, 1, 2] = 1.0
+    c[2, 2, 3] = 1.0
+    c[2, 3, 2] = c[3, 2, 2] = 2.0
+    E = sh.AlgebraSpec(4, c, [1, 0, 0, 0], [1, 1, 1, 1], "nonassociative")
+    report = sh.validate_algebra(E)
+    assert report.check("commutativity").passed
+    assert report.check("unit_law").passed
+    check = report.check("associativity")
+    assert not check.passed
+    # the first index 1 gives at most |(e_1 e_1) e_3 - e_1 (e_1 e_3)| = 2;
+    # (e_2 e_3) e_3 - e_2 (e_3 e_3) = 4 e_2 - 0 is the first worst triple
+    assert check.detail == "(e_2 e_3) e_3"
+    assert check.residual == 4.0
+
+
+def test_validate_dim_64_in_bounded_memory():
+    # dim 64 holds 64^4 associativity entries (268 MB as one complex tensor)
+    E = sh.pointwise_algebra(64)
+    tracemalloc.start()
+    try:
+        report = sh.validate_algebra(E)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed, str(report)
+    assert peak < 64 * 2**20
 
 
 def test_validate_catches_bad_weights():

@@ -302,3 +302,48 @@ def test_partition_exports():
     pgm = sh.partition_to_pgm(part, disk)
     assert pgm.startswith("P2\n")
     assert "255" in pgm
+
+
+def test_dense_lp_survives_highs_error():
+    # On this point order HiGHS returns kError on the dense polygon LP of
+    # candidate 25; the rows are then re-solved by linprog.
+    R = sh.raster_from_shape(sh.Annulus(0, 0.5, 1), 16)
+    X = sh.combine_spaces(
+        sh.sample_raster(R, sh.CircleSample(0, 1.0, 15)),
+        sh.sample_raster(R, sh.CircleSample(0, 0.5, 15)),
+        sh.sample_raster(R, sh.InteriorGrid(0.3)),
+    )
+    assert X.size == 50
+    order = np.roll(np.arange(50), 16)
+    X = sh.FiniteSpace(tuple(X.points[i] for i in order), X.coords[order])
+    W = sh.witnesses_from_system(sh.make_rational(X, sh.complex_field(), 10, [0j]))
+    cert = sh.certify_peak(W, 25)
+    assert cert.status == "certified_peak"
+    assert sh.reverify_certificate(W, cert)
+
+
+def test_certify_peak_runs_blas_single_threaded(monkeypatch):
+    from shilov.blas import _openblas_controls
+
+    controls = _openblas_controls()
+    if not controls:
+        pytest.skip("no bundled OpenBLAS found")
+    counts_inside = []
+    real = sh.boundary._max_modulus
+
+    def spy(V_off, c):
+        counts_inside.append([get() for get, _ in controls])
+        return real(V_off, c)
+
+    monkeypatch.setattr(sh.boundary, "_max_modulus", spy)
+    previous = [get() for get, _ in controls]
+    try:
+        for _, set_ in controls:
+            set_(2)
+        sh.certify_peak(affine_family(), 0)
+        after = [get() for get, _ in controls]
+    finally:
+        for (_, set_), count in zip(controls, previous):
+            set_(count)
+    assert after == [2] * len(controls)
+    assert counts_inside and all(c == [1] * len(controls) for c in counts_inside)
