@@ -65,6 +65,7 @@ from .characters import (
 from .function_algebras import (
     FunctionSystem,
     Quadruple,
+    Span,
     as_algebra,
     build_pi,
     check_admissible,
@@ -85,7 +86,6 @@ from .function_algebras import (
     span_BE,
     span_membership,
     sup_norm,
-    system_norm,
     validate_system,
 )
 from .reports import CheckResult, ValidationReport, canonical_json
@@ -101,7 +101,6 @@ from .spaces import (
     combine_spaces,
     polynomial_hull_raster,
     raster_from_shape,
-    rational_hull_raster,
     read_pgm,
     sample_raster,
     topological_boundary_raster,

@@ -37,6 +37,7 @@ from .characters import Character, characters, gelfand_norm
 from .function_algebras import (
     FunctionSystem,
     Quadruple,
+    Span,
     check_admissible,
     check_natural,
     span_BE,
@@ -85,7 +86,7 @@ class WitnessFamily:
             raise ValueError("one label per candidate row required")
         if values.shape[1] == 0:
             raise ValueError("witness family needs at least one column")
-        rank = np.linalg.matrix_rank(values)
+        rank = Span.of(values.T).rank
         if rank < values.shape[1]:
             raise ValueError(
                 f"witness columns dependent: rank {rank} < {values.shape[1]}"
@@ -110,24 +111,14 @@ def _independent_columns(matrix: np.ndarray) -> np.ndarray:
     families like Laurent monomials span fifteen orders of magnitude and
     wreck the conditioning of every downstream solve.
     """
-    keep: list[np.ndarray] = []
-    basis: list[np.ndarray] = []
-    for j in range(matrix.shape[1]):
-        col = matrix[:, j].astype(complex)
+    span = Span(matrix.shape[0])
+    for col in matrix.T.astype(complex):
         peak = float(np.abs(col).max())
-        if peak <= 0.0:
-            continue
-        col = col / peak
-        v = col.copy()
-        for q in basis:
-            v = v - q * np.vdot(q, v)
-        r = float(np.linalg.norm(v))
-        if r > 1e-9 * max(float(np.linalg.norm(col)), 1.0):
-            keep.append(col)
-            basis.append(v / r)
-    if not keep:
+        if peak > 0.0:
+            span.add(col / peak)
+    if not span.rank:
         raise ValueError("witness family has no nonzero column")
-    return np.column_stack(keep)
+    return np.column_stack(span.kept)
 
 
 def witnesses_from_algebra(

@@ -25,7 +25,6 @@ import numpy as np
 from . import __version__
 from .algebra import AlgebraSpec, preset_algebra, validate_algebra
 from .boundary import (
-    BOUNDARY_SEED,
     certify_peak,
     partition_to_csv,
     partition_to_pgm,
@@ -376,12 +375,11 @@ def _check_references(config: dict) -> None:
             raise ConfigError(f"space {name!r}: unresolved raster {spec['sample_of']!r}")
         if "shape" in spec:
             for sh in spec["shape"]:
-                if sh["kind"] == "annulus" and not (
-                    float(sh["outer"]) > float(sh["inner"]) > 0
-                ):
-                    raise ConfigError(
-                        f"space {name!r}: annulus needs outer > inner > 0"
-                    )
+                if sh["kind"] == "annulus":
+                    try:
+                        Annulus(0j, float(sh["inner"]), float(sh["outer"]))
+                    except ValueError as exc:
+                        raise ConfigError(f"space {name!r}: {exc}") from None
     for name, spec in config.get("systems", {}).items():
         if spec["space"] not in spaces:
             raise ConfigError(f"system {name!r}: unresolved space {spec['space']!r}")
@@ -478,7 +476,6 @@ def _run_entry(ws: _Workspace, entry: dict, seed: int, out_dir: Path, stem: str,
             family = witnesses_from_system(system, characters(system.scalars, seed=seed))
         partition = shilov_estimate(family, tol=tol, m=m)
         payload = partition.to_dict()
-        payload["boundary_seed"] = BOUNDARY_SEED
         if family.coords is not None:
             extras[f"{stem}.csv"] = partition_to_csv(partition)
             payload["csv"] = f"{stem}.csv"

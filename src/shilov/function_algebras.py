@@ -9,16 +9,24 @@ closure, the quadruple admissibility conditions, and the associated map
     pi(psi, x) = psi o e_x
 
 from characters-of-E x points into characters of the vector system.
+
+Every rank and span-membership decision here and in the witness builders
+follows one rule, kept in the Span class: a flattened value table v lies in
+a span iff ||v - P v|| <= SPAN_TOL * max(||v||, 1), P the orthogonal
+projection onto the span.  Bases keep the first independent inputs in order.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .algebra import AlgebraSpec, Element, complex_field, validate_algebra
+from .blas import single_threaded
 from .characters import Character, characters, verify_character
 from .reports import (
     ValidationReport,
@@ -27,8 +35,7 @@ from .reports import (
 )
 from .spaces import FiniteSpace
 
-INDEPENDENCE_TOL = 1e-10  # singular-value cutoff for basis rank
-MEMBERSHIP_TOL = 1e-8  # relative residual for span membership
+SPAN_TOL = 1e-8  # relative residual bound of the one span rule (see Span)
 SEPARATION_TOL = 1e-9
 PI_DISTINCT_TOL = 1e-6
 
@@ -71,9 +78,10 @@ class FunctionSystem:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def flat_basis(self) -> np.ndarray:
-        """(m, |X| * dimE) matrix with one flattened value table per row."""
-        return self.basis.reshape(self.dim, -1)
+    @cached_property
+    def span(self) -> "Span":
+        """The span of the basis tables, flattened in basis order."""
+        return Span.of(self.basis.reshape(self.dim, -1))
 
     def table(self, coeffs) -> np.ndarray:
         """Value table of sum_k coeffs[k] * basis[k]."""
@@ -167,27 +175,12 @@ def lipschitz_norm(S: FunctionSystem, f, alpha: float | None = None) -> float:
     return sup_norm(S, f) + lipschitz_seminorm(S, f, alpha)
 
 
-def system_norm(S: FunctionSystem, f) -> float:
-    """The norm named by the system's tag."""
-    if S.norm_tag == "sup":
-        return sup_norm(S, f)
-    return lipschitz_norm(S, f)
-
-
 def span_membership(S: FunctionSystem, table: np.ndarray):
-    """Least-squares coefficients of a value table in the span, or None.
-
-    Membership means the least-squares residual is below MEMBERSHIP_TOL
-    relative to the table's size.
-    """
-    A = S.flat_basis().T
-    v = np.asarray(table, dtype=complex).reshape(-1)
-    coeffs, _, _, _ = np.linalg.lstsq(A, v, rcond=None)
-    residual = np.linalg.norm(A @ coeffs - v)
-    scale = max(float(np.linalg.norm(v)), 1.0)
-    if residual <= MEMBERSHIP_TOL * scale:
-        return coeffs
-    return None
+    """Coefficients of a value table in the span (0 on dependent basis
+    tables), or None when the table is not in the span."""
+    if not S.span.contains(table)[0]:
+        return None
+    return S.span.coefficients(table)[0]
 
 
 def separation_check(S: FunctionSystem) -> bool:
@@ -203,67 +196,112 @@ def separation_check(S: FunctionSystem) -> bool:
 def validate_system(S: FunctionSystem) -> ValidationReport:
     """Basis independence, unit membership, and (if flagged) product closure."""
     report = ValidationReport(subject=S.label or "function system")
-
-    s = np.linalg.svd(S.flat_basis(), compute_uv=False)
-    rank = int(np.sum(s > INDEPENDENCE_TOL * s[0]))
+    span = S.span
+    independent = span.rank == S.dim
+    dropped = np.delete(S.basis, span.index, axis=0)
     report.add(
         "basis_independent",
-        rank == S.dim,
-        float(s[-1] / s[0]) if rank != S.dim else 0.0,
-        "" if rank == S.dim else f"rank {rank} < {S.dim}",
+        independent,
+        0.0 if independent else float(span.residuals(dropped).min()),
+        "" if independent else f"rank {span.rank} < {S.dim}",
     )
 
-    report.add("contains_unit", span_membership(S, S.unit_table()) is not None)
+    report.add("contains_unit", bool(span.contains(S.unit_table())[0]))
 
     if S.closed:
-        worst = 0.0
-        ok = True
-        for i in range(S.dim):
-            for j in range(i, S.dim):
-                prod = pointwise_product(S, S.basis[i], S.basis[j])
-                if span_membership(S, prod) is None:
-                    ok = False
-                    worst = max(worst, 1.0)
-        report.add("product_closed", ok, worst)
+        ok = bool(span.contains(_basis_products(S)).all())
+        report.add("product_closed", ok, 0.0 if ok else 1.0)
 
     if S.norm_tag == "lipschitz":
         report.add("metric_available", True)
     return report
 
 
+def _basis_products(S: FunctionSystem) -> np.ndarray:
+    """(m * m, |X| * dim E): the flattened products of all basis pairs."""
+    products = np.einsum("ixp,jxq,pqk->ijxk", S.basis, S.basis, S.scalars.structure)
+    return products.reshape(S.dim * S.dim, -1)
+
+
 # ---------------------------------------------------------------------------
 # Span construction
 
 
-class _SpanBuilder:
-    """Incremental span with a deterministic accept-if-independent rule."""
+class Span:
+    """Incremental orthonormal basis of the span of flat vectors.
+
+    ``contains`` is the package's one span rule (see the module docstring).
+    ``add`` keeps a vector only when it is not yet contained, so ``kept`` is
+    the first maximal independent subset in input order.  Projections run
+    classical Gram-Schmidt twice as matrix products (Golub & Van Loan, ch. 5).
+    """
 
     def __init__(self, width: int):
-        self.width = width
-        self.tables: list[np.ndarray] = []
-        self._q: list[np.ndarray] = []  # orthonormal rows of the flat span
+        self._q = np.zeros((0, width), dtype=complex)  # orthonormal rows
+        self._count = 0  # vectors offered to add, kept or not
+        self.index: list[int] = []  # input positions of the kept vectors
+        self.kept: list[np.ndarray] = []
 
-    def residual(self, table: np.ndarray) -> np.ndarray:
-        v = table.reshape(-1).astype(complex)
-        for q in self._q:
-            v = v - q * np.vdot(q, v)
-        return v
+    @classmethod
+    def of(cls, vectors) -> "Span":
+        """The span of the rows of a 2-d array, added in row order."""
+        vectors = np.asarray(vectors, dtype=complex)
+        span = cls(vectors.shape[1])
+        for v in vectors:
+            span.add(v)
+        return span
 
-    def contains(self, table: np.ndarray) -> bool:
-        v = table.reshape(-1)
-        scale = max(float(np.linalg.norm(v)), 1.0)
-        return float(np.linalg.norm(self.residual(table))) <= INDEPENDENCE_TOL * scale * 1e2
+    @property
+    def rank(self) -> int:
+        return self._q.shape[0]
 
-    def add(self, table: np.ndarray) -> bool:
-        """Append the table if it enlarges the span; returns True if added."""
-        v = self.residual(table)
-        scale = max(float(np.linalg.norm(table.reshape(-1))), 1.0)
-        r = float(np.linalg.norm(v))
-        if r <= INDEPENDENCE_TOL * scale * 1e2:
+    def _rows(self, V) -> np.ndarray:
+        return np.asarray(V, dtype=complex).reshape(-1, self._q.shape[1])
+
+    def _project_out(self, V: np.ndarray) -> np.ndarray:
+        for _ in range(2):
+            V = V - (V @ self._q.conj().T) @ self._q
+        return V
+
+    def residuals(self, V) -> np.ndarray:
+        """||v - P v|| / max(||v||, 1) for each flattened row v of V."""
+        V = self._rows(V)
+        scale = np.maximum(np.linalg.norm(V, axis=1), 1.0)
+        return np.linalg.norm(self._project_out(V), axis=1) / scale
+
+    def contains(self, V) -> np.ndarray:
+        """Span membership of each flattened row of V."""
+        return self.residuals(V) <= SPAN_TOL
+
+    def add(self, v) -> bool:
+        """Keep v unless it lies in the span; returns True if kept."""
+        v = self._rows(v)
+        self._count += 1
+        if self.contains(v)[0]:
             return False
-        self.tables.append(np.array(table))
-        self._q.append(v / r)
+        r = self._project_out(v)[0]
+        self._q = np.vstack([self._q, r / np.linalg.norm(r)])
+        self.index.append(self._count - 1)
+        self.kept.append(v[0])
         return True
+
+    def coefficients(self, V) -> np.ndarray:
+        """Coefficients over all offered vectors (0 on dropped ones) whose
+        combination is the projection of each flattened row of V."""
+        V = self._rows(V)
+        out = np.zeros((V.shape[0], self._count), dtype=complex)
+        if self.rank:
+            R = np.array(self.kept) @ self._q.conj().T  # kept = R @ Q, lower triangular
+            # one small solve for R^-1, then a product: a triangular solve
+            # against every row of V touches several MB of BLAS buffer
+            R_inv = scipy.linalg.solve_triangular(R, np.eye(self.rank), lower=True)
+            out[:, self.index] = (V @ self._q.conj().T) @ R_inv
+        return out
+
+
+def _kept_tables(span: Span, X: FiniteSpace, E: AlgebraSpec) -> np.ndarray:
+    """The kept vectors of a span of flattened value tables, as tables."""
+    return np.array(span.kept).reshape(span.rank, X.size, E.dim)
 
 
 def close_under_products(S: FunctionSystem) -> FunctionSystem:
@@ -273,26 +311,26 @@ def close_under_products(S: FunctionSystem) -> FunctionSystem:
     then appended in lexicographic pair order until the span is stable.
     Terminates because the dimension is capped by |X| * dim E.
     """
-    builder = _SpanBuilder(S.space.size * S.scalars.dim)
+    span = Span(S.space.size * S.scalars.dim)
     unit = S.unit_table()
-    if span_membership(S, unit) is None:
-        builder.add(unit)
+    if not S.span.contains(unit)[0]:
+        span.add(unit)
     for t in S.basis:
-        builder.add(t)
+        span.add(t)
 
     while True:
         added = False
-        snapshot = list(builder.tables)
+        snapshot = [t.reshape(S.space.size, S.scalars.dim) for t in span.kept]
         for i in range(len(snapshot)):
             for j in range(i, len(snapshot)):
                 prod = pointwise_product(S, snapshot[i], snapshot[j])
-                added |= builder.add(prod)
+                added |= span.add(prod)
         if not added:
             break
 
     return replace(
         S,
-        basis=np.array(builder.tables),
+        basis=_kept_tables(span, S.space, S.scalars),
         closed=True,
         label=S.label and f"closure({S.label})",
     )
@@ -327,6 +365,15 @@ def _coordinate_values(X: FiniteSpace) -> np.ndarray:
     return X.coords
 
 
+def _times_units(fs, E: AlgebraSpec) -> np.ndarray:
+    """The flattened tables f e_j for the scalar functions f in fs, f-major."""
+    fs = np.asarray(fs)
+    tables = np.zeros((fs.shape[0], E.dim, fs.shape[1], E.dim), dtype=complex)
+    for j in range(E.dim):
+        tables[:, j, :, j] = fs
+    return tables.reshape(fs.shape[0] * E.dim, -1)
+
+
 def make_poly(X: FiniteSpace, E: AlgebraSpec, degree: int, label: str = "") -> FunctionSystem:
     """Span of z^k e_j for 0 <= k <= degree, deduplicated by rank.
 
@@ -334,18 +381,13 @@ def make_poly(X: FiniteSpace, E: AlgebraSpec, degree: int, label: str = "") -> F
     run close_under_products to upgrade otherwise.
     """
     z = _coordinate_values(X)
-    builder = _SpanBuilder(X.size * E.dim)
-    powers = np.ones_like(z)
-    for k in range(degree + 1):
-        for j in range(E.dim):
-            t = np.zeros((X.size, E.dim), dtype=complex)
-            t[:, j] = powers
-            builder.add(t)
-        powers = powers * z
-    basis = np.array(builder.tables)
-    closed = basis.shape[0] == X.size * E.dim
+    powers = [np.ones_like(z)]
+    for _ in range(degree):
+        powers.append(powers[-1] * z)
+    span = Span.of(_times_units(powers, E))
+    closed = span.rank == X.size * E.dim
     return FunctionSystem(
-        X, E, basis, closed=closed, label=label or f"P_{degree}(X,{E.label})"
+        X, E, _kept_tables(span, X, E), closed=closed, label=label or f"P_{degree}(X,{E.label})"
     )
 
 
@@ -362,22 +404,17 @@ def make_rational(
         if np.min(np.abs(z - complex(c))) < 1e-9:
             raise ValueError(f"pole {c} collides with a sample point")
     poly = make_poly(X, E, degree)
-    builder = _SpanBuilder(X.size * E.dim)
-    for t in poly.basis:
-        builder.add(t)
+    powers = []
     for c in poles:
-        inv = 1.0 / (z - complex(c))
-        powers = inv.copy()
+        inv = power = 1.0 / (z - complex(c))
         for _ in range(degree):
-            for j in range(E.dim):
-                t = np.zeros((X.size, E.dim), dtype=complex)
-                t[:, j] = powers
-                builder.add(t)
-            powers = powers * inv
-    basis = np.array(builder.tables)
-    closed = basis.shape[0] == X.size * E.dim
+            powers.append(power)
+            power = power * inv
+    pole_tables = _times_units(np.reshape(powers, (-1, X.size)), E)
+    span = Span.of(np.concatenate([poly.basis.reshape(poly.dim, -1), pole_tables]))
+    closed = span.rank == X.size * E.dim
     return FunctionSystem(
-        X, E, basis, closed=closed, label=label or f"R_{degree}(X,{E.label})"
+        X, E, _kept_tables(span, X, E), closed=closed, label=label or f"R_{degree}(X,{E.label})"
     )
 
 
@@ -385,16 +422,11 @@ def span_BE(B: FunctionSystem, E: AlgebraSpec, label: str = "") -> FunctionSyste
     """The span of {b * e : b in B.basis, e in E basis} as E-valued tables."""
     if B.scalars.dim != 1:
         raise ValueError("span_BE expects a scalar function system")
-    builder = _SpanBuilder(B.space.size * E.dim)
-    for b in B.basis:
-        for j in range(E.dim):
-            t = np.zeros((B.space.size, E.dim), dtype=complex)
-            t[:, j] = b[:, 0]
-            builder.add(t)
+    span = Span.of(_times_units(B.basis[:, :, 0], E))
     return FunctionSystem(
         B.space,
         E,
-        np.array(builder.tables),
+        _kept_tables(span, B.space, E),
         closed=B.closed,
         label=label or f"span({B.label or 'B'}*{E.label})",
     )
@@ -437,33 +469,29 @@ def embedding_constant(S: FunctionSystem, samples: int = 10_000, seed: int = 0) 
 # Closed systems as abstract algebras
 
 
+@single_threaded()  # threaded m*m-row products cost CPU here and save no wall time
 def as_algebra(S: FunctionSystem, label: str = "") -> AlgebraSpec:
     """Structure constants of a closed system in its own basis.
 
-    Products of basis tables are expressed in the basis by least squares; the
-    uniform weight is scaled so the submultiplicativity certificate holds.
+    Products of basis tables are expressed in the basis through S.span, with
+    validate_system's closure verdict; the uniform weight is scaled so the
+    submultiplicativity certificate holds.
     """
     if not S.closed:
         raise ValueError("as_algebra needs a multiplicatively closed system")
     m = S.dim
-    flat = S.flat_basis()
-    pinv = np.linalg.pinv(flat.T)  # coeffs = pinv @ flattened table
-
-    products = np.einsum("ixp,jxq,pqk->ijxk", S.basis, S.basis, S.scalars.structure)
-    prod_flat = products.reshape(m, m, -1)
-    coeffs = np.einsum("kd,ijd->ijk", pinv, prod_flat)
-
-    recon = np.einsum("ijk,kd->ijd", coeffs, flat)
-    scale = max(float(np.abs(prod_flat).max()), 1.0)
-    err = float(np.abs(recon - prod_flat).max())
-    if err > MEMBERSHIP_TOL * scale:
+    span = S.span
+    products = _basis_products(S)
+    if not span.contains(products).all():
+        err = float(span.residuals(products).max())
         raise ValueError(
             f"system {S.label!r} is not closed: product residual {err:.3g}"
         )
-    # exact symmetry (products are symmetric tables, lstsq is deterministic)
+    coeffs = span.coefficients(products).reshape(m, m, m)
+    # exact symmetry (products are symmetric tables)
     coeffs = 0.5 * (coeffs + coeffs.transpose(1, 0, 2))
 
-    unit = pinv @ S.unit_table().reshape(-1)
+    unit = span.coefficients(S.unit_table())[0]
     weight = max(1.0, float(np.abs(coeffs).sum(axis=2).max()))
     return AlgebraSpec(
         m,
@@ -552,7 +580,7 @@ def check_admissible(Q: Quadruple, chars_E: list[Character] | None = None) -> Va
             f"{len(chars_B)} characters vs {Q.space.size} points",
         )
 
-    unit_ok = span_membership(Bt, Bt.unit_table()) is not None
+    unit_ok = bool(Bt.span.contains(Bt.unit_table())[0])
     separates = separation_check(Bt)
     report.add(
         "vector_system_function_algebra",
@@ -565,25 +593,13 @@ def check_admissible(Q: Quadruple, chars_E: list[Character] | None = None) -> Va
     )
 
     # (5) B * E inside the vector span
-    worst5 = 0.0
-    ok5 = True
-    for b in B.basis:
-        for j in range(E.dim):
-            t = np.zeros((Q.space.size, E.dim), dtype=complex)
-            t[:, j] = b[:, 0]
-            if span_membership(Bt, t) is None:
-                ok5 = False
-                worst5 = 1.0
-    report.add("products_BE_in_vector_system", ok5, worst5)
+    ok5 = bool(Bt.span.contains(_times_units(B.basis[:, :, 0], E)).all())
+    report.add("products_BE_in_vector_system", ok5, 0.0 if ok5 else 1.0)
 
     # (6) composing with characters of E lands in B
     psis = chars_E if chars_E is not None else characters(E)
-    ok6 = True
-    for psi in psis:
-        for f in Bt.basis:
-            scalar_table = (f @ psi.values)[:, None]
-            if span_membership(B, scalar_table) is None:
-                ok6 = False
+    composed = np.array([Bt.basis @ psi.values for psi in psis])  # (|M(E)|, m, |X|)
+    ok6 = bool(B.span.contains(composed).all())
     report.add("characters_compose_into_scalar_system", ok6)
     return report
 

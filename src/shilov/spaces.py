@@ -290,11 +290,6 @@ def polynomial_hull_raster(R: RasterRegion) -> RasterRegion:
     return RasterRegion(filled, R.origin, R.pixel_size)
 
 
-def rational_hull_raster(R: RasterRegion) -> RasterRegion:
-    """Identity on plane sets: the rationally convex hull adds nothing in C."""
-    return RasterRegion(R.grid.copy(), R.origin, R.pixel_size)
-
-
 def boundary_mask(R: RasterRegion) -> np.ndarray:
     """Set pixels with at least one unset 4-neighbor."""
     g = R.grid

@@ -71,6 +71,21 @@ def test_witness_family_rejects_dependent_columns():
         sh.WitnessFamily(("a", "b", "c"), V)
 
 
+@pytest.mark.parametrize("r, dependent", [(3e-9, True), (1e-7, False)])
+def test_witness_columns_follow_the_span_rule(r, dependent):
+    # u and g are orthogonal with norm 2: u + r i g has relative residual r
+    u = np.ones(4)
+    v = u + r * 1j * np.array([1.0, -1.0, 1.0, -1.0])
+    X = sh.FiniteSpace(tuple("abcd"), np.arange(4) + 0j)
+    S = sh.FunctionSystem(X, sh.complex_field(), np.array([u, v])[:, :, None])
+    assert sh.witnesses_from_system(S).values.shape[1] == (1 if dependent else 2)
+    if dependent:
+        with pytest.raises(ValueError, match="dependent"):
+            sh.WitnessFamily(X.points, np.column_stack([u, v]))
+    else:
+        assert sh.WitnessFamily(X.points, np.column_stack([u, v])).values.shape == (4, 2)
+
+
 def test_shilov_estimate_full_semisimple_everything_peaks():
     rng = np.random.default_rng(2)
     X = random_space(rng, 3)

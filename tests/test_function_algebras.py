@@ -137,6 +137,69 @@ def test_span_membership_examples():
     assert sh.span_membership(S3, (S3.space.coords**2)[:, None]) is None
 
 
+# On four points u = 1, f = (1, 1, -1, -1), g = (1, -1, 1, -1) and h = f g are
+# orthogonal with norm 2, so u + r i g has relative residual r against span{u}.
+U4 = np.ones(4)
+F4 = np.array([1.0, 1.0, -1.0, -1.0])
+G4 = np.array([1.0, -1.0, 1.0, -1.0])
+NEAR, FAR = 3e-9, 1e-7  # either side of SPAN_TOL = 1e-8
+
+
+@pytest.mark.parametrize("r, dependent", [(NEAR, True), (FAR, False)])
+def test_one_span_rule_for_near_dependent_tables(r, dependent):
+    S = scalar_system(range(4), [U4, U4 + r * 1j * G4])
+    rank = 1 if dependent else 2
+    assert S.span.rank == rank
+    assert sh.span_BE(S, sh.complex_field()).dim == rank
+    assert sh.close_under_products(S).dim == rank
+    assert sh.validate_system(S).check("basis_independent").passed is not dependent
+    units = scalar_system(range(4), [U4])
+    assert (sh.span_membership(units, S.basis[1]) is not None) is dependent
+
+
+@pytest.mark.parametrize("r, closed", [(1e-10, True), (NEAR, True), (FAR, False), (1e-6, False)])
+def test_closure_verdict_shared_by_validate_system_and_as_algebra(r, closed):
+    # (f + eps h)^2 = (1 + eps^2) u + 2 eps g: its only off-span part is
+    # 2 eps g, a relative residual of 2 eps against span{u, f + eps h}.
+    S = scalar_system(range(4), [U4, F4 + r / 2 * F4 * G4], closed=True)
+    square = sh.pointwise_product(S, S.basis[1], S.basis[1])
+    assert S.span.residuals(square)[0] == pytest.approx(r, rel=1e-6)
+    check = sh.validate_system(S).check("product_closed")
+    assert check.passed is closed
+    assert check.residual == (0.0 if closed else 1.0)
+    if closed:
+        assert sh.as_algebra(S).dim == 2
+    else:
+        with pytest.raises(ValueError, match="not closed"):
+            sh.as_algebra(S)
+
+
+def test_batched_membership_matches_per_table():
+    rng = np.random.default_rng(21)
+    S = scalar_system(range(4), [U4, 2 * U4, G4])  # second table dependent
+    span = S.span
+    assert span.rank == 2 and span.index == [0, 2]
+    assert np.array_equal(np.array(span.kept), S.basis[[0, 2], :, 0])
+    assert not sh.Span.of(S.basis[:1, :, 0]).add(3 * U4)
+
+    mix = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+    inside = mix @ np.array([U4, G4])
+    outside = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    tables = np.concatenate([inside, outside])[:, :, None]
+    contains = span.contains(tables)
+    coeffs = span.coefficients(tables)
+    assert contains.tolist() == [True] * 5 + [False] * 3
+    for table, in_span, c in zip(tables, contains, coeffs):
+        single = sh.span_membership(S, table)
+        assert bool(in_span) == (single is not None)
+        if in_span:
+            np.testing.assert_allclose(c, single, atol=1e-12)
+            assert c[1] == 0
+            np.testing.assert_allclose(S.table(c), table, atol=1e-12)
+            reference, *_ = np.linalg.lstsq(S.basis[[0, 2], :, 0].T, table[:, 0], rcond=None)
+            np.testing.assert_allclose(c[[0, 2]], reference, atol=1e-12)
+
+
 # --- constructors ----------------------------------------------------------------
 
 

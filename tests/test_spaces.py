@@ -123,13 +123,6 @@ def test_hull_is_closure_operator():
         assert components(~H.grid) == 1  # complement connected
 
 
-def test_rational_hull_identity():
-    ann = sh.raster_from_shape(sh.Annulus(0, 0.5, 1), 16)
-    same = sh.rational_hull_raster(ann)
-    assert np.array_equal(same.grid, ann.grid)
-    assert same.origin == ann.origin
-
-
 # --- boundaries --------------------------------------------------------------
 
 
