@@ -31,7 +31,6 @@ def exact_part():
     print(f"  certified pairs: {base.certified_pairs}")
     print(f"  product pairs:   {base.product_pairs}")
     print(f"  symmetric difference: missing {base.missing}, extra {base.extra}")
-    print(f"  peak sets match boundary sets: {report.peak_sets_match_boundary_sets}")
     print(f"  all certificates re-verify:    {report.certificates_reverified}")
 
     # build the constructive product peaker at (chi1, b)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -76,6 +77,11 @@ class AlgebraSpec:
         object.__setattr__(self, "structure", structure)
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "weights", weights)
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """validate_algebra's report, computed once per algebra."""
+        return validate_algebra(self)
 
     def element(self, coords) -> "Element":
         return Element(np.asarray(coords, dtype=complex), self)

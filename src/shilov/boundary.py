@@ -26,10 +26,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-try:  # incremental HiGHS: warm-started rows between generation rounds
-    from scipy.optimize._highspy import _core as _highs_core
-except ImportError:  # pragma: no cover - fallback exercised only without it
-    _highs_core = None
+from scipy.optimize._highspy import _core as _highs_core  # incremental HiGHS
 
 from .algebra import AlgebraSpec, Element
 from .blas import single_threaded
@@ -40,7 +37,6 @@ from .function_algebras import (
     Span,
     check_admissible,
     check_natural,
-    span_BE,
     span_membership,
     sup_norm,
 )
@@ -52,7 +48,8 @@ DEFAULT_SIDES = 32
 BOUNDARY_SEED = 1729  # default seed for is_boundary's random witnesses
 CERT_REVERIFY_TOL = 1e-9
 
-# Reported LP bounds carry a tiny pad for solver roundoff; small enough that
+# Reported LP bounds carry a tiny pad for roundoff at the 1e-9 feasibility
+# tolerances of _HighsRounds; small enough that
 # lp_upper <= lp_lower * sec(pi/m) + 1e-9 still holds.
 _LP_PAD = 3e-10
 
@@ -209,55 +206,17 @@ def _polygon_values(w: np.ndarray, m: int) -> np.ndarray:
     return np.max(np.real(np.multiply.outer(w, phases)), axis=-1)
 
 
-class _LinprogRounds:
-    """Fallback backend: each round re-solves the accumulated rows from scratch."""
-
-    def __init__(self, k: int, v_t: np.ndarray):
-        self.k = k
-        self.blocks: list[np.ndarray] = []
-        self.A_eq = np.zeros((2, 2 * k + 1))
-        self.A_eq[0, :k], self.A_eq[0, k : 2 * k] = v_t.real, -v_t.imag
-        self.A_eq[1, :k], self.A_eq[1, k : 2 * k] = v_t.imag, v_t.real
-        self.bounds = [(None, None)] * (2 * k) + [(0.0, None)]
-        self.cost = np.zeros(2 * k + 1)
-        self.cost[-1] = 1.0
-
-    def add_rows(self, block: np.ndarray) -> None:
-        self.blocks.append(block)
-
-    def solve(self) -> tuple[np.ndarray, float]:
-        A_ub = np.vstack(self.blocks)
-        res = None
-        # dual simplex is exact but occasionally gives up; the interior-point
-        # fallback runs crossover, so either way we get a vertex solution
-        for method, opts in (
-            ("highs", {"presolve": False}),
-            ("highs", None),
-            ("highs-ipm", None),
-        ):
-            res = scipy.optimize.linprog(
-                self.cost, A_ub=A_ub, b_ub=np.zeros(A_ub.shape[0]),
-                A_eq=self.A_eq, b_eq=[1.0, 0.0], bounds=self.bounds,
-                method=method, options=opts,
-            )
-            if res.status == 0:
-                k = self.k
-                return res.x[:k] + 1j * res.x[k : 2 * k], float(res.fun)
-        raise CertificationError(f"LP solver failed: {res.message}")
-
-
 class _HighsRounds:
-    """Incremental backend: added rows keep the basis, so re-runs are warm.
+    """Incremental LP on HiGHS: added rows keep the basis, so re-runs are warm.
 
     HiGHS occasionally gives up on a dense model (``run`` returns kError).
-    The rows are therefore mirrored into a ``_LinprogRounds``, which then
-    re-solves them and solves every later round of this LP.
+    The model then drops its solver state (basis, factorization), switches
+    presolve on for the rest of this LP and runs once more on the same rows
+    and tolerances; a second kError raises CertificationError.
     """
 
     def __init__(self, k: int, v_t: np.ndarray):
         self.k = k
-        self.linprog = _LinprogRounds(k, v_t)
-        self.highs_failed = False
         inf = _highs_core.kHighsInf
         h = _highs_core._Highs()
         h.setOptionValue("output_flag", False)
@@ -293,9 +252,6 @@ class _HighsRounds:
             raise CertificationError("HiGHS rejected constraint rows")
 
     def add_rows(self, block: np.ndarray) -> None:
-        self.linprog.add_rows(block)
-        if self.highs_failed:
-            return
         nrows = block.shape[0]
         self._add(
             self.h, block,
@@ -303,11 +259,11 @@ class _HighsRounds:
         )
 
     def solve(self) -> tuple[np.ndarray, float]:
-        if not self.highs_failed:
+        status = self.h.run()
+        if status == _highs_core.HighsStatus.kError:
+            self.h.clearSolver()
+            self.h.setOptionValue("presolve", "on")
             status = self.h.run()
-            self.highs_failed = status == _highs_core.HighsStatus.kError
-        if self.highs_failed:
-            return self.linprog.solve()
         if status != _highs_core.HighsStatus.kOk:
             raise CertificationError("HiGHS run failed")
         if self.h.getModelStatus() != _highs_core.HighsModelStatus.kOptimal:
@@ -317,15 +273,6 @@ class _HighsRounds:
         x = np.asarray(self.h.getSolution().col_value)
         k = self.k
         return x[:k] + 1j * x[k : 2 * k], float(self.h.getObjectiveValue())
-
-
-def _lp_rounds(k: int, v_t: np.ndarray):
-    if _highs_core is not None:
-        try:
-            return _HighsRounds(k, v_t)
-        except Exception:
-            pass
-    return _LinprogRounds(k, v_t)
 
 
 def _solve_polygon_lp(
@@ -350,7 +297,7 @@ def _solve_polygon_lp(
     """
     n_off, k = V_off.shape
     phases = np.exp(-2j * np.pi * np.arange(m) / m)
-    backend = _lp_rounds(k, v_t)
+    backend = _HighsRounds(k, v_t)
 
     def rows_for(cand_idx: np.ndarray, dir_idx: np.ndarray) -> np.ndarray:
         W_sel = V_off[cand_idx] * phases[dir_idx][:, None]  # (pairs, k)
@@ -501,7 +448,6 @@ def certify_peak(
     target: int,
     tol: float = DEFAULT_TOL,
     m: int = DEFAULT_SIDES,
-    refine: str = "auto",
     warm_start: np.ndarray | None = None,
 ) -> PeakCertificate:
     """Certify whether candidate ``target`` is a peak point of the family.
@@ -509,6 +455,12 @@ def certify_peak(
     certified_peak requires an upper bound on the minimax optimum below
     1 - tol; certified_not_peak requires the certified lower bound to reach
     1 - tol/100; anything between is undecided.
+
+    The LP runs on incremental HiGHS with 1e-9 feasibility tolerances (a
+    kError is retried once from a cleared solver with presolve on).  L-BFGS
+    refinement then tightens the LP point: five smoothing stages of 200
+    iterations when n * k <= 80 (n candidates, k witnesses), one stage of
+    40 otherwise.
     """
     V = W.values
     n, k = V.shape
@@ -541,23 +493,17 @@ def certify_peak(
     lp_lower = p - _LP_PAD
     lp_upper = p * sec + _LP_PAD
 
-    if refine == "auto":
-        refine = "full" if n * k <= 80 else "quick"
-    if refine == "full":
+    if n * k <= 80:
         stages, iters = [3e-2, 3e-3, 3e-4, 3e-5, 1e-5], 200
-    elif refine == "quick":
-        stages, iters = [1e-2], 40
     else:
-        stages, iters = [], 0
-
+        stages, iters = [1e-2], 40
     best_c = c_lp
     best_val = _max_modulus(V_off, c_lp)
-    if stages:
-        c_ref = _refine_first_order(V_off, v_t, c_lp, stages, iters)
-        c_ref = c_ref / np.dot(v_t, c_ref)
-        val = _max_modulus(V_off, c_ref)
-        if val < best_val:
-            best_c, best_val = c_ref, val
+    c_ref = _refine_first_order(V_off, v_t, c_lp, stages, iters)
+    c_ref = c_ref / np.dot(v_t, c_ref)
+    val = _max_modulus(V_off, c_ref)
+    if val < best_val:
+        best_c, best_val = c_ref, val
     refined = best_val
 
     upper = min(lp_upper, refined)
@@ -627,7 +573,6 @@ def shilov_estimate(
     W: WitnessFamily,
     tol: float = DEFAULT_TOL,
     m: int = DEFAULT_SIDES,
-    refine: str = "auto",
 ) -> BoundaryPartition:
     """Certify every candidate; the certified peak set underestimates the
     Shilov boundary (and equals it when the witnesses span the full algebra
@@ -646,7 +591,7 @@ def shilov_estimate(
     certs = []
     warm = None
     for i in range(W.candidate_count):
-        cert = certify_peak(W, i, tol=tol, m=m, refine=refine, warm_start=warm)
+        cert = certify_peak(W, i, tol=tol, m=m, warm_start=warm)
         if np.any(cert.coefficients):
             warm = cert.coefficients
         certs.append(cert)
@@ -787,7 +732,7 @@ class ProductTheoremReport:
         }
 
 
-def _product_comparison(Q, regime, tol, m, refine, chars_E):
+def _product_comparison(Q, regime, tol, m, chars_E):
     """Shared certification pipeline behind both product theorems."""
     E, B = Q.scalars, Q.scalar_system
     preconditions: dict = {"regime": regime}
@@ -809,12 +754,11 @@ def _product_comparison(Q, regime, tol, m, refine, chars_E):
         return preconditions, None, None, None, False
 
     we = witnesses_from_algebra(E, chars_E)
-    pe = shilov_estimate(we, tol=tol, m=m, refine=refine)
+    pe = shilov_estimate(we, tol=tol, m=m)
     wb = witnesses_from_system(B)
-    pb = shilov_estimate(wb, tol=tol, m=m, refine=refine)
-    span = span_BE(B, E)
-    wbt = witnesses_from_system(span, chars_E)
-    pbt = shilov_estimate(wbt, tol=tol, m=m, refine=refine)
+    pb = shilov_estimate(wb, tol=tol, m=m)
+    wbt = witnesses_from_system(Q.vector_system, chars_E)
+    pbt = shilov_estimate(wbt, tol=tol, m=m)
     return preconditions, pe, pb, pbt, True
 
 
@@ -823,7 +767,6 @@ def verify_product_theorem(
     regime: str = "exact",
     tol: float = DEFAULT_TOL,
     m: int = DEFAULT_SIDES,
-    refine: str = "auto",
     chars_E: list[Character] | None = None,
 ) -> ProductTheoremReport:
     """Compare the certified boundary of the vector system with the product
@@ -838,7 +781,7 @@ def verify_product_theorem(
     if chars_E is None:
         chars_E = characters(Q.scalars)
     preconditions, pe, pb, pbt, ok = _product_comparison(
-        Q, regime, tol, m, refine, chars_E
+        Q, regime, tol, m, chars_E
     )
     report = ProductTheoremReport(
         quadruple=Q.label or "quadruple",
@@ -875,20 +818,14 @@ class PeakProductReport:
 
     base: ProductTheoremReport
     certificates_reverified: bool = False
-    peak_sets_match_boundary_sets: bool = False
 
     @property
     def passed(self) -> bool:
-        return (
-            self.base.passed
-            and self.certificates_reverified
-            and self.peak_sets_match_boundary_sets
-        )
+        return self.base.passed and self.certificates_reverified
 
     def to_dict(self) -> dict:
         data = self.base.to_dict()
         data["certificates_reverified"] = self.certificates_reverified
-        data["peak_sets_match_boundary_sets"] = self.peak_sets_match_boundary_sets
         data["passed"] = self.passed
         return data
 
@@ -898,7 +835,6 @@ def verify_peak_product(
     regime: str = "exact",
     tol: float = DEFAULT_TOL,
     m: int = DEFAULT_SIDES,
-    refine: str = "auto",
     chars_E: list[Character] | None = None,
 ) -> PeakProductReport:
     """Check S0(vector system) = S0(scalar system) x S0(E) on the candidates.
@@ -910,20 +846,15 @@ def verify_peak_product(
     theorems' checks a statement rather than a tautology.
     """
     base = verify_product_theorem(
-        Q, regime=regime, tol=tol, m=m, refine=refine, chars_E=chars_E
+        Q, regime=regime, tol=tol, m=m, chars_E=chars_E
     )
     report = PeakProductReport(base)
     if base.e_partition is None:
         return report
-    reverified = True
-    for part in (base.e_partition, base.b_partition, base.bt_partition):
-        for cert in part.certificates:
-            reverified &= reverify_certificate(part.family, cert)
-    report.certificates_reverified = reverified
-    # peak set == certified boundary set, candidate by candidate
-    report.peak_sets_match_boundary_sets = all(
-        part.peak == [c.target for c in part.certificates if reverify_certificate(part.family, c) and c.status == "certified_peak"]
+    report.certificates_reverified = all(
+        reverify_certificate(part.family, cert)
         for part in (base.e_partition, base.b_partition, base.bt_partition)
+        for cert in part.certificates
     )
     return report
 

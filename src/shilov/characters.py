@@ -22,13 +22,13 @@ from .algebra import (
     multiply,
     norm,
     pointwise_algebra,
-    validate_algebra,
 )
 from .reports import ValidationReport, complex_array_to_pairs
 
 CHARACTER_TOL = 1e-8  # multiplicativity / unitality residual bound
 DEDUP_TOL = 1e-6  # sup-norm distance below which two characters are the same
 RADICAL_RANK_TOL = 1e-10
+TRIANGULARIZATION_ATTEMPTS = 5
 
 
 class GenericityFailure(RuntimeError):
@@ -142,26 +142,19 @@ def _candidate_tuples(E: AlgebraSpec, rng: np.random.Generator) -> np.ndarray | 
     return np.column_stack([np.diagonal(M) for M in rotated])
 
 
-def characters(
-    E: AlgebraSpec,
-    seed: int = 0,
-    retries: int = 5,
-    validate: bool = True,
-) -> list[Character]:
+def characters(E: AlgebraSpec, seed: int = 0) -> list[Character]:
     """All characters of E, deduplicated and lexicographically ordered.
 
     The radical is split off first (trace form), candidate tuples are read
     off a joint unitary triangularization of the quotient's multiplication
     matrices and pulled back, and exactly those passing the character
-    invariants are kept.  Raises GenericityFailure if no reseeded random
-    combination yields a separating triangularization within ``retries``
-    attempts.
+    invariants are kept.  Raises ValueError if E fails validation, and
+    GenericityFailure if no reseeded random combination yields a separating
+    triangularization within TRIANGULARIZATION_ATTEMPTS attempts.
     """
-    if validate:
-        report = validate_algebra(E)
-        if not report.passed:
-            bad = ", ".join(c.name for c in report.failures())
-            raise ValueError(f"algebra {E.label!r} fails validation: {bad}")
+    if not E.validation.passed:
+        bad = ", ".join(c.name for c in E.validation.failures())
+        raise ValueError(f"algebra {E.label!r} fails validation: {bad}")
 
     W = _semisimple_split(E)
     if W is None:
@@ -173,7 +166,7 @@ def characters(
 
     rng = np.random.default_rng(seed)
     accepted: list[np.ndarray] = []
-    for _ in range(retries):
+    for _ in range(TRIANGULARIZATION_ATTEMPTS):
         tuples = _candidate_tuples(reduced, rng)
         if tuples is None:
             continue
@@ -185,7 +178,8 @@ def characters(
             break
     if not accepted:
         raise GenericityFailure(
-            f"no separating triangularization for {E.label!r} after {retries} attempts"
+            f"no separating triangularization for {E.label!r} after "
+            f"{TRIANGULARIZATION_ATTEMPTS} attempts"
         )
 
     unique: list[np.ndarray] = []

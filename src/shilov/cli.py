@@ -23,7 +23,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__
-from .algebra import AlgebraSpec, preset_algebra, validate_algebra
+from .algebra import AlgebraSpec, preset_algebra
 from .boundary import (
     certify_peak,
     partition_to_csv,
@@ -441,7 +441,7 @@ def _run_entry(ws: _Workspace, entry: dict, seed: int, out_dir: Path, stem: str,
     elif command == "validate":
         obj = ws.resolve_any(target)
         if isinstance(obj, AlgebraSpec):
-            payload = validate_algebra(obj).to_dict()
+            payload = obj.validation.to_dict()
         elif isinstance(obj, FunctionSystem):
             payload = validate_system(obj).to_dict()
         elif isinstance(obj, Quadruple):

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .algebra import AlgebraSpec, Element, complex_field, validate_algebra
+from .algebra import AlgebraSpec, Element, complex_field
 from .blas import single_threaded
 from .characters import Character, characters, verify_character
 from .reports import (
@@ -541,7 +541,7 @@ def check_admissible(Q: Quadruple, chars_E: list[Character] | None = None) -> Va
         detail="finite spaces are compact Hausdorff",
     )
 
-    alg_report = validate_algebra(E)
+    alg_report = E.validation
     report.add(
         "scalars_commutative_unital",
         alg_report.passed,

@@ -37,6 +37,17 @@ def preset(request):
     return sh.preset_algebra(request.param)
 
 
+def assert_peak_sets_reverify(report: sh.PeakProductReport) -> None:
+    """Gamma = S0: each certified peak set is exactly its re-verified peaks."""
+    base = report.base
+    for part in (base.e_partition, base.b_partition, base.bt_partition):
+        reverified = [
+            c.target for c in part.certificates
+            if c.status == "certified_peak" and sh.reverify_certificate(part.family, c)
+        ]
+        assert part.peak == reverified, (base.quadruple, part.family.label)
+
+
 def random_space(rng: np.random.Generator, n: int) -> sh.FiniteSpace:
     """n distinct points in the unit square of the plane."""
     while True:

@@ -15,6 +15,7 @@ import shilov as sh
 from conftest import (
     PRESET_CHARACTER_COUNTS,
     PRESET_NAMES,
+    assert_peak_sets_reverify,
     minimax_grid_oracle,
     random_space,
 )
@@ -117,7 +118,7 @@ def test_criterion_3_exact_regime_product_theorems():
         assert base.preconditions["natural"], Q.label
         assert base.missing == [] and base.extra == [], (Q.label, base.missing, base.extra)
         # Gamma = S0 on every finite candidate set: certified sets coincide
-        assert report.peak_sets_match_boundary_sets
+        assert_peak_sets_reverify(report)
         assert report.certificates_reverified
         assert report.passed
     note(3, "20 randomized natural quadruples: empty symmetric differences, Gamma = S0")

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 import shilov as sh
-from conftest import minimax_grid_oracle, random_natural_quadruple, random_space
+from conftest import (
+    assert_peak_sets_reverify,
+    minimax_grid_oracle,
+    random_natural_quadruple,
+    random_space,
+)
 
 SEC32 = 1.0 / math.cos(math.pi / 32)
 
@@ -260,7 +265,23 @@ def test_peak_product_agrees():
     report = sh.verify_peak_product(Q)
     assert report.passed
     assert report.certificates_reverified
-    assert report.peak_sets_match_boundary_sets
+    assert_peak_sets_reverify(report)
+
+
+def test_estimation_product_certifies_the_named_vector_system():
+    rng = np.random.default_rng(15)
+    X = random_space(rng, 4)
+    E = sh.preset_algebra("pointwise_2")
+    B = sh.make_poly(X, sh.complex_field(), 1)
+    Bt = sh.make_CXE(X, E, label="Bt")
+    assert Bt.dim > sh.span_BE(B, E).dim  # B~ is not span(B E)
+    Q = sh.Quadruple(X, E, B, Bt)
+    report = sh.verify_product_theorem(Q, regime="estimation")
+    family = report.bt_partition.family
+    expected = sh.witnesses_from_system(Bt, sh.characters(E))
+    assert family.label == "Bt"
+    assert family.labels == expected.labels
+    assert np.array_equal(family.values, expected.values)
 
 
 def test_scalar_quadruple_reduces_to_identity():
@@ -319,9 +340,10 @@ def test_partition_exports():
     assert "255" in pgm
 
 
-def test_dense_lp_survives_highs_error():
-    # On this point order HiGHS returns kError on the dense polygon LP of
-    # candidate 25; the rows are then re-solved by linprog.
+@pytest.mark.parametrize("shift, target", [(16, 25), (35, 34)])
+def test_dense_lp_survives_highs_error(shift, target):
+    # On these point orders HiGHS returns kError on the dense polygon LP of
+    # the target; the same model is then cleared and re-run with presolve on.
     R = sh.raster_from_shape(sh.Annulus(0, 0.5, 1), 16)
     X = sh.combine_spaces(
         sh.sample_raster(R, sh.CircleSample(0, 1.0, 15)),
@@ -329,10 +351,10 @@ def test_dense_lp_survives_highs_error():
         sh.sample_raster(R, sh.InteriorGrid(0.3)),
     )
     assert X.size == 50
-    order = np.roll(np.arange(50), 16)
+    order = np.roll(np.arange(50), shift)
     X = sh.FiniteSpace(tuple(X.points[i] for i in order), X.coords[order])
     W = sh.witnesses_from_system(sh.make_rational(X, sh.complex_field(), 10, [0j]))
-    cert = sh.certify_peak(W, 25)
+    cert = sh.certify_peak(W, target)
     assert cert.status == "certified_peak"
     assert sh.reverify_certificate(W, cert)
 
