@@ -80,6 +80,7 @@ from .function_algebras import (
     make_lip,
     make_poly,
     make_rational,
+    pi_matrix,
     pointwise_product,
     scalar_quadruple,
     separation_check,

@@ -32,6 +32,12 @@ INVERT_TOL = 1e-9
 RANK_TOL = 1e-10  # singular values below RANK_TOL * sigma_max count as zero
 
 
+def numerical_rank(s: np.ndarray) -> int:
+    """Singular values (descending) above RANK_TOL * s[0]: a scale-free cut,
+    unlike the max(||v||, 1) floor of the span rule (function_algebras.Span)."""
+    return int(np.sum(s > RANK_TOL * s[0])) if s.size else 0
+
+
 class AlgebraError(ValueError):
     pass
 
@@ -156,11 +162,13 @@ class Element:
         return f"Element([{vals}], {self.algebra.label or 'algebra'})"
 
 
+def same_algebra(A: AlgebraSpec, B: AlgebraSpec) -> bool:
+    """Same dimension and structure constants (labels, weights may differ)."""
+    return A is B or (A.dim == B.dim and np.array_equal(A.structure, B.structure))
+
+
 def _same_algebra(a: Element, b: Element) -> None:
-    if a.algebra is not b.algebra and not (
-        a.algebra.dim == b.algebra.dim
-        and np.array_equal(a.algebra.structure, b.algebra.structure)
-    ):
+    if not same_algebra(a.algebra, b.algebra):
         raise AlgebraError("elements belong to different algebras")
 
 
@@ -261,11 +269,11 @@ def invert(E: AlgebraSpec, a: Element) -> Element:
     """Solve (a * x) = unit.
 
     Raises NotInvertibleError when the multiplication-by-a matrix is rank
-    deficient (singular values below RANK_TOL relative to the largest).
+    deficient (numerical_rank below dim).
     """
     L = left_multiplication_matrix(E, a)
     u_mat, s, vh = np.linalg.svd(L)
-    if s.size == 0 or s[0] == 0.0 or np.any(s < RANK_TOL * s[0]):
+    if numerical_rank(s) < E.dim:
         raise NotInvertibleError(f"element is not invertible in {E.label or 'algebra'}")
     x = vh.conj().T @ ((u_mat.conj().T @ E.unit) / s)
     result = Element(x, E)

@@ -37,11 +37,12 @@ from .function_algebras import (
     Span,
     check_admissible,
     check_natural,
+    pi_matrix,
     span_membership,
     sup_norm,
 )
 from .reports import ValidationReport, complex_array_to_pairs
-from .spaces import RasterRegion
+from .spaces import RasterRegion, pgm_text
 
 DEFAULT_TOL = 1e-4
 DEFAULT_SIDES = 32
@@ -137,37 +138,21 @@ def witnesses_from_system(
 ) -> WitnessFamily:
     """Candidates = evaluation characters of a function system.
 
-    For scalar systems the candidates are the points of X.  For E-valued
-    systems they are the pairs (psi, x), psi-major, with values
-    psi(f_m(x)); rows then factor through the semisimple quotient of E, so
-    dependent witness columns (e.g. radical multiples) are dropped.
+    The candidates are the pairs (psi, x), psi-major, with values
+    psi(f_m(x)) (pi_matrix); scalar systems have one psi and keep the point
+    labels.  For E-valued systems rows factor through the semisimple
+    quotient of E, so dependent witness columns (e.g. radical multiples)
+    are dropped.
     """
     X = S.space
-    if S.scalars.dim == 1:
-        unit = complex(S.scalars.unit[0])
-        V = (S.basis[:, :, 0] * unit).T
-        return WitnessFamily(
-            tuple(X.points),
-            _independent_columns(V),
-            coords=None if X.coords is None else X.coords.copy(),
-            label=label or (S.label or "system"),
-        )
     psis = chars_E if chars_E is not None else characters(S.scalars)
-    rows = []
-    labels = []
-    coords = [] if X.coords is not None else None
-    for psi in psis:
-        values_all = S.basis @ psi.values  # (m, |X|)
-        for x, point in enumerate(X.points):
-            rows.append(values_all[:, x])
-            labels.append(f"{psi.label}|{point}")
-            if coords is not None:
-                coords.append(X.coords[x])
-    V = _independent_columns(np.array(rows))
+    labels = X.points if S.scalars.dim == 1 else tuple(
+        f"{psi.label}|{point}" for psi in psis for point in X.points
+    )
     return WitnessFamily(
-        tuple(labels),
-        V,
-        coords=None if coords is None else np.array(coords),
+        labels,
+        _independent_columns(pi_matrix(S, psis)),
+        coords=None if X.coords is None else np.tile(X.coords, len(psis)),
         label=label or (S.label or "system"),
     )
 
@@ -198,12 +183,6 @@ class PeakCertificate:
             "lp_upper": self.lp_upper,
             "refined": self.refined,
         }
-
-
-def _polygon_values(w: np.ndarray, m: int) -> np.ndarray:
-    """max_k Re(e^{-i theta_k} w) per entry; underestimates |w| by <= sec(pi/m)."""
-    phases = np.exp(-2j * np.pi * np.arange(m) / m)
-    return np.max(np.real(np.multiply.outer(w, phases)), axis=-1)
 
 
 class _HighsRounds:
@@ -732,36 +711,6 @@ class ProductTheoremReport:
         }
 
 
-def _product_comparison(Q, regime, tol, m, chars_E):
-    """Shared certification pipeline behind both product theorems."""
-    E, B = Q.scalars, Q.scalar_system
-    preconditions: dict = {"regime": regime}
-    ok = True
-    if regime == "exact":
-        admissible = check_admissible(Q, chars_E)
-        preconditions["admissible"] = admissible.to_dict()
-        closed = B.closed and Q.vector_system.closed
-        preconditions["systems_closed"] = closed
-        natural = closed and check_natural(Q, chars_E)
-        preconditions["natural"] = natural
-        ok = admissible.passed and closed and natural
-    else:
-        preconditions["note"] = (
-            "estimation regime: capped witness families, certified sets are "
-            "sound under-approximations"
-        )
-    if not ok:
-        return preconditions, None, None, None, False
-
-    we = witnesses_from_algebra(E, chars_E)
-    pe = shilov_estimate(we, tol=tol, m=m)
-    wb = witnesses_from_system(B)
-    pb = shilov_estimate(wb, tol=tol, m=m)
-    wbt = witnesses_from_system(Q.vector_system, chars_E)
-    pbt = shilov_estimate(wbt, tol=tol, m=m)
-    return preconditions, pe, pb, pbt, True
-
-
 def verify_product_theorem(
     Q: Quadruple,
     regime: str = "exact",
@@ -780,19 +729,37 @@ def verify_product_theorem(
         raise ValueError(f"unknown regime {regime!r}")
     if chars_E is None:
         chars_E = characters(Q.scalars)
-    preconditions, pe, pb, pbt, ok = _product_comparison(
-        Q, regime, tol, m, chars_E
-    )
     report = ProductTheoremReport(
         quadruple=Q.label or "quadruple",
         regime=regime,
         tol=tol,
         m=m,
-        preconditions=preconditions,
+        preconditions={"regime": regime},
     )
-    if not ok:
-        return report
-    report.e_partition, report.b_partition, report.bt_partition = pe, pb, pbt
+    preconditions = report.preconditions
+    if regime == "exact":
+        admissible = check_admissible(Q, chars_E)
+        preconditions["admissible"] = admissible.to_dict()
+        closed = Q.scalar_system.closed and Q.vector_system.closed
+        preconditions["systems_closed"] = closed
+        natural = closed and check_natural(Q, chars_E)
+        preconditions["natural"] = natural
+        if not (admissible.passed and closed and natural):
+            return report
+    else:
+        preconditions["note"] = (
+            "estimation regime: capped witness families, certified sets are "
+            "sound under-approximations"
+        )
+    pe = report.e_partition = shilov_estimate(
+        witnesses_from_algebra(Q.scalars, chars_E), tol=tol, m=m
+    )
+    pb = report.b_partition = shilov_estimate(
+        witnesses_from_system(Q.scalar_system), tol=tol, m=m
+    )
+    pbt = report.bt_partition = shilov_estimate(
+        witnesses_from_system(Q.vector_system, chars_E), tol=tol, m=m
+    )
 
     n_x = Q.space.size
     product = sorted(itertools.product(pe.peak, pb.peak))
@@ -882,5 +849,4 @@ def partition_to_pgm(partition: BoundaryPartition, R: RasterRegion) -> str:
         r, c = R.pixel_of(z)
         if 0 <= r < R.grid.shape[0] and 0 <= c < R.grid.shape[1]:
             levels[r, c] = max(levels[r, c], PGM_LEVELS[partition.status_of(idx)])
-    rows = [" ".join(str(v) for v in row) for row in levels[::-1]]
-    return f"P2\n{R.grid.shape[1]} {R.grid.shape[0]}\n255\n" + "\n".join(rows) + "\n"
+    return pgm_text(levels)

@@ -21,13 +21,13 @@ from .algebra import (
     basis_multiplication_matrices,
     multiply,
     norm,
+    numerical_rank,
     pointwise_algebra,
 )
 from .reports import ValidationReport, complex_array_to_pairs
 
 CHARACTER_TOL = 1e-8  # multiplicativity / unitality residual bound
-DEDUP_TOL = 1e-6  # sup-norm distance below which two characters are the same
-RADICAL_RANK_TOL = 1e-10
+DISTINCT_TOL = 1e-6  # sup-norm distance below which two characters are the same
 TRIANGULARIZATION_ATTEMPTS = 5
 
 
@@ -110,7 +110,7 @@ def _semisimple_split(E: AlgebraSpec):
     mats = np.stack(basis_multiplication_matrices(E))
     gram = np.einsum("iab,jba->ij", mats, mats)
     _, s, vh = np.linalg.svd(gram)
-    rank = int(np.sum(s > RADICAL_RANK_TOL * (s[0] if s.size else 1.0)))
+    rank = numerical_rank(s)
     if rank == 0:
         return None  # no character can survive: not a unital algebra
     return vh[:rank].conj().T  # (dim, rank), orthonormal columns
@@ -184,7 +184,7 @@ def characters(E: AlgebraSpec, seed: int = 0) -> list[Character]:
 
     unique: list[np.ndarray] = []
     for row in accepted:
-        if all(np.max(np.abs(row - u)) >= DEDUP_TOL for u in unique):
+        if all(np.max(np.abs(row - u)) >= DISTINCT_TOL for u in unique):
             unique.append(row)
 
     def sort_key(row):
@@ -222,8 +222,7 @@ def radical(E: AlgebraSpec, chars: list[Character] | None = None) -> list[Elemen
         chars = characters(E)
     K = character_matrix(chars)
     _, s, vh = np.linalg.svd(K)
-    rank = int(np.sum(s > RADICAL_RANK_TOL * (s[0] if s.size else 1.0)))
-    null_rows = vh[rank:]
+    null_rows = vh[numerical_rank(s):]
     return [Element(row.conj(), E) for row in null_rows]
 
 

@@ -216,18 +216,18 @@ class _Workspace:
         self._quadruples: dict[str, Quadruple] = {}
 
     def algebra(self, name: str) -> AlgebraSpec:
+        """The named algebra, one instance per name (presets included)."""
         if name not in self._algebras:
             table = self.config.get("algebras", {})
             if name not in table:
                 try:
-                    return preset_algebra(name)
+                    self._algebras[name] = preset_algebra(name)
                 except Exception:
                     raise ConfigError(f"unknown algebra reference {name!r}") from None
-            spec = table[name]
-            if isinstance(spec, str):
-                self._algebras[name] = preset_algebra(spec)
+            elif isinstance(table[name], str):
+                self._algebras[name] = preset_algebra(table[name])
             else:
-                self._algebras[name] = AlgebraSpec.from_dict({"label": name, **spec})
+                self._algebras[name] = AlgebraSpec.from_dict({"label": name, **table[name]})
         return self._algebras[name]
 
     def space(self, name: str):
@@ -470,10 +470,7 @@ def _run_entry(ws: _Workspace, entry: dict, seed: int, out_dir: Path, stem: str,
 
     elif command == "shilov":
         system = ws.system(target)
-        if system.scalars.dim == 1:
-            family = witnesses_from_system(system)
-        else:
-            family = witnesses_from_system(system, characters(system.scalars, seed=seed))
+        family = witnesses_from_system(system, characters(system.scalars, seed=seed))
         partition = shilov_estimate(family, tol=tol, m=m)
         payload = partition.to_dict()
         if family.coords is not None:
@@ -540,7 +537,11 @@ def _run_entry(ws: _Workspace, entry: dict, seed: int, out_dir: Path, stem: str,
 
 
 def _algebra_peaker(E: AlgebraSpec, chars_E, char_index: int) -> np.ndarray:
-    """Element of E whose transform is the indicator of the chosen character."""
+    """Element of E whose transform is the indicator of the chosen character.
+
+    Distinct characters are linearly independent, so K has full row rank
+    and lstsq solves K a = target exactly (no rank decision is made here).
+    """
     K = np.array([c.values for c in chars_E])  # (n_chars, dim)
     target = np.zeros(len(chars_E), dtype=complex)
     target[char_index] = 1.0

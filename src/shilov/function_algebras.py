@@ -8,7 +8,10 @@ closure, the quadruple admissibility conditions, and the associated map
 
     pi(psi, x) = psi o e_x
 
-from characters-of-E x points into characters of the vector system.
+from characters-of-E x points into characters of the vector system, built
+once by pi_matrix.  A system is natural when pi is a bijection onto its
+characters: one rule (_naturality) decides it for check_natural and, with
+E = C, for condition (3) of check_admissible.
 
 Every rank and span-membership decision here and in the witness builders
 follows one rule, kept in the Span class: a flattened value table v lies in
@@ -25,9 +28,9 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .algebra import AlgebraSpec, Element, complex_field
+from .algebra import AlgebraSpec, Element, same_algebra
 from .blas import single_threaded
-from .characters import Character, characters, verify_character
+from .characters import DISTINCT_TOL, Character, characters
 from .reports import (
     ValidationReport,
     complex_array_to_pairs,
@@ -37,7 +40,6 @@ from .spaces import FiniteSpace
 
 SPAN_TOL = 1e-8  # relative residual bound of the one span rule (see Span)
 SEPARATION_TOL = 1e-9
-PI_DISTINCT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -521,7 +523,7 @@ class Quadruple:
             raise ValueError("both systems must live on the quadruple's space")
         if self.scalar_system.scalars.dim != 1:
             raise ValueError("the scalar system must take values in C")
-        if self.vector_system.scalars is not self.scalars:
+        if not same_algebra(self.vector_system.scalars, self.scalars):
             raise ValueError("the vector system must take values in the quadruple's algebra")
 
 
@@ -549,8 +551,8 @@ def check_admissible(Q: Quadruple, chars_E: list[Character] | None = None) -> Va
         "" if alg_report.passed else ", ".join(c.name for c in alg_report.failures()),
     )
 
-    # (3) B natural: characters of the closed scalar system are exactly the
-    # point evaluations.
+    # (3) B natural: pi for E = C, i.e. the characters of the closed scalar
+    # system are exactly the point evaluations.
     if not B.closed:
         report.add(
             "scalar_system_natural",
@@ -558,26 +560,12 @@ def check_admissible(Q: Quadruple, chars_E: list[Character] | None = None) -> Va
             detail="scalar system is not closed; character check unavailable",
         )
     else:
-        B_alg = as_algebra(B)
-        chars_B = characters(B_alg)
-        matched: list[int] = []
-        worst = 0.0
-        evals = B.basis[:, :, 0]  # evals[m, x] = b_m(x)
-        for chi in chars_B:
-            dist = np.max(np.abs(evals - chi.values[:, None]), axis=0)
-            x = int(np.argmin(dist))
-            worst = max(worst, float(dist[x]))
-            matched.append(x)
-        natural = (
-            len(chars_B) == Q.space.size
-            and worst <= PI_DISTINCT_TOL
-            and sorted(matched) == list(range(Q.space.size))
-        )
+        natural, worst, count = _naturality(B, characters(B.scalars))
         report.add(
             "scalar_system_natural",
             natural,
             worst,
-            f"{len(chars_B)} characters vs {Q.space.size} points",
+            f"{count} characters vs {Q.space.size} points",
         )
 
     unit_ok = bool(Bt.span.contains(Bt.unit_table())[0])
@@ -598,10 +586,37 @@ def check_admissible(Q: Quadruple, chars_E: list[Character] | None = None) -> Va
 
     # (6) composing with characters of E lands in B
     psis = chars_E if chars_E is not None else characters(E)
-    composed = np.array([Bt.basis @ psi.values for psi in psis])  # (|M(E)|, m, |X|)
-    ok6 = bool(B.span.contains(composed).all())
+    composed = pi_matrix(Bt, psis).reshape(len(psis), Q.space.size, Bt.dim)
+    ok6 = bool(B.span.contains(composed.transpose(0, 2, 1)).all())  # rows: psi o b_m
     report.add("characters_compose_into_scalar_system", ok6)
     return report
+
+
+def pi_matrix(S: FunctionSystem, psis: list[Character]) -> np.ndarray:
+    """The associated map on S's basis: row (psi, x), psi-major, holds
+    psi(f_m(x)) for each basis function f_m, shape (|psis| |X|, m)."""
+    return np.concatenate([(S.basis @ psi.values).T for psi in psis])
+
+
+def _naturality(S: FunctionSystem, psis: list[Character]) -> tuple[bool, float, int]:
+    """Match each of the count characters of closed S to its nearest pi row
+    (sup-norm distance, worst = the largest); natural iff the counts agree,
+    worst <= DISTINCT_TOL and the matching is a permutation of the rows."""
+    P = pi_matrix(S, psis)
+    chars = characters(as_algebra(S))
+    matched: list[int] = []
+    worst = 0.0
+    for chi in chars:
+        dist = np.max(np.abs(P - chi.values), axis=1)
+        row = int(np.argmin(dist))
+        worst = max(worst, float(dist[row]))
+        matched.append(row)
+    natural = (
+        len(chars) == len(P)
+        and worst <= DISTINCT_TOL
+        and sorted(matched) == list(range(len(P)))
+    )
+    return natural, worst, len(chars)
 
 
 def build_pi(
@@ -611,23 +626,18 @@ def build_pi(
 ) -> list[Character]:
     """The associated map: characters (psi o e_x) on the closed vector system.
 
-    Output is indexed psi-major: for each psi in characters(E) in order, each
-    point of X in order.  Every returned functional verifies as a character
-    of the vector system's abstract algebra.
+    Output is indexed psi-major like pi_matrix, labelled "psi|point".  Every
+    returned functional verifies as a character of the vector system's
+    abstract algebra.
     """
     if not Q.vector_system.closed:
         raise ValueError("build_pi needs a closed vector system")
     if vector_algebra is None:
         vector_algebra = as_algebra(Q.vector_system)
     psis = chars_E if chars_E is not None else characters(Q.scalars)
-    out: list[Character] = []
-    for psi in psis:
-        values_all = Q.vector_system.basis @ psi.values  # (m, |X|)
-        for x, point in enumerate(Q.space.points):
-            out.append(
-                Character(values_all[:, x], vector_algebra, label=f"{psi.label}|{point}")
-            )
-    return out
+    labels = [f"{psi.label}|{point}" for psi in psis for point in Q.space.points]
+    rows = pi_matrix(Q.vector_system, psis)
+    return [Character(row, vector_algebra, label=lab) for row, lab in zip(rows, labels)]
 
 
 def check_pi_injective(Q: Quadruple, pi: list[Character] | None = None) -> bool:
@@ -636,23 +646,12 @@ def check_pi_injective(Q: Quadruple, pi: list[Character] | None = None) -> bool:
         pi = build_pi(Q)
     values = np.array([chi.values for chi in pi])
     for i, j in itertools.combinations(range(len(pi)), 2):
-        if np.max(np.abs(values[i] - values[j])) <= PI_DISTINCT_TOL:
+        if np.max(np.abs(values[i] - values[j])) <= DISTINCT_TOL:
             return False
     return True
 
 
 def check_natural(Q: Quadruple, chars_E: list[Character] | None = None) -> bool:
-    """pi is injective and its image is all of M(B~) (matched as sets)."""
-    vector_algebra = as_algebra(Q.vector_system)
-    pi = build_pi(Q, chars_E, vector_algebra)
-    if not check_pi_injective(Q, pi):
-        return False
-    abstract = characters(vector_algebra)
-    if len(abstract) != len(pi):
-        return False
-    pi_values = np.array([chi.values for chi in pi])
-    for chi in abstract:
-        dist = np.max(np.abs(pi_values - chi.values[None, :]), axis=1)
-        if dist.min() > PI_DISTINCT_TOL:
-            return False
-    return True
+    """pi is a bijection from M(E) x X onto M(B~) (see _naturality)."""
+    psis = chars_E if chars_E is not None else characters(Q.scalars)
+    return _naturality(Q.vector_system, psis)[0]

@@ -130,15 +130,16 @@ def validate_metric(X: FiniteSpace) -> ValidationReport:
     return report
 
 
-def combine_spaces(*spaces: FiniteSpace, relabel: bool = True) -> FiniteSpace:
-    """Concatenate coordinate-bearing spaces into one (labels made unique)."""
+def combine_spaces(*spaces: FiniteSpace) -> FiniteSpace:
+    """Concatenate coordinate-bearing spaces into one; labels get an
+    "s<k>:" prefix naming their source, so they stay unique."""
     labels: list[str] = []
     coords: list[complex] = []
     for k, sp in enumerate(spaces):
         if sp.coords is None:
             raise ValueError("combine_spaces needs coordinate-bearing spaces")
         for lab, z in zip(sp.points, sp.coords):
-            labels.append(f"s{k}:{lab}" if relabel else lab)
+            labels.append(f"s{k}:{lab}")
             coords.append(z)
     return FiniteSpace(tuple(labels), np.array(coords))
 
@@ -229,15 +230,15 @@ class RasterRegion:
         rows, cols = self.grid.shape
         return 0 <= r < rows and 0 <= c < cols and bool(self.grid[r, c])
 
-    def near_region(self, z: complex, slack_pixels: float = 2.0) -> bool:
-        """Loose membership: within ``slack_pixels * pixel_size`` of a set center.
+    def near_region(self, z: complex) -> bool:
+        """Loose membership: within two pixel sizes of a set pixel's center.
 
         Exact geometric samples (e.g. circle points on the region's metric
         boundary) can straddle pixel edges; raster membership for them is
         decided up to raster resolution.
         """
         dist = np.abs(self.set_pixel_centers() - complex(z))
-        return bool(dist.min() <= slack_pixels * self.pixel_size)
+        return bool(dist.min() <= 2.0 * self.pixel_size)
 
 
 def raster_from_shape(shapes, resolution: int) -> RasterRegion:
@@ -405,14 +406,18 @@ PGM_SET = 255
 PGM_UNSET = 0
 
 
+def pgm_text(levels: np.ndarray) -> str:
+    """Plain P2 PGM text (maxval 255) of integer levels laid out like a
+    raster grid: the image's top row is the grid's last row, the one with
+    the largest imaginary part."""
+    rows = [" ".join(str(v) for v in row) for row in levels[::-1]]
+    return f"P2\n{levels.shape[1]} {levels.shape[0]}\n255\n" + "\n".join(rows) + "\n"
+
+
 def write_pgm(path, R: RasterRegion) -> None:
     """Plain P2 PGM (0 = unset, 255 = set) plus a JSON geometry sidecar."""
     path = Path(path)
-    rows = []
-    for row in R.grid[::-1]:  # top of the image = largest imaginary part
-        rows.append(" ".join(str(PGM_SET if v else PGM_UNSET) for v in row))
-    text = f"P2\n{R.grid.shape[1]} {R.grid.shape[0]}\n255\n" + "\n".join(rows) + "\n"
-    path.write_text(text)
+    path.write_text(pgm_text(np.where(R.grid, PGM_SET, PGM_UNSET)))
     sidecar = {
         "origin": complex_to_pair(R.origin),
         "pixel_size": R.pixel_size,

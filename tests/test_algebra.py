@@ -124,6 +124,14 @@ def test_invert_nilpotent_fails():
     assert not sh.is_invertible(E, E.basis_element(1))
 
 
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_invert_is_scale_free(name):
+    # the rank cut is relative: a tiny multiple of the unit is invertible
+    E = sh.preset_algebra(name)
+    x = sh.invert(E, 1e-9 * E.one())
+    assert np.allclose(x.coords, 1e9 * E.unit, rtol=1e-12, atol=1e-3)
+
+
 def test_invert_roundtrip():
     rng = np.random.default_rng(5)
     for name in PRESET_NAMES:

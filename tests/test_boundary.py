@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import shilov as sh
+from shilov.boundary import _independent_columns
 from conftest import (
     assert_peak_sets_reverify,
     minimax_grid_oracle,
@@ -282,6 +283,22 @@ def test_estimation_product_certifies_the_named_vector_system():
     assert family.label == "Bt"
     assert family.labels == expected.labels
     assert np.array_equal(family.values, expected.values)
+
+
+@pytest.mark.parametrize("name", ["pointwise_2", "dual_numbers"])
+def test_witnesses_are_the_pi_rows(name):
+    rng = np.random.default_rng(16)
+    X = random_space(rng, 3)
+    E = sh.preset_algebra(name)
+    Bt = sh.make_CXE(X, E)
+    Q = sh.Quadruple(X, E, sh.make_CXE(X, sh.complex_field()), Bt)
+    chars = sh.characters(E)
+    pi = sh.build_pi(Q, chars)
+    W = sh.witnesses_from_system(Bt, chars)
+    assert W.labels == tuple(chi.label for chi in pi)
+    assert np.array_equal(
+        W.values, _independent_columns(np.array([chi.values for chi in pi]))
+    )
 
 
 def test_scalar_quadruple_reduces_to_identity():

@@ -121,6 +121,25 @@ def test_verify_product_command(tmp_path):
     assert payload["missing"] == [] and payload["extra"] == []
 
 
+def test_quadruple_may_name_a_preset_directly(tmp_path):
+    # no algebras table: the quadruple and its vector system both name the preset
+    config = {
+        "spaces": {"X": {"points": ["a", "b"], "coords": [[0, 0], [1, 0]]}},
+        "systems": {
+            "B": {"kind": "cxe", "space": "X", "algebra": "complex"},
+            "Bt": {"kind": "cxe", "space": "X", "algebra": "pointwise_2"},
+        },
+        "quadruples": {
+            "Q": {"space": "X", "algebra": "pointwise_2", "scalar_system": "B",
+                  "vector_system": "Bt"}
+        },
+        "run": [{"command": "verify-product", "target": "Q", "name": "vp"}],
+    }
+    out = tmp_path / "out"
+    assert main(["--config", str(write_config(tmp_path, config)), "--output-dir", str(out), "--quiet"]) == 0
+    assert json.loads((out / "vp.report.json").read_text())["payload"]["passed"] is True
+
+
 def test_shilov_command_writes_csv_and_pgm(tmp_path):
     config = {
         "seed": 0,

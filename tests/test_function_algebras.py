@@ -432,3 +432,46 @@ def test_quadruple_invariants():
         sh.Quadruple(X, E, B, Bt)
     with pytest.raises(ValueError):
         sh.Quadruple(X, E, sh.make_CXE(X, E), sh.make_CXE(X, E))  # scalar not C
+    # algebras compare by structure: an equal but distinct instance is accepted
+    Q = sh.Quadruple(X, E, B, sh.make_CXE(X, sh.preset_algebra("pointwise_2")))
+    assert Q.vector_system.scalars is not E
+    with pytest.raises(ValueError, match="quadruple's algebra"):
+        sh.Quadruple(X, E, B, sh.make_CXE(X, sh.preset_algebra("dual_numbers")))
+
+
+def _unit_multiples(X: sh.FiniteSpace, E: sh.AlgebraSpec) -> sh.FunctionSystem:
+    """The closed span {b * 1_E : b in C(X)}: pi(psi, x) forgets psi."""
+    tables = np.zeros((X.size, X.size, E.dim), dtype=complex)
+    for x in range(X.size):
+        tables[x, x, :] = E.unit
+    return sh.FunctionSystem(X, E, tables, closed=True, label="C(X)*1_E")
+
+
+@pytest.mark.parametrize(
+    "case, natural",
+    [("cxe_scalar", True), ("constants", False), ("cxe_pointwise_2", True),
+     ("unit_multiples", False)],
+)
+def test_one_naturality_rule(case, natural):
+    rng = np.random.default_rng(23)
+    X = random_space(rng, 3)
+    C, E = sh.complex_field(), sh.preset_algebra("pointwise_2")
+    if case == "cxe_scalar":
+        S = sh.make_CXE(X, C)
+    elif case == "constants":
+        X = random_space(rng, 2)
+        S = sh.FunctionSystem(X, C, np.ones((1, 2, 1), dtype=complex), closed=True)
+    elif case == "cxe_pointwise_2":
+        S = sh.make_CXE(X, E)
+    else:
+        S = _unit_multiples(X, E)
+
+    if S.scalars.dim == 1:
+        Q = sh.scalar_quadruple(S)
+        condition_3 = sh.check_admissible(Q).check("scalar_system_natural").passed
+        assert condition_3 == natural
+    else:
+        Q = sh.Quadruple(X, E, sh.make_CXE(X, C), S)
+    assert sh.check_natural(Q) == natural
+    if case == "unit_multiples":
+        assert not sh.check_pi_injective(Q)
