@@ -10,17 +10,24 @@ peaking function.  Each modulus is sandwiched between the max over m polygon
 directions and sec(pi/m) times it, so one linear program yields a certified
 bracket [lp_lower, lp_upper] around the optimum; a smoothed first-order
 descent warm-started at the LP solution then tightens the feasible value.
+Every LP takes one path: an active set of polygon constraints, seeded by
+that descent and grown on incremental HiGHS.
 
 On a finite candidate set with the full algebra as witnesses the certified
 peak set is the Shilov boundary and coincides with the peak-point set; with
 a capped witness family it is a sound under-approximation.
+
+Sweeps follow the product structure g = v f of the paper: the (psi, x) rows
+of one character psi form a group, groups that share no nonzero witness
+column are independent blocks, and each distinct block is certified once.
+Zero-padded, its certificates certify the same rows of the whole family.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -39,7 +46,6 @@ from .function_algebras import (
     check_natural,
     pi_matrix,
     span_membership,
-    sup_norm,
 )
 from .reports import ValidationReport, complex_array_to_pairs
 from .spaces import RasterRegion, pgm_text
@@ -68,13 +74,17 @@ class WitnessFamily:
     values[r, j] is the j-th witness evaluated at candidate r.  Columns are
     linearly independent (builders drop dependent witnesses: only the column
     space matters to the minimax programs).  coords, when present, give a
-    planar location per candidate for geometry exports.
+    planar location per candidate for geometry exports.  groups[r] names the
+    character psi of a (psi, x) candidate row; the default puts every row in
+    one group.  shilov_estimate certifies groups apart when their rows share
+    no nonzero witness column.
     """
 
     labels: tuple[str, ...]
     values: np.ndarray
     coords: np.ndarray | None = None
     label: str = ""
+    groups: tuple[int, ...] | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
@@ -89,9 +99,13 @@ class WitnessFamily:
             raise ValueError(
                 f"witness columns dependent: rank {rank} < {values.shape[1]}"
             )
+        groups = (0,) * values.shape[0] if self.groups is None else tuple(self.groups)
+        if len(groups) != values.shape[0]:
+            raise ValueError("one group per candidate row required")
         values.setflags(write=False)
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "groups", groups)
         if self.coords is not None:
             coords = np.asarray(self.coords, dtype=complex).reshape(values.shape[0])
             coords.setflags(write=False)
@@ -139,10 +153,10 @@ def witnesses_from_system(
     """Candidates = evaluation characters of a function system.
 
     The candidates are the pairs (psi, x), psi-major, with values
-    psi(f_m(x)) (pi_matrix); scalar systems have one psi and keep the point
-    labels.  For E-valued systems rows factor through the semisimple
-    quotient of E, so dependent witness columns (e.g. radical multiples)
-    are dropped.
+    psi(f_m(x)) (pi_matrix) and psi's index as their group; scalar systems
+    have one psi and keep the point labels.  For E-valued systems rows
+    factor through the semisimple quotient of E, so dependent witness
+    columns (e.g. radical multiples) are dropped.
     """
     X = S.space
     psis = chars_E if chars_E is not None else characters(S.scalars)
@@ -154,6 +168,7 @@ def witnesses_from_system(
         _independent_columns(pi_matrix(S, psis)),
         coords=None if X.coords is None else np.tile(X.coords, len(psis)),
         label=label or (S.label or "system"),
+        groups=tuple(np.repeat(np.arange(len(psis)), X.size).tolist()),
     )
 
 
@@ -263,10 +278,11 @@ def _solve_polygon_lp(
 ):
     """Minimize the polygon max over off-target rows subject to (Vc)(target)=1.
 
-    Constraints are generated lazily per (candidate, direction) pair: solve
-    on an active subset, add the most violated pairs, re-run the warm solver.
-    The reduced optimum is always a valid lower bound for the full LP, and on
-    clean termination (no violated pairs) it equals the full optimum exactly.
+    This is the one LP path, whatever the family's size.  Constraints are
+    generated lazily per (candidate, direction) pair: solve on an active
+    subset, add the most violated pairs, re-run the warm solver.  The reduced
+    optimum is always a valid lower bound for the full LP, and on clean
+    termination (no violated pairs) it equals the full optimum exactly.
 
     ``stop_lower`` allows an early exit once the certified lower bound passes
     that threshold while the iterate's true max modulus stays inside the
@@ -274,7 +290,7 @@ def _solve_polygon_lp(
     waste rounds polishing a hugely degenerate vertex.  ``warm_start`` seeds
     the active-set search with a previous candidate's solution.
     """
-    n_off, k = V_off.shape
+    k = V_off.shape[1]
     phases = np.exp(-2j * np.pi * np.arange(m) / m)
     backend = _HighsRounds(k, v_t)
 
@@ -283,12 +299,6 @@ def _solve_polygon_lp(
         return np.concatenate(
             [W_sel.real, -W_sel.imag, -np.ones((len(cand_idx), 1))], axis=1
         )
-
-    if n_off * m <= 2048:
-        cand = np.repeat(np.arange(n_off), m)
-        dirs = np.tile(np.arange(m), n_off)
-        backend.add_rows(rows_for(cand, dirs))
-        return backend.solve()
 
     # Seed the active set from a cheap smoothed descent: near-maximal rows at
     # a near-optimal point are the constraints the LP will bind, so the
@@ -453,16 +463,7 @@ def certify_peak(
     v_t = V[target]
     V_off = np.delete(V, target, axis=0)
     if float(np.abs(v_t).max()) <= 1e-13 * max(1.0, float(np.abs(V).max())):
-        # no witness sees the target: it can never peak
-        return PeakCertificate(
-            target,
-            "certified_not_peak",
-            np.zeros(k, dtype=complex),
-            0.0,
-            math.inf,
-            math.inf,
-            math.inf,
-        )
+        return _unseen(target, k)
 
     c_lp, p = _solve_polygon_lp(
         V_off, v_t, m, stop_lower=1.0 - tol * 1e-2 + _LP_PAD, warm_start=warm_start
@@ -494,6 +495,14 @@ def certify_peak(
         status = "undecided"
     return PeakCertificate(
         target, status, best_c, 1.0 - refined, lp_lower, lp_upper, refined
+    )
+
+
+def _unseen(target: int, k: int) -> PeakCertificate:
+    """No witness sees the target: it can never peak."""
+    zeros = np.zeros(k, dtype=complex)
+    return PeakCertificate(
+        target, "certified_not_peak", zeros, 0.0, math.inf, math.inf, math.inf
     )
 
 
@@ -557,16 +566,77 @@ def shilov_estimate(
     Shilov boundary (and equals it when the witnesses span the full algebra
     on a finite candidate set).
 
-    Consecutive candidates usually have closely related optima, so each solve
-    seeds the next one's active-set search; results are identical either way,
-    the hint only shortens the path.
+    W splits into blocks: its character groups, merged while their nonzero
+    witness columns meet.  Each bitwise-distinct block, restricted to its
+    own columns, is swept once and its certificates are padded with zeros
+    back to W's width.  The split is exact: for a target in block A, zeroing
+    the coefficients outside A's columns zeroes every row outside A, so the
+    optimum is A's own and a padded certificate re-verifies on W.  A family
+    whose groups share columns is one block.
+
+    Within a block consecutive candidates usually have closely related
+    optima, so each solve seeds the next one's active-set search; results
+    are identical either way, the hint only shortens the path.
     """
+    return _estimate_families([W], tol, m)[0]
+
+
+def _estimate_families(
+    families: list[WitnessFamily], tol: float, m: int
+) -> list[BoundaryPartition]:
+    """shilov_estimate of each family, with one table of swept blocks shared
+    by all of them: a block seen before reuses its certificates."""
+    swept: dict[tuple, list[PeakCertificate]] = {}
+    partitions = []
+    for W in families:
+        k = W.values.shape[1]
+        certs: dict[int, PeakCertificate] = {}
+        for rows, cols in _blocks(W):
+            if not cols.size:  # no witness sees these rows
+                certs.update((int(r), _unseen(int(r), k)) for r in rows)
+                continue
+            block = W.values[np.ix_(rows, cols)]
+            key = (block.shape, block.tobytes())
+            if key not in swept:
+                labels = tuple(W.labels[r] for r in rows)
+                swept[key] = _sweep(WitnessFamily(labels, block), tol, m)
+            for cert in swept[key]:
+                coefficients = np.zeros(k, dtype=complex)
+                coefficients[cols] = cert.coefficients
+                target = int(rows[cert.target])
+                certs[target] = replace(cert, target=target, coefficients=coefficients)
+        ordered = [certs[r] for r in range(W.candidate_count)]
+        partitions.append(BoundaryPartition(W, ordered, tol, m))
+    return partitions
+
+
+def _blocks(W: WitnessFamily) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Row and column indices of W's blocks: character groups merged while
+    their supports (columns with a nonzero entry in the group) meet."""
+    groups = np.array(W.groups)
+    support = W.values != 0
+    blocks: list[tuple[np.ndarray, np.ndarray]] = []  # (row mask, column mask)
+    for g in dict.fromkeys(W.groups):
+        rows = groups == g
+        cols = support[rows].any(axis=0)
+        apart = []
+        for other_rows, other_cols in blocks:
+            if (other_cols & cols).any():
+                rows, cols = rows | other_rows, cols | other_cols
+            else:
+                apart.append((other_rows, other_cols))
+        blocks = apart + [(rows, cols)]
+    return [(np.flatnonzero(rows), np.flatnonzero(cols)) for rows, cols in blocks]
+
+
+def _sweep(W: WitnessFamily, tol: float, m: int) -> list[PeakCertificate]:
+    """certify_peak on every candidate of W in order, each warm-starting the
+    next."""
     if W.candidate_count == 1:
         # a single candidate peaks trivially: rescale any witness to 1 there
         v_t = W.values[0]
         coeffs = v_t.conj() / float(np.vdot(v_t, v_t).real)
-        cert = PeakCertificate(0, "certified_peak", coeffs, 1.0, 0.0, 0.0, 0.0)
-        return BoundaryPartition(W, [cert], tol, m)
+        return [PeakCertificate(0, "certified_peak", coeffs, 1.0, 0.0, 0.0, 0.0)]
     certs = []
     warm = None
     for i in range(W.candidate_count):
@@ -574,7 +644,7 @@ def shilov_estimate(
         if np.any(cert.coefficients):
             warm = cert.coefficients
         certs.append(cert)
-    return BoundaryPartition(W, certs, tol, m)
+    return certs
 
 
 def is_boundary(
@@ -638,9 +708,10 @@ def synthesize_product_peaker(
 ) -> ProductPeaker:
     """Combine a normalized algebra peaker v and scalar peaker f into g = v f.
 
-    Requires max |v-hat| = 1 and sup_X |f| = 1 (within 1e-9).  The Gelfand
-    values satisfy g-hat(psi o e_y) = f(y) psi(v), so the maximum modulus is
-    1 and the argmax set is the product of the two argmax sets.
+    Requires max |v-hat| = 1 and max |f-hat| = 1 (within 1e-9), f-hat read
+    through the character of B's scalars (pi_matrix).  The Gelfand values
+    satisfy g-hat(psi o e_y) = f-hat(y) psi(v), so the maximum modulus is 1
+    and the argmax set is the product of the two argmax sets.
     """
     E = Q.scalars
     if chars_E is None:
@@ -649,11 +720,10 @@ def synthesize_product_peaker(
     if abs(gn - 1.0) > 1e-9:
         raise ValueError(f"max |v-hat| = {gn:.12g}, expected 1")
     B = Q.scalar_system
-    f_table = B.table(f_coeffs)  # (|X|, 1)
-    f_values = f_table[:, 0] * complex(B.scalars.unit[0])
-    sup_f = sup_norm(B, f_coeffs) / float(B.scalars.weights[0])
+    f_values = pi_matrix(B, characters(B.scalars)) @ np.asarray(f_coeffs, dtype=complex)
+    sup_f = float(np.abs(f_values).max())
     if abs(sup_f - 1.0) > 1e-9:
-        raise ValueError(f"sup |f| = {sup_f:.12g}, expected 1")
+        raise ValueError(f"max |f-hat| = {sup_f:.12g}, expected 1")
 
     g_table = f_values[:, None] * v.coords[None, :]
     membership = span_membership(Q.vector_system, g_table)
@@ -724,6 +794,11 @@ def verify_product_theorem(
     Exact regime (closed, natural quadruples): the symmetric difference must
     be empty.  Estimation regime (capped witnesses): certified sets are
     under-approximations; the report carries containment and coverage.
+
+    The three families share one table of swept blocks (see
+    shilov_estimate): a block of the vector family that equals the scalar
+    family, as each character's block of span(B E) over C^n does, reuses
+    the scalar family's certificates instead of being certified again.
     """
     if regime not in ("exact", "estimation"):
         raise ValueError(f"unknown regime {regime!r}")
@@ -751,15 +826,16 @@ def verify_product_theorem(
             "estimation regime: capped witness families, certified sets are "
             "sound under-approximations"
         )
-    pe = report.e_partition = shilov_estimate(
-        witnesses_from_algebra(Q.scalars, chars_E), tol=tol, m=m
+    pe, pb, pbt = _estimate_families(
+        [
+            witnesses_from_algebra(Q.scalars, chars_E),
+            witnesses_from_system(Q.scalar_system),
+            witnesses_from_system(Q.vector_system, chars_E),
+        ],
+        tol,
+        m,
     )
-    pb = report.b_partition = shilov_estimate(
-        witnesses_from_system(Q.scalar_system), tol=tol, m=m
-    )
-    pbt = report.bt_partition = shilov_estimate(
-        witnesses_from_system(Q.vector_system, chars_E), tol=tol, m=m
-    )
+    report.e_partition, report.b_partition, report.bt_partition = pe, pb, pbt
 
     n_x = Q.space.size
     product = sorted(itertools.product(pe.peak, pb.peak))

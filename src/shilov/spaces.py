@@ -224,12 +224,6 @@ class RasterRegion:
         w = (complex(z) - self.origin) / self.pixel_size
         return int(math.floor(w.imag)), int(math.floor(w.real))
 
-    def contains_point(self, z: complex) -> bool:
-        """Strict membership: the pixel containing z is set."""
-        r, c = self.pixel_of(z)
-        rows, cols = self.grid.shape
-        return 0 <= r < rows and 0 <= c < cols and bool(self.grid[r, c])
-
     def near_region(self, z: complex) -> bool:
         """Loose membership: within two pixel sizes of a set pixel's center.
 
