@@ -19,23 +19,23 @@ def main():
         report = sh.validate_algebra(E)
         print(f"  axioms: {'all pass' if report.passed else report}")
 
-        chars = sh.characters(E)
+        chars = E.characters
         print(f"  characters ({len(chars)}):")
         for chi in chars:
             values = ", ".join(f"{z:.3f}" for z in chi.values)
             print(f"    {chi.label}: [{values}]")
 
-        rad = sh.radical(E, chars)
+        rad = sh.radical(E)
         print(f"  radical dimension: {len(rad)}  (dim = |M(E)| + dim radical: "
               f"{E.dim} = {len(chars)} + {len(rad)})")
-        quotient, proj = sh.semisimple_quotient(E, chars)
+        quotient, proj = sh.semisimple_quotient(E)
         print(f"  semisimple quotient: {quotient.label} of dim {quotient.dim}")
 
         # a couple of transforms
         a = E.element(np.arange(1, E.dim + 1, dtype=float))
         print(f"  sample element a = {np.arange(1, E.dim + 1)}:")
-        print(f"    a-hat = {np.round(sh.gelfand_transform(E, a, chars), 4)}")
-        print(f"    sup |a-hat| = {sh.gelfand_norm(E, a, chars):.4f} "
+        print(f"    a-hat = {np.round(sh.gelfand_transform(E, a), 4)}")
+        print(f"    sup |a-hat| = {sh.gelfand_norm(E, a):.4f} "
               f"<= ||a|| = {sh.norm(E, a):.4f}")
         print()
 

@@ -33,12 +33,14 @@ def exact_part():
     print(f"  symmetric difference: missing {base.missing}, extra {base.extra}")
     print(f"  all certificates re-verify:    {report.certificates_reverified}")
 
-    # build the constructive product peaker at (chi1, b)
-    chars_E = sh.characters(E)
+    # build the constructive product peaker at (chi1, b); the certificate
+    # combines fam_B's rescaled columns, so read f-hat off them first
     v = E.basis_element(0)  # transform is the indicator of one character
     fam_B = sh.witnesses_from_system(Q.scalar_system)
     cert = sh.certify_peak(fam_B, 1)
-    peaker = sh.synthesize_product_peaker(v, cert.coefficients, Q, chars_E)
+    f_hat = fam_B.values @ cert.coefficients
+    f = sh.span_membership(Q.scalar_system, f_hat[:, None] * Q.scalar_system.scalars.unit)
+    peaker = sh.synthesize_product_peaker(v, f, Q)
     print(f"  peaker g = v f: max |g-hat| = {peaker.max_modulus:.9f}, "
           f"argmax pairs {peaker.argmax_pairs}")
     print()
@@ -57,7 +59,7 @@ def estimation_part():
     Q = sh.Quadruple(X, E, B, Bt, label="annulus rational quadruple")
 
     report = sh.verify_product_theorem(Q, regime="estimation")
-    print(f"  candidates: {X.size} points x {len(sh.characters(E))} characters")
+    print(f"  candidates: {X.size} points x {len(E.characters)} characters")
     print(f"  certified scalar boundary: {len(report.b_partition.peak)} points")
     print(f"  certified vector boundary: {len(report.certified_pairs)} pairs")
     print(f"  coverage of certified product: {report.coverage:.2%}")

@@ -35,13 +35,11 @@ def main():
         for check in report.checks:
             print(f"  {'ok  ' if check.passed else 'FAIL'} {check.name}")
 
-        chars_E = sh.characters(E)
         algebra = sh.as_algebra(Bt)
-        abstract = sh.characters(algebra)
-        pi = sh.build_pi(Q, chars_E=chars_E, vector_algebra=algebra)
-        print(f"  |M(E)| * |X| = {len(chars_E)} * {X.size} = {len(pi)}; "
-              f"|M(B~)| = {len(abstract)}")
-        print(f"  pi injective: {sh.check_pi_injective(Q, pi)}; "
+        pi = sh.build_pi(Q, vector_algebra=algebra)
+        print(f"  |M(E)| * |X| = {len(E.characters)} * {X.size} = {len(pi)}; "
+              f"|M(B~)| = {len(algebra.characters)}")
+        print(f"  pi injective: {sh.check_pi_injective(Q)}; "
               f"natural: {sh.check_natural(Q)}")
 
         if Bt.norm_tag == "lipschitz":

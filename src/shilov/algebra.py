@@ -89,6 +89,19 @@ class AlgebraSpec:
         """validate_algebra's report, computed once per algebra."""
         return validate_algebra(self)
 
+    @cached_property
+    def characters(self) -> tuple:
+        """M(E) as a tuple of Characters: characters(self), computed once.
+
+        Every Gelfand transform, witness family and associated map reads
+        this one tuple.  Structure-equal algebras (same_algebra) give
+        bit-equal tuples: the search reads only the structure constants,
+        while unit and weights only gate which candidates pass.
+        """
+        from .characters import characters
+
+        return tuple(characters(self))
+
     def element(self, coords) -> "Element":
         return Element(np.asarray(coords, dtype=complex), self)
 

@@ -37,7 +37,7 @@ from scipy.optimize._highspy import _core as _highs_core  # incremental HiGHS
 
 from .algebra import AlgebraSpec, Element
 from .blas import single_threaded
-from .characters import Character, characters, gelfand_norm
+from .characters import character_matrix, gelfand_norm
 from .function_algebras import (
     FunctionSystem,
     Quadruple,
@@ -133,39 +133,33 @@ def _independent_columns(matrix: np.ndarray) -> np.ndarray:
     return np.column_stack(span.kept)
 
 
-def witnesses_from_algebra(
-    E: AlgebraSpec, chars: list[Character] | None = None, label: str = ""
-) -> WitnessFamily:
-    """Candidates = characters of E, witnesses = transforms of the basis."""
-    if chars is None:
-        chars = characters(E)
-    V = np.array([chi.values for chi in chars])
+def witnesses_from_algebra(E: AlgebraSpec, label: str = "") -> WitnessFamily:
+    """Candidates = E.characters, witnesses = transforms of the basis."""
     return WitnessFamily(
-        tuple(chi.label for chi in chars),
-        _independent_columns(V),
+        tuple(chi.label for chi in E.characters),
+        _independent_columns(character_matrix(E)),
         label=label or f"M({E.label})",
     )
 
 
-def witnesses_from_system(
-    S: FunctionSystem, chars_E: list[Character] | None = None, label: str = ""
-) -> WitnessFamily:
+def witnesses_from_system(S: FunctionSystem, label: str = "") -> WitnessFamily:
     """Candidates = evaluation characters of a function system.
 
-    The candidates are the pairs (psi, x), psi-major, with values
-    psi(f_m(x)) (pi_matrix) and psi's index as their group; scalar systems
-    have one psi and keep the point labels.  For E-valued systems rows
-    factor through the semisimple quotient of E, so dependent witness
-    columns (e.g. radical multiples) are dropped.
+    The candidates are the pairs (psi, x), psi-major over
+    S.scalars.characters, with values psi(f_m(x)) (pi_matrix) and psi's
+    index as their group; scalar systems have one psi and keep the point
+    labels.  For E-valued systems rows factor through the semisimple
+    quotient of E, so dependent witness columns (e.g. radical multiples)
+    are dropped.
     """
     X = S.space
-    psis = chars_E if chars_E is not None else characters(S.scalars)
+    psis = S.scalars.characters
     labels = X.points if S.scalars.dim == 1 else tuple(
         f"{psi.label}|{point}" for psi in psis for point in X.points
     )
     return WitnessFamily(
         labels,
-        _independent_columns(pi_matrix(S, psis)),
+        _independent_columns(pi_matrix(S)),
         coords=None if X.coords is None else np.tile(X.coords, len(psis)),
         label=label or (S.label or "system"),
         groups=tuple(np.repeat(np.arange(len(psis)), X.size).tolist()),
@@ -700,27 +694,21 @@ class ProductPeaker:
         }
 
 
-def synthesize_product_peaker(
-    v: Element,
-    f_coeffs,
-    Q: Quadruple,
-    chars_E: list[Character] | None = None,
-) -> ProductPeaker:
+def synthesize_product_peaker(v: Element, f_coeffs, Q: Quadruple) -> ProductPeaker:
     """Combine a normalized algebra peaker v and scalar peaker f into g = v f.
 
-    Requires max |v-hat| = 1 and max |f-hat| = 1 (within 1e-9), f-hat read
-    through the character of B's scalars (pi_matrix).  The Gelfand values
+    f_coeffs are coefficients of B's basis.  Requires max |v-hat| = 1 and
+    max |f-hat| = 1 (within 1e-9), f-hat read through the character of B's
+    scalars (pi_matrix).  The Gelfand values, indexed by E.characters x X,
     satisfy g-hat(psi o e_y) = f-hat(y) psi(v), so the maximum modulus is 1
     and the argmax set is the product of the two argmax sets.
     """
     E = Q.scalars
-    if chars_E is None:
-        chars_E = characters(E)
-    gn = gelfand_norm(E, v, chars_E)
+    gn = gelfand_norm(E, v)
     if abs(gn - 1.0) > 1e-9:
         raise ValueError(f"max |v-hat| = {gn:.12g}, expected 1")
     B = Q.scalar_system
-    f_values = pi_matrix(B, characters(B.scalars)) @ np.asarray(f_coeffs, dtype=complex)
+    f_values = pi_matrix(B) @ np.asarray(f_coeffs, dtype=complex)
     sup_f = float(np.abs(f_values).max())
     if abs(sup_f - 1.0) > 1e-9:
         raise ValueError(f"max |f-hat| = {sup_f:.12g}, expected 1")
@@ -728,7 +716,7 @@ def synthesize_product_peaker(
     g_table = f_values[:, None] * v.coords[None, :]
     membership = span_membership(Q.vector_system, g_table)
 
-    psi_v = np.array([psi(v) for psi in chars_E])
+    psi_v = np.array([psi(v) for psi in E.characters])
     values = psi_v[:, None] * f_values[None, :]
     mods = np.abs(values)
     max_mod = float(mods.max())
@@ -786,11 +774,11 @@ def verify_product_theorem(
     regime: str = "exact",
     tol: float = DEFAULT_TOL,
     m: int = DEFAULT_SIDES,
-    chars_E: list[Character] | None = None,
 ) -> ProductTheoremReport:
     """Compare the certified boundary of the vector system with the product
     of the certified boundaries of E and of the scalar system.
 
+    A pair (i, x) names the i-th of E.characters and the x-th point.
     Exact regime (closed, natural quadruples): the symmetric difference must
     be empty.  Estimation regime (capped witnesses): certified sets are
     under-approximations; the report carries containment and coverage.
@@ -802,8 +790,6 @@ def verify_product_theorem(
     """
     if regime not in ("exact", "estimation"):
         raise ValueError(f"unknown regime {regime!r}")
-    if chars_E is None:
-        chars_E = characters(Q.scalars)
     report = ProductTheoremReport(
         quadruple=Q.label or "quadruple",
         regime=regime,
@@ -813,11 +799,11 @@ def verify_product_theorem(
     )
     preconditions = report.preconditions
     if regime == "exact":
-        admissible = check_admissible(Q, chars_E)
+        admissible = check_admissible(Q)
         preconditions["admissible"] = admissible.to_dict()
         closed = Q.scalar_system.closed and Q.vector_system.closed
         preconditions["systems_closed"] = closed
-        natural = closed and check_natural(Q, chars_E)
+        natural = closed and check_natural(Q)
         preconditions["natural"] = natural
         if not (admissible.passed and closed and natural):
             return report
@@ -828,9 +814,9 @@ def verify_product_theorem(
         )
     pe, pb, pbt = _estimate_families(
         [
-            witnesses_from_algebra(Q.scalars, chars_E),
+            witnesses_from_algebra(Q.scalars),
             witnesses_from_system(Q.scalar_system),
-            witnesses_from_system(Q.vector_system, chars_E),
+            witnesses_from_system(Q.vector_system),
         ],
         tol,
         m,
@@ -878,7 +864,6 @@ def verify_peak_product(
     regime: str = "exact",
     tol: float = DEFAULT_TOL,
     m: int = DEFAULT_SIDES,
-    chars_E: list[Character] | None = None,
 ) -> PeakProductReport:
     """Check S0(vector system) = S0(scalar system) x S0(E) on the candidates.
 
@@ -888,9 +873,7 @@ def verify_peak_product(
     inequality itself), which is what makes the agreement between the two
     theorems' checks a statement rather than a tautology.
     """
-    base = verify_product_theorem(
-        Q, regime=regime, tol=tol, m=m, chars_E=chars_E
-    )
+    base = verify_product_theorem(Q, regime=regime, tol=tol, m=m)
     report = PeakProductReport(base)
     if base.e_partition is None:
         return report

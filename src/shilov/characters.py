@@ -6,6 +6,12 @@ L_{e_1}, ..., L_{e_n} with one unitary Schur similarity computed from a
 random generic linear combination.  The diagonal of the triangularized
 family enumerates the joint eigenvalue tuples (with multiplicity); tuples
 that verify the character identities are kept, the rest are discarded.
+
+Each algebra runs that search once: ``E.characters`` (AlgebraSpec) caches
+``characters(E)`` at the default seed, and the Gelfand transform, the
+radical, the quotient and every witness family read that one tuple.
+``characters(E, seed)`` with another seed stays available as a property
+check of the search.
 """
 
 from __future__ import annotations
@@ -198,46 +204,38 @@ def characters(E: AlgebraSpec, seed: int = 0) -> list[Character]:
     ]
 
 
-def character_matrix(chars: list[Character]) -> np.ndarray:
-    """Rows chi(e_1), ..., chi(e_n), one row per character."""
-    return np.array([chi.values for chi in chars], dtype=complex)
+def character_matrix(E: AlgebraSpec) -> np.ndarray:
+    """Rows chi(e_1), ..., chi(e_n), one row per character of E.characters."""
+    return np.array([chi.values for chi in E.characters], dtype=complex)
 
 
-def gelfand_transform(E: AlgebraSpec, a: Element, chars: list[Character] | None = None) -> np.ndarray:
-    """The vector (chi(a)) indexed by characters(E)."""
-    if chars is None:
-        chars = characters(E)
-    return character_matrix(chars) @ a.coords
+def gelfand_transform(E: AlgebraSpec, a: Element) -> np.ndarray:
+    """The vector (chi(a)) indexed by E.characters."""
+    return character_matrix(E) @ a.coords
 
 
-def gelfand_norm(E: AlgebraSpec, a: Element, chars: list[Character] | None = None) -> float:
+def gelfand_norm(E: AlgebraSpec, a: Element) -> float:
     """max_chi |chi(a)|; always <= norm(E, a)."""
-    values = gelfand_transform(E, a, chars)
+    values = gelfand_transform(E, a)
     return float(np.max(np.abs(values))) if values.size else 0.0
 
 
-def radical(E: AlgebraSpec, chars: list[Character] | None = None) -> list[Element]:
-    """Basis of the Jacobson radical: the common kernel of all characters."""
-    if chars is None:
-        chars = characters(E)
-    K = character_matrix(chars)
+def radical(E: AlgebraSpec) -> list[Element]:
+    """Basis of the Jacobson radical: the common kernel of E.characters."""
+    K = character_matrix(E)
     _, s, vh = np.linalg.svd(K)
     null_rows = vh[numerical_rank(s):]
     return [Element(row.conj(), E) for row in null_rows]
 
 
-def semisimple_quotient(
-    E: AlgebraSpec, chars: list[Character] | None = None
-) -> tuple[AlgebraSpec, np.ndarray]:
-    """The pointwise algebra on the character set plus the projection a -> a-hat.
+def semisimple_quotient(E: AlgebraSpec) -> tuple[AlgebraSpec, np.ndarray]:
+    """The pointwise algebra on E.characters plus the projection a -> a-hat.
 
     The projection matrix K maps coordinates of a to the tuple (chi(a))_chi;
     it is a surjective unital homomorphism whose kernel is the radical.
     """
-    if chars is None:
-        chars = characters(E)
-    quotient = pointwise_algebra(len(chars), label=f"{E.label or 'algebra'}/rad")
-    return quotient, character_matrix(chars)
+    quotient = pointwise_algebra(len(E.characters), label=f"{E.label or 'algebra'}/rad")
+    return quotient, character_matrix(E)
 
 
 def nilpotency_residual(E: AlgebraSpec, a: Element) -> float:

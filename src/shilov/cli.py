@@ -4,7 +4,9 @@ One JSON config declares named algebras, spaces, function systems and
 quadruples plus a ``run`` list of commands; every command writes a
 deterministic ``<name>.report.json`` (and ``.csv`` / ``.pgm`` where
 geometry is involved) under the output directory.  Identical config and
-seed produce byte-identical outputs.
+seed produce byte-identical outputs.  Every command reads an algebra's
+characters from its one cached search (AlgebraSpec.characters), so the seed
+is recorded in each report but moves nothing else in it.
 
     shilov --config experiment.json [--output-dir out] [--seed N] [--quiet]
 """
@@ -34,7 +36,7 @@ from .boundary import (
     verify_product_theorem,
     witnesses_from_system,
 )
-from .characters import characters, radical, semisimple_quotient
+from .characters import character_matrix, radical, semisimple_quotient
 from .function_algebras import (
     FunctionSystem,
     Quadruple,
@@ -44,6 +46,7 @@ from .function_algebras import (
     make_lip,
     make_poly,
     make_rational,
+    span_membership,
     validate_system,
 )
 from .reports import canonical_json, pair_to_complex
@@ -425,12 +428,11 @@ def _run_entry(ws: _Workspace, entry: dict, seed: int, out_dir: Path, stem: str,
 
     if command == "characters":
         E = ws.algebra(target)
-        chars = characters(E, seed=seed)
-        rad = radical(E, chars)
-        quotient, proj = semisimple_quotient(E, chars)
+        rad = radical(E)
+        quotient, _ = semisimple_quotient(E)
         payload = {
             "algebra": E.label,
-            "characters": [c.to_dict() for c in chars],
+            "characters": [c.to_dict() for c in E.characters],
             "radical_dim": len(rad),
             "radical_basis": [
                 [[z.real, z.imag] for z in r.coords] for r in rad
@@ -470,7 +472,7 @@ def _run_entry(ws: _Workspace, entry: dict, seed: int, out_dir: Path, stem: str,
 
     elif command == "shilov":
         system = ws.system(target)
-        family = witnesses_from_system(system, characters(system.scalars, seed=seed))
+        family = witnesses_from_system(system)
         partition = shilov_estimate(family, tol=tol, m=m)
         payload = partition.to_dict()
         if family.coords is not None:
@@ -495,30 +497,32 @@ def _run_entry(ws: _Workspace, entry: dict, seed: int, out_dir: Path, stem: str,
         quadruple = ws.quadruple(target)
         point = entry.get("point", quadruple.space.points[0])
         char_index = int(entry.get("character", 0))
-        chars_E = characters(quadruple.scalars, seed=seed)
-        if char_index >= len(chars_E):
+        E, B = quadruple.scalars, quadruple.scalar_system
+        if char_index >= len(E.characters):
             raise ConfigError(
                 f"peaker: character index {char_index} out of range "
-                f"({len(chars_E)} characters)"
+                f"({len(E.characters)} characters)"
             )
         x_index = quadruple.space.index(point)
         # v has transform = indicator of the chosen character; f is the
         # certified scalar peaker at the chosen point
-        v = quadruple.scalars.element(
-            _algebra_peaker(quadruple.scalars, chars_E, char_index)
-        )
-        fam_B = witnesses_from_system(quadruple.scalar_system)
+        v = E.element(_algebra_peaker(E, char_index))
+        fam_B = witnesses_from_system(B)
         cert_f = certify_peak(fam_B, x_index, tol=tol, m=m)
         if cert_f.status != "certified_peak":
             raise RuntimeError(
                 f"peaker: point {point!r} is not a certified peak point "
                 f"of the scalar system (status {cert_f.status})"
             )
-        peaker = synthesize_product_peaker(v, cert_f.coefficients, quadruple, chars_E)
+        # the certificate combines fam_B's rescaled, possibly reduced columns:
+        # f is the member of B whose Gelfand values are fam_B.values @ c
+        f_hat = fam_B.values @ cert_f.coefficients
+        f_coeffs = span_membership(B, f_hat[:, None] * B.scalars.unit)
+        peaker = synthesize_product_peaker(v, f_coeffs, quadruple)
         payload = {
             "quadruple": quadruple.label,
             "point": point,
-            "character": chars_E[char_index].label,
+            "character": E.characters[char_index].label,
             "scalar_certificate": cert_f.to_dict(),
             "peaker": peaker.to_dict(),
         }
@@ -536,14 +540,14 @@ def _run_entry(ws: _Workspace, entry: dict, seed: int, out_dir: Path, stem: str,
     return report, extras
 
 
-def _algebra_peaker(E: AlgebraSpec, chars_E, char_index: int) -> np.ndarray:
-    """Element of E whose transform is the indicator of the chosen character.
+def _algebra_peaker(E: AlgebraSpec, char_index: int) -> np.ndarray:
+    """Element of E whose transform is the indicator of E.characters[char_index].
 
     Distinct characters are linearly independent, so K has full row rank
     and lstsq solves K a = target exactly (no rank decision is made here).
     """
-    K = np.array([c.values for c in chars_E])  # (n_chars, dim)
-    target = np.zeros(len(chars_E), dtype=complex)
+    K = character_matrix(E)  # (n_chars, dim)
+    target = np.zeros(len(K), dtype=complex)
     target[char_index] = 1.0
     coords, _, _, _ = np.linalg.lstsq(K, target, rcond=None)
     return coords

@@ -9,9 +9,11 @@ closure, the quadruple admissibility conditions, and the associated map
     pi(psi, x) = psi o e_x
 
 from characters-of-E x points into characters of the vector system, built
-once by pi_matrix.  A system is natural when pi is a bijection onto its
-characters: one rule (_naturality) decides it for check_natural and, with
-E = C, for condition (3) of check_admissible.
+once by pi_matrix.  psi runs over E.characters, the one character tuple the
+algebra caches (AlgebraSpec.characters), so pi, the witness families and the
+Gelfand transforms of one algebra index the same list.  A system is natural
+when pi is a bijection onto its characters: one rule (_naturality) decides it
+for check_natural and, with E = C, for condition (3) of check_admissible.
 
 Every rank and span-membership decision here and in the witness builders
 follows one rule, kept in the Span class: a flattened value table v lies in
@@ -532,8 +534,9 @@ def scalar_quadruple(B: FunctionSystem, label: str = "") -> Quadruple:
     return Quadruple(B.space, B.scalars, B, B, label=label or f"({B.label},C)")
 
 
-def check_admissible(Q: Quadruple, chars_E: list[Character] | None = None) -> ValidationReport:
-    """The six admissibility conditions, one named check per condition."""
+def check_admissible(Q: Quadruple) -> ValidationReport:
+    """The six admissibility conditions, one named check per condition;
+    (3) and (6) read the characters of C and of E (AlgebraSpec.characters)."""
     report = ValidationReport(subject=Q.label or "quadruple")
     B, Bt, E = Q.scalar_system, Q.vector_system, Q.scalars
 
@@ -560,7 +563,7 @@ def check_admissible(Q: Quadruple, chars_E: list[Character] | None = None) -> Va
             detail="scalar system is not closed; character check unavailable",
         )
     else:
-        natural, worst, count = _naturality(B, characters(B.scalars))
+        natural, worst, count = _naturality(B)
         report.add(
             "scalar_system_natural",
             natural,
@@ -585,24 +588,26 @@ def check_admissible(Q: Quadruple, chars_E: list[Character] | None = None) -> Va
     report.add("products_BE_in_vector_system", ok5, 0.0 if ok5 else 1.0)
 
     # (6) composing with characters of E lands in B
-    psis = chars_E if chars_E is not None else characters(E)
-    composed = pi_matrix(Bt, psis).reshape(len(psis), Q.space.size, Bt.dim)
+    composed = pi_matrix(Bt).reshape(-1, Q.space.size, Bt.dim)
     ok6 = bool(B.span.contains(composed.transpose(0, 2, 1)).all())  # rows: psi o b_m
     report.add("characters_compose_into_scalar_system", ok6)
     return report
 
 
-def pi_matrix(S: FunctionSystem, psis: list[Character]) -> np.ndarray:
-    """The associated map on S's basis: row (psi, x), psi-major, holds
-    psi(f_m(x)) for each basis function f_m, shape (|psis| |X|, m)."""
-    return np.concatenate([(S.basis @ psi.values).T for psi in psis])
+def pi_matrix(S: FunctionSystem) -> np.ndarray:
+    """The associated map on S's basis: row (psi, x), psi-major over
+    psi in S.scalars.characters, holds psi(f_m(x)) for each basis function
+    f_m, shape (|M(E)| |X|, m)."""
+    return np.concatenate([(S.basis @ psi.values).T for psi in S.scalars.characters])
 
 
-def _naturality(S: FunctionSystem, psis: list[Character]) -> tuple[bool, float, int]:
+def _naturality(S: FunctionSystem) -> tuple[bool, float, int]:
     """Match each of the count characters of closed S to its nearest pi row
     (sup-norm distance, worst = the largest); natural iff the counts agree,
     worst <= DISTINCT_TOL and the matching is a permutation of the rows."""
-    P = pi_matrix(S, psis)
+    P = pi_matrix(S)
+    # not as_algebra(S).characters: each Character refers to its algebra, so
+    # a cached tuple would hold this throwaway m^3 tensor in a reference cycle
     chars = characters(as_algebra(S))
     matched: list[int] = []
     worst = 0.0
@@ -619,39 +624,34 @@ def _naturality(S: FunctionSystem, psis: list[Character]) -> tuple[bool, float, 
     return natural, worst, len(chars)
 
 
-def build_pi(
-    Q: Quadruple,
-    chars_E: list[Character] | None = None,
-    vector_algebra: AlgebraSpec | None = None,
-) -> list[Character]:
-    """The associated map: characters (psi o e_x) on the closed vector system.
+def build_pi(Q: Quadruple, vector_algebra: AlgebraSpec | None = None) -> list[Character]:
+    """The associated map: characters (psi o e_x), psi in E.characters, on
+    the closed vector system.
 
     Output is indexed psi-major like pi_matrix, labelled "psi|point".  Every
     returned functional verifies as a character of the vector system's
-    abstract algebra.
+    abstract algebra (as_algebra, unless vector_algebra is given).
     """
     if not Q.vector_system.closed:
         raise ValueError("build_pi needs a closed vector system")
     if vector_algebra is None:
         vector_algebra = as_algebra(Q.vector_system)
-    psis = chars_E if chars_E is not None else characters(Q.scalars)
+    psis = Q.vector_system.scalars.characters
     labels = [f"{psi.label}|{point}" for psi in psis for point in Q.space.points]
-    rows = pi_matrix(Q.vector_system, psis)
+    rows = pi_matrix(Q.vector_system)
     return [Character(row, vector_algebra, label=lab) for row, lab in zip(rows, labels)]
 
 
-def check_pi_injective(Q: Quadruple, pi: list[Character] | None = None) -> bool:
-    """True iff the pi images are pairwise distinct in sup norm."""
-    if pi is None:
-        pi = build_pi(Q)
-    values = np.array([chi.values for chi in pi])
-    for i, j in itertools.combinations(range(len(pi)), 2):
-        if np.max(np.abs(values[i] - values[j])) <= DISTINCT_TOL:
-            return False
-    return True
+def check_pi_injective(Q: Quadruple) -> bool:
+    """True iff the pi rows (pi_matrix) of the vector system are pairwise
+    more than DISTINCT_TOL apart in sup norm; ValueError unless it is closed."""
+    if not Q.vector_system.closed:
+        raise ValueError("check_pi_injective needs a closed vector system")
+    P = pi_matrix(Q.vector_system)
+    dist = np.abs(P[:, None, :] - P[None, :, :]).max(axis=2)
+    return not np.any(dist[np.triu_indices(len(P), k=1)] <= DISTINCT_TOL)
 
 
-def check_natural(Q: Quadruple, chars_E: list[Character] | None = None) -> bool:
+def check_natural(Q: Quadruple) -> bool:
     """pi is a bijection from M(E) x X onto M(B~) (see _naturality)."""
-    psis = chars_E if chars_E is not None else characters(Q.scalars)
-    return _naturality(Q.vector_system, psis)[0]
+    return _naturality(Q.vector_system)[0]

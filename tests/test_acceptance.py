@@ -51,18 +51,21 @@ def annulus_setup():
 
 
 @pytest.fixture(scope="module")
-def annulus_rational_partition(annulus_setup):
+def annulus_rational_product(annulus_setup):
+    """The estimation-regime product check for B = degree-16 rational
+    witnesses and B~ = span(B E) over E = C^2: one sweep of B's family
+    serves criterion 5 (b_partition) and criterion 6 (bt_partition)."""
     _, X, _, _ = annulus_setup
-    system = sh.make_rational(X, sh.complex_field(), 16, [0])
-    family = sh.witnesses_from_system(system)
-    return sh.shilov_estimate(family, tol=1e-4, m=32), system
+    B = sh.make_rational(X, sh.complex_field(), 16, [0])
+    E = sh.preset_algebra("pointwise_2")
+    Q = sh.Quadruple(X, E, B, sh.span_BE(B, E))
+    return sh.verify_product_theorem(Q, regime="estimation", tol=1e-4, m=32)
 
 
 def test_criterion_1_hausner_consistency():
     rng = np.random.default_rng(101)
     for name in PRESET_NAMES:
         E = sh.preset_algebra(name)
-        chars_E = sh.characters(E)
         for size in (2, 3, 4, 5):
             X = random_space(rng, size)
             Bt = sh.make_CXE(X, E)
@@ -72,7 +75,7 @@ def test_criterion_1_hausner_consistency():
             assert len(abstract) == expected, (name, size, len(abstract))
 
             Q = sh.Quadruple(X, E, sh.make_CXE(X, sh.complex_field()), Bt)
-            pi = sh.build_pi(Q, chars_E=chars_E, vector_algebra=algebra)
+            pi = sh.build_pi(Q, vector_algebra=algebra)
             assert len(pi) == expected
             pi_values = np.array([c.values for c in pi])
             matched = set()
@@ -88,8 +91,8 @@ def test_criterion_1_hausner_consistency():
 def test_criterion_2_radical_laws():
     for name in PRESET_NAMES:
         E = sh.preset_algebra(name)
-        chars = sh.characters(E)
-        rad = sh.radical(E, chars)
+        chars = E.characters
+        rad = sh.radical(E)
         assert len(rad) + len(chars) == E.dim, name
         for r in rad:
             for chi in chars:
@@ -144,7 +147,7 @@ def test_criterion_4_minimax_solver_brackets():
     note(4, "LP brackets on 100 random families; refined optimum matches grid oracle")
 
 
-def test_criterion_5_estimation_soundness(disk_setup, annulus_setup, annulus_rational_partition):
+def test_criterion_5_estimation_soundness(disk_setup, annulus_setup, annulus_rational_product):
     _, X_disk, n_circle = disk_setup
     poly = sh.make_poly(X_disk, sh.complex_field(), 16)
     part = sh.shilov_estimate(sh.witnesses_from_system(poly), tol=1e-4, m=32)
@@ -157,7 +160,7 @@ def test_criterion_5_estimation_soundness(disk_setup, annulus_setup, annulus_rat
     inner_certified = [i for i in part_poly.peak if n_outer <= i < n_outer + n_inner]
     assert inner_certified == [], "polynomial witnesses certified inner-circle points"
 
-    part_rat, _ = annulus_rational_partition
+    part_rat = annulus_rational_product.b_partition
     inner_frac = sum(1 for i in part_rat.peak if n_outer <= i < n_outer + n_inner) / n_inner
     outer_frac = sum(1 for i in part_rat.peak if i < n_outer) / n_outer
     assert inner_frac >= 0.75, inner_frac
@@ -169,17 +172,15 @@ def test_criterion_5_estimation_soundness(disk_setup, annulus_setup, annulus_rat
     )
 
 
-def test_criterion_6_product_structure(annulus_setup, annulus_rational_partition):
+def test_criterion_6_product_structure(annulus_setup, annulus_rational_product):
     _, X, _, _ = annulus_setup
-    part_scalar, system = annulus_rational_partition
-    E = sh.preset_algebra("pointwise_2")
-    chars = sh.characters(E)
-    product_system = sh.span_BE(system, E)
-    family = sh.witnesses_from_system(product_system, chars)
-    part_product = sh.shilov_estimate(family, tol=1e-4, m=32)
+    report = annulus_rational_product
+    part_scalar, part_product = report.b_partition, report.bt_partition
+    chars = sh.preset_algebra("pointwise_2").characters
     certified = {divmod(idx, X.size) for idx in part_product.peak}
     expected = {(i, x) for i in range(len(chars)) for x in part_scalar.peak}
     assert certified == expected
+    assert report.passed and report.extra == []
     note(6, f"product family certified set equals {{chi1,chi2}} x scalar set ({len(certified)} pairs)")
 
 
@@ -191,10 +192,10 @@ def test_criterion_7_peaking_synthesis():
         E = sh.preset_algebra(PRESET_NAMES[done % len(PRESET_NAMES)])
         X = random_space(rng, int(rng.integers(2, 5)))
         Q = sh.Quadruple(X, E, sh.make_CXE(X, scalars), sh.make_CXE(X, E))
-        chars_E = sh.characters(E)
+        chars_E = E.characters
 
         raw_v = rng.standard_normal(E.dim) + 1j * rng.standard_normal(E.dim)
-        v_norm = sh.gelfand_norm(E, E.element(raw_v), chars_E)
+        v_norm = sh.gelfand_norm(E, E.element(raw_v))
         if v_norm < 0.1:
             continue
         v = E.element(raw_v / v_norm)
@@ -214,7 +215,7 @@ def test_criterion_7_peaking_synthesis():
             continue
 
         f_coeffs = sh.span_membership(Q.scalar_system, f_values[:, None])
-        peaker = sh.synthesize_product_peaker(v, f_coeffs, Q, chars_E)
+        peaker = sh.synthesize_product_peaker(v, f_coeffs, Q)
         assert peaker.membership is not None
         assert abs(peaker.max_modulus - 1.0) <= 1e-9
         assert set(peaker.argmax_pairs) == {

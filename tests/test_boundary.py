@@ -1,5 +1,6 @@
 """Peak certification, boundary checks, product peakers, product theorems."""
 
+import importlib
 import math
 
 import numpy as np
@@ -98,7 +99,7 @@ def test_shilov_estimate_full_semisimple_everything_peaks():
     rng = np.random.default_rng(2)
     X = random_space(rng, 3)
     E = sh.preset_algebra("pointwise_2")
-    W = sh.witnesses_from_system(sh.make_CXE(X, E), sh.characters(E))
+    W = sh.witnesses_from_system(sh.make_CXE(X, E))
     part = sh.shilov_estimate(W)
     assert part.peak == list(range(6))
     assert part.not_peak == [] and part.undecided == []
@@ -171,10 +172,13 @@ def test_is_boundary_rejects_empty():
 
 
 def _peaked_scalar(B, x_index):
+    """Coefficients over B's basis of a certified peaker of B at x_index."""
     W = sh.witnesses_from_system(B)
     cert = sh.certify_peak(W, x_index)
     assert cert.status == "certified_peak"
-    return cert.coefficients
+    # the certificate combines W's rescaled columns, not B's basis
+    f_hat = W.values @ cert.coefficients
+    return sh.span_membership(B, f_hat[:, None] * B.scalars.unit)
 
 
 def test_product_peaker_scalar_identity():
@@ -196,13 +200,12 @@ def test_product_peaker_idempotent_component():
     E = sh.preset_algebra("pointwise_2")
     B = sh.make_CXE(X, sh.complex_field())
     Q = sh.Quadruple(X, E, B, sh.make_CXE(X, E))
-    chars_E = sh.characters(E)
     f = _peaked_scalar(B, 2)
     v = E.basis_element(0)  # first idempotent: |v-hat| = (1, 0)
-    peaker = sh.synthesize_product_peaker(v, f, Q, chars_E)
+    peaker = sh.synthesize_product_peaker(v, f, Q)
     assert peaker.membership is not None
     assert peaker.max_modulus == pytest.approx(1.0, abs=1e-9)
-    v_hat = np.abs(np.array([psi(v) for psi in chars_E]))
+    v_hat = np.abs(np.array([psi(v) for psi in E.characters]))
     which_psi = int(np.argmax(v_hat))
     assert peaker.argmax_pairs == [(which_psi, 2)]
 
@@ -295,7 +298,7 @@ def test_estimation_product_certifies_the_named_vector_system():
     Q = sh.Quadruple(X, E, B, Bt)
     report = sh.verify_product_theorem(Q, regime="estimation")
     family = report.bt_partition.family
-    expected = sh.witnesses_from_system(Bt, sh.characters(E))
+    expected = sh.witnesses_from_system(Bt)
     assert family.label == "Bt"
     assert family.labels == expected.labels
     assert np.array_equal(family.values, expected.values)
@@ -308,12 +311,53 @@ def test_witnesses_are_the_pi_rows(name):
     E = sh.preset_algebra(name)
     Bt = sh.make_CXE(X, E)
     Q = sh.Quadruple(X, E, sh.make_CXE(X, sh.complex_field()), Bt)
-    chars = sh.characters(E)
-    pi = sh.build_pi(Q, chars)
-    W = sh.witnesses_from_system(Bt, chars)
+    pi = sh.build_pi(Q)
+    W = sh.witnesses_from_system(Bt)
     assert W.labels == tuple(chi.label for chi in pi)
     assert np.array_equal(
         W.values, _independent_columns(np.array([chi.values for chi in pi]))
+    )
+
+
+def test_characters_run_once_per_algebra(monkeypatch):
+    module = importlib.import_module("shilov.characters")
+    search, seen = module.characters, []
+
+    def counted(E, *args, **kwargs):
+        seen.append(E)
+        return search(E, *args, **kwargs)
+
+    monkeypatch.setattr(module, "characters", counted)
+    rng = np.random.default_rng(19)
+    X = random_space(rng, 3)
+    E = sh.preset_algebra("pointwise_2")
+    B = sh.make_CXE(X, sh.complex_field())
+    Q = sh.Quadruple(X, E, B, sh.make_CXE(X, E))
+    assert sh.check_admissible(Q).passed
+    assert sh.verify_peak_product(Q).passed
+    sh.witnesses_from_algebra(E)
+    sh.witnesses_from_system(Q.vector_system)
+    sh.witnesses_from_system(B)
+    # E, C and each abstract algebra as_algebra builds, once each
+    ids = [id(A) for A in seen]
+    assert len(ids) == len(set(ids))
+    assert {id(E), id(B.scalars)} <= set(ids)
+
+
+def test_structure_equal_algebras_give_the_same_product():
+    rng = np.random.default_rng(20)
+    X = random_space(rng, 3)
+    E = sh.preset_algebra("pointwise_2")
+    B = sh.make_CXE(X, sh.complex_field())
+    same = sh.verify_peak_product(sh.Quadruple(X, E, B, sh.make_CXE(X, E)))
+    twin_E = sh.preset_algebra("pointwise_2")
+    twin = sh.verify_peak_product(sh.Quadruple(X, E, B, sh.make_CXE(X, twin_E)))
+    assert twin_E is not E
+    assert same.passed and twin.passed
+    assert twin.base.certified_pairs == same.base.certified_pairs
+    assert twin.base.product_pairs == same.base.product_pairs
+    assert np.array_equal(
+        twin.base.bt_partition.family.values, same.base.bt_partition.family.values
     )
 
 
@@ -493,7 +537,7 @@ def test_groups_sharing_columns_are_one_block(name):
     rng = np.random.default_rng(17)
     X = random_space(rng, 4)
     E = sh.dual_numbers() if name == "dual_numbers" else sh.cyclic_group_algebra(2)
-    W = sh.witnesses_from_system(sh.make_CXE(X, E), sh.characters(E))
+    W = sh.witnesses_from_system(sh.make_CXE(X, E))
     [(rows, cols)] = _blocks(W)
     assert rows.tolist() == list(range(W.candidate_count))
     assert cols.tolist() == list(range(W.values.shape[1]))
@@ -513,10 +557,9 @@ def test_rows_no_witness_sees_are_not_peaks():
     rng = np.random.default_rng(18)
     X = random_space(rng, 3)
     E = sh.preset_algebra("pointwise_2")
-    chars = sh.characters(E)
     full = sh.make_CXE(X, E)
     half = sh.FunctionSystem(X, E, full.basis[::2])
-    W = sh.witnesses_from_system(half, chars)
+    W = sh.witnesses_from_system(half)
     blocks = _blocks(W)
     assert sorted(cols.size for _, cols in blocks) == [0, 3]
     part = sh.shilov_estimate(W)

@@ -45,34 +45,39 @@ def test_character_counts_match_presets(preset):
     assert len(chars) == PRESET_CHARACTER_COUNTS[preset.label]
 
 
+def test_algebra_caches_its_characters(preset):
+    cached = preset.characters
+    assert isinstance(cached, tuple) and preset.characters is cached
+    fresh = sh.characters(preset)
+    assert [chi.label for chi in cached] == [chi.label for chi in fresh]
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(cached, fresh))
+
+
 def test_gelfand_transform_values():
     E = sh.preset_algebra("dual_numbers")
-    chars = sh.characters(E)
-    assert np.allclose(sh.gelfand_transform(E, E.element([3, 5]), chars), [3.0])
-    assert np.allclose(sh.gelfand_transform(E, E.one(), chars), [1.0])
+    assert np.allclose(sh.gelfand_transform(E, E.element([3, 5])), [3.0])
+    assert np.allclose(sh.gelfand_transform(E, E.one()), [1.0])
 
     Z2 = sh.preset_algebra("cyclic_group_2")
-    values = sh.gelfand_transform(Z2, Z2.element([1, 1]), sh.characters(Z2))
+    values = sh.gelfand_transform(Z2, Z2.element([1, 1]))
     assert sorted(np.abs(values)) == pytest.approx([0.0, 2.0], abs=1e-9)
 
 
 def test_gelfand_norm():
     E = sh.preset_algebra("dual_numbers")
-    chars = sh.characters(E)
-    assert sh.gelfand_norm(E, E.one(), chars) == pytest.approx(1.0)
-    assert sh.gelfand_norm(E, E.basis_element(1), chars) == pytest.approx(0.0, abs=1e-12)
+    assert sh.gelfand_norm(E, E.one()) == pytest.approx(1.0)
+    assert sh.gelfand_norm(E, E.basis_element(1)) == pytest.approx(0.0, abs=1e-12)
     Z2 = sh.preset_algebra("cyclic_group_2")
     assert sh.gelfand_norm(Z2, Z2.element([1, 1])) == pytest.approx(2.0)
 
 
 def test_gelfand_norm_below_norm_random(preset):
     rng = np.random.default_rng(2)
-    chars = sh.characters(preset)
     for _ in range(50):
         a = preset.element(
             rng.standard_normal(preset.dim) + 1j * rng.standard_normal(preset.dim)
         )
-        assert sh.gelfand_norm(preset, a, chars) <= sh.norm(preset, a) + 1e-9
+        assert sh.gelfand_norm(preset, a) <= sh.norm(preset, a) + 1e-9
 
 
 def test_semisimple_quotient_shapes():
@@ -94,8 +99,7 @@ def test_semisimple_quotient_shapes():
 
 def test_quotient_projection_is_homomorphism(preset):
     rng = np.random.default_rng(9)
-    chars = sh.characters(preset)
-    quotient, proj = sh.semisimple_quotient(preset, chars)
+    quotient, proj = sh.semisimple_quotient(preset)
     for _ in range(25):
         a = preset.element(
             rng.standard_normal(preset.dim) + 1j * rng.standard_normal(preset.dim)
@@ -107,7 +111,7 @@ def test_quotient_projection_is_homomorphism(preset):
         right = (proj @ a.coords) * (proj @ b.coords)  # pointwise in the quotient
         assert np.max(np.abs(left - right)) < 1e-8
     # kernel of the projection is the radical
-    for r in sh.radical(preset, chars):
+    for r in sh.radical(preset):
         assert np.max(np.abs(proj @ r.coords)) < 1e-8
 
 
@@ -127,20 +131,19 @@ def test_verify_character_examples():
 def test_rank_identity_presets_and_random(preset):
     rng = np.random.default_rng(31)
     chars = sh.characters(preset)
-    rad = sh.radical(preset, chars)
+    rad = sh.radical(preset)
     assert len(chars) + len(rad) == preset.dim
     for trial in range(3):
         twisted = conjugated_algebra(rng, preset)
         assert sh.validate_algebra(twisted).passed
         tchars = sh.characters(twisted)
-        trad = sh.radical(twisted, tchars)
+        trad = sh.radical(twisted)
         assert len(tchars) == len(chars)
         assert len(tchars) + len(trad) == preset.dim
 
 
 def test_homomorphism_property(preset):
     rng = np.random.default_rng(13)
-    chars = sh.characters(preset)
     for _ in range(30):
         a = preset.element(
             rng.standard_normal(preset.dim) + 1j * rng.standard_normal(preset.dim)
@@ -148,17 +151,14 @@ def test_homomorphism_property(preset):
         b = preset.element(
             rng.standard_normal(preset.dim) + 1j * rng.standard_normal(preset.dim)
         )
-        lhs = sh.gelfand_transform(preset, a * b, chars)
-        rhs = sh.gelfand_transform(preset, a, chars) * sh.gelfand_transform(
-            preset, b, chars
-        )
+        lhs = sh.gelfand_transform(preset, a * b)
+        rhs = sh.gelfand_transform(preset, a) * sh.gelfand_transform(preset, b)
         assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
 def test_characters_kill_radical(preset):
-    chars = sh.characters(preset)
-    for r in sh.radical(preset, chars):
-        for chi in chars:
+    for r in sh.radical(preset):
+        for chi in preset.characters:
             assert abs(chi(r)) < 1e-8
 
 

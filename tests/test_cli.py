@@ -181,6 +181,66 @@ def test_peaker_command(tmp_path):
     assert payload["peaker"]["max_modulus"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_peaker_command_converts_certificate_to_basis(tmp_path):
+    # monomial basis of degree 2 on four points: the certificate's
+    # coefficients combine rescaled witness columns, not B's basis
+    config = {
+        "algebras": {"E2": "pointwise_2"},
+        "spaces": {
+            "X": {"points": ["p0", "p1", "p2", "p3"],
+                  "coords": [[0, 0], [1, 0], [0, 2], [-2, 0]]}
+        },
+        "systems": {
+            "B": {"kind": "poly", "space": "X", "algebra": "complex", "degree": 2},
+            "Bt": {"kind": "poly", "space": "X", "algebra": "E2", "degree": 2},
+        },
+        "quadruples": {
+            "Q": {"space": "X", "algebra": "E2", "scalar_system": "B", "vector_system": "Bt"}
+        },
+        "run": [{"command": "peaker", "target": "Q", "point": "p3", "name": "pk"}],
+    }
+    out = tmp_path / "out"
+    assert main(["--config", str(write_config(tmp_path, config)), "--output-dir", str(out), "--quiet"]) == 0
+    peaker = json.loads((out / "pk.report.json").read_text())["payload"]["peaker"]
+    assert peaker["max_modulus"] == pytest.approx(1.0, abs=1e-9)
+    assert peaker["in_span"] is True
+
+
+def test_seed_does_not_reach_the_character_search(tmp_path):
+    # cyclic_group_3 has a radical-free, non-diagonal basis: a reseeded
+    # triangularization moves its characters at roundoff
+    config = {
+        "algebras": {"Z3": "cyclic_group_3"},
+        "spaces": {
+            "X": {"points": ["a", "b", "c"], "coords": [[0.2, 0.1], [0.9, -0.3], [-0.5, 0.7]]}
+        },
+        "systems": {
+            "B": {"kind": "cxe", "space": "X", "algebra": "complex"},
+            "Bt": {"kind": "cxe", "space": "X", "algebra": "Z3"},
+        },
+        "quadruples": {
+            "Q": {"space": "X", "algebra": "Z3", "scalar_system": "B", "vector_system": "Bt"}
+        },
+        "run": [
+            {"command": "characters", "target": "Z3", "name": "chars"},
+            {"command": "shilov", "target": "Bt", "name": "shilov"},
+            {"command": "peaker", "target": "Q", "point": "b", "character": 1, "name": "peaker"},
+            {"command": "verify-peaks", "target": "Q", "name": "peaks"},
+        ],
+    }
+    path = write_config(tmp_path, config)
+    outputs = []
+    for seed in ("0", "3"):
+        out = tmp_path / f"s{seed}"
+        assert main(["--config", str(path), "--output-dir", str(out), "--seed", seed, "--quiet"]) == 0
+        outputs.append(out)
+    names = sorted(p.name for p in outputs[0].iterdir())
+    assert names == sorted(p.name for p in outputs[1].iterdir()) and len(names) == 5
+    for name in names:
+        first, second = ((out / name).read_text() for out in outputs)
+        assert first.replace('\n  "seed": 0,\n', '\n  "seed": 3,\n') == second, name
+
+
 def test_exit_codes(tmp_path):
     assert main(["--config", str(tmp_path / "nope.json")]) != 0
 

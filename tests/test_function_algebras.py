@@ -306,6 +306,8 @@ def test_as_algebra_requires_closed():
     assert not P.closed
     with pytest.raises(ValueError):
         sh.as_algebra(P)
+    with pytest.raises(ValueError, match="closed"):
+        sh.check_pi_injective(sh.scalar_quadruple(P))
 
 
 def test_check_admissible_full_case():
@@ -383,7 +385,7 @@ def test_pi_outputs_verify_and_natural():
         pi = sh.build_pi(Q, vector_algebra=alg)
         for chi in pi:
             assert sh.verify_character(alg, chi).passed
-        assert sh.check_pi_injective(Q, pi)
+        assert sh.check_pi_injective(Q)
         assert sh.check_natural(Q)
 
 
