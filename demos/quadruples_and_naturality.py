@@ -43,8 +43,8 @@ def main():
               f"natural: {sh.check_natural(Q)}")
 
         if Bt.norm_tag == "lipschitz":
-            bound = sh.embedding_constant(Bt, samples=2000)
-            print(f"  embedding constant lower bound (sup <= M * lip norm): {bound:.4f}")
+            M = sh.embedding_constant(Bt, samples=2000)
+            print(f"  embedding constant (sup norm <= M * Lipschitz norm): M = {M:.4f}")
         print()
 
     # a failing quadruple: constants never separate points

@@ -177,7 +177,6 @@ class PeakCertificate:
     target: int
     status: str  # certified_peak | certified_not_peak | undecided
     coefficients: np.ndarray
-    separation: float
     lp_lower: float
     lp_upper: float
     refined: float
@@ -187,7 +186,6 @@ class PeakCertificate:
             "target": self.target,
             "status": self.status,
             "coefficients": complex_array_to_pairs(self.coefficients),
-            "separation": self.separation,
             "lp_lower": self.lp_lower,
             "lp_upper": self.lp_upper,
             "refined": self.refined,
@@ -435,9 +433,10 @@ def certify_peak(
 ) -> PeakCertificate:
     """Certify whether candidate ``target`` is a peak point of the family.
 
-    certified_peak requires an upper bound on the minimax optimum below
-    1 - tol; certified_not_peak requires the certified lower bound to reach
-    1 - tol/100; anything between is undecided.
+    certified_peak iff the coefficients, 1 at the target, have max modulus
+    ``refined`` < 1 - tol off it; certified_not_peak requires the certified
+    lower bound to reach 1 - tol/100 or a zero target row; anything between
+    is undecided.  A lone candidate peaks trivially, with bounds 0.
 
     The LP runs on incremental HiGHS with 1e-9 feasibility tolerances (a
     kError is retried once from a cleared solver with presolve on).  L-BFGS
@@ -447,71 +446,75 @@ def certify_peak(
     """
     V = W.values
     n, k = V.shape
-    if n < 2:
-        raise CertificationError("certification needs at least two candidates")
     if m < 8:
         raise CertificationError("polygon approximation needs m >= 8 sides")
+    if not 0 < tol < 1:
+        raise CertificationError(f"tol must lie in (0, 1), got {tol}")
     if not 0 <= target < n:
         raise IndexError(f"target {target} out of range")
 
     v_t = V[target]
     V_off = np.delete(V, target, axis=0)
-    if float(np.abs(v_t).max()) <= 1e-13 * max(1.0, float(np.abs(V).max())):
+    if _unseen_row(V, target):
         return _unseen(target, k)
-
-    c_lp, p = _solve_polygon_lp(
-        V_off, v_t, m, stop_lower=1.0 - tol * 1e-2 + _LP_PAD, warm_start=warm_start
-    )
-    c_lp = c_lp / np.dot(v_t, c_lp)  # exact normalization at the target
-    sec = 1.0 / math.cos(math.pi / m)
-    lp_lower = p - _LP_PAD
-    lp_upper = p * sec + _LP_PAD
-
-    if n * k <= 80:
-        stages, iters = [3e-2, 3e-3, 3e-4, 3e-5, 1e-5], 200
+    if n == 1:
+        best_c = v_t.conj() / float(np.vdot(v_t, v_t).real)
+        lp_lower = lp_upper = 0.0
     else:
-        stages, iters = [1e-2], 40
-    best_c = c_lp
-    best_val = _max_modulus(V_off, c_lp)
-    c_ref = _refine_first_order(V_off, v_t, c_lp, stages, iters)
-    c_ref = c_ref / np.dot(v_t, c_ref)
-    val = _max_modulus(V_off, c_ref)
-    if val < best_val:
-        best_c, best_val = c_ref, val
-    refined = best_val
+        c_lp, p = _solve_polygon_lp(
+            V_off, v_t, m, stop_lower=1.0 - tol * 1e-2 + _LP_PAD, warm_start=warm_start
+        )
+        c_lp = c_lp / np.dot(v_t, c_lp)  # exact normalization at the target
+        sec = 1.0 / math.cos(math.pi / m)
+        lp_lower = p - _LP_PAD
+        lp_upper = p * sec + _LP_PAD
 
-    upper = min(lp_upper, refined)
-    if upper < 1.0 - tol:
+        if n * k <= 80:
+            stages, iters = [3e-2, 3e-3, 3e-4, 3e-5, 1e-5], 200
+        else:
+            stages, iters = [1e-2], 40
+        c_ref = _refine_first_order(V_off, v_t, c_lp, stages, iters)
+        c_ref = c_ref / np.dot(v_t, c_ref)
+        best_c = c_lp
+        if _max_modulus(V_off, c_ref) < _max_modulus(V_off, c_lp):
+            best_c = c_ref
+    refined = _max_modulus(V_off, best_c)
+
+    if refined < 1.0 - tol:
         status = "certified_peak"
     elif lp_lower >= 1.0 - tol * 1e-2:
         status = "certified_not_peak"
     else:
         status = "undecided"
-    return PeakCertificate(
-        target, status, best_c, 1.0 - refined, lp_lower, lp_upper, refined
-    )
+    return PeakCertificate(target, status, best_c, lp_lower, lp_upper, refined)
+
+
+def _unseen_row(V: np.ndarray, target: int) -> bool:
+    """No witness sees the target: its row is zero relative to V's scale."""
+    return float(np.abs(V[target]).max()) <= 1e-13 * max(1.0, float(np.abs(V).max()))
 
 
 def _unseen(target: int, k: int) -> PeakCertificate:
     """No witness sees the target: it can never peak."""
     zeros = np.zeros(k, dtype=complex)
-    return PeakCertificate(
-        target, "certified_not_peak", zeros, 0.0, math.inf, math.inf, math.inf
-    )
+    return PeakCertificate(target, "certified_not_peak", zeros, math.inf, math.inf, math.inf)
 
 
 def reverify_certificate(W: WitnessFamily, cert: PeakCertificate) -> bool:
-    """Soundness re-check by direct matrix evaluation of the coefficients."""
-    if cert.status != "certified_peak":
-        return True
-    w = W.values @ cert.coefficients
-    at_target = w[cert.target]
-    off = np.delete(np.abs(w), cert.target)
-    return (
-        abs(at_target - 1.0) <= CERT_REVERIFY_TOL
-        and cert.separation > 0
-        and bool(np.all(off <= 1.0 - cert.separation + CERT_REVERIFY_TOL))
-    )
+    """Re-derive a verdict from W and the certificate: a peak's coefficients
+    evaluate to 1 at the target and at most refined < 1 off it; an unseen
+    target (lp_lower = inf) has a zero row.  LP lower bounds are trusted."""
+    if cert.status == "certified_peak":
+        w = W.values @ cert.coefficients
+        off = np.delete(np.abs(w), cert.target)
+        return (
+            abs(w[cert.target] - 1.0) <= CERT_REVERIFY_TOL
+            and cert.refined < 1.0
+            and bool(np.all(off <= cert.refined + CERT_REVERIFY_TOL))
+        )
+    if cert.status == "certified_not_peak" and cert.lp_lower == math.inf:
+        return _unseen_row(W.values, cert.target)
+    return True
 
 
 @dataclass
@@ -626,11 +629,6 @@ def _blocks(W: WitnessFamily) -> list[tuple[np.ndarray, np.ndarray]]:
 def _sweep(W: WitnessFamily, tol: float, m: int) -> list[PeakCertificate]:
     """certify_peak on every candidate of W in order, each warm-starting the
     next."""
-    if W.candidate_count == 1:
-        # a single candidate peaks trivially: rescale any witness to 1 there
-        v_t = W.values[0]
-        coeffs = v_t.conj() / float(np.vdot(v_t, v_t).real)
-        return [PeakCertificate(0, "certified_peak", coeffs, 1.0, 0.0, 0.0, 0.0)]
     certs = []
     warm = None
     for i in range(W.candidate_count):
@@ -657,6 +655,8 @@ def is_boundary(
         raise ValueError("boundary subset must be nonempty")
     V = W.values
     n, k = V.shape
+    if subset[0] < 0 or subset[-1] >= n:
+        raise ValueError(f"boundary subset indices must lie in [0, {n})")
     rng = np.random.default_rng(seed)
     coeff_sets = np.vstack(
         [np.eye(k, dtype=complex), rng.standard_normal((samples, k)) + 1j * rng.standard_normal((samples, k))]

@@ -27,6 +27,8 @@ import numpy as np
 from . import __version__
 from .algebra import AlgebraSpec, preset_algebra
 from .boundary import (
+    DEFAULT_SIDES,
+    DEFAULT_TOL,
     certify_peak,
     partition_to_csv,
     partition_to_pgm,
@@ -68,6 +70,7 @@ from .spaces import (
 )
 
 _PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -116,7 +119,7 @@ CONFIG_SCHEMA = {
                             "properties": {
                                 "kind": {"enum": ["disk", "annulus"]},
                                 "center": _PAIR,
-                                "radius": {"type": "number"},
+                                "radius": _POSITIVE,
                                 "inner": {"type": "number"},
                                 "outer": {"type": "number"},
                             },
@@ -134,9 +137,9 @@ CONFIG_SCHEMA = {
                                     "enum": ["circle", "interior_grid", "boundary_uniform"]
                                 },
                                 "center": _PAIR,
-                                "radius": {"type": "number"},
+                                "radius": _POSITIVE,
                                 "count": {"type": "integer", "minimum": 1},
-                                "step": {"type": "number"},
+                                "step": _POSITIVE,
                             },
                         },
                     },
@@ -152,7 +155,7 @@ CONFIG_SCHEMA = {
                     "kind": {"enum": ["cxe", "lip", "poly", "rational"]},
                     "space": {"type": "string"},
                     "algebra": {"type": "string"},
-                    "alpha": {"type": "number"},
+                    "alpha": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
                     "degree": {"type": "integer", "minimum": 0},
                     "poles": {"type": "array", "items": _PAIR},
                     "close": {"type": "boolean"},
@@ -191,7 +194,7 @@ CONFIG_SCHEMA = {
                     },
                     "target": {"type": "string"},
                     "name": {"type": "string"},
-                    "tol": {"type": "number"},
+                    "tol": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
                     "m": {"type": "integer", "minimum": 8},
                     "regime": {"enum": ["exact", "estimation"]},
                     "raster": {"type": "string"},
@@ -421,8 +424,8 @@ def _run_entry(ws: _Workspace, entry: dict, seed: int, out_dir: Path, stem: str,
     """Execute one run-list command; returns the payload plus extra files."""
     command = entry["command"]
     target = entry["target"]
-    tol = float(entry.get("tol", 1e-4))
-    m = int(entry.get("m", 32))
+    tol = float(entry.get("tol", DEFAULT_TOL))
+    m = int(entry.get("m", DEFAULT_SIDES))
     payload: dict
     extras: dict[str, str] = {}
 
@@ -498,6 +501,8 @@ def _run_entry(ws: _Workspace, entry: dict, seed: int, out_dir: Path, stem: str,
         point = entry.get("point", quadruple.space.points[0])
         char_index = int(entry.get("character", 0))
         E, B = quadruple.scalars, quadruple.scalar_system
+        if point not in quadruple.space.points:
+            raise ConfigError(f"peaker: unknown point {point!r}")
         if char_index >= len(E.characters):
             raise ConfigError(
                 f"peaker: character index {char_index} out of range "

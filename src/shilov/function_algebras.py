@@ -439,11 +439,12 @@ def span_BE(B: FunctionSystem, E: AlgebraSpec, label: str = "") -> FunctionSyste
 def embedding_constant(S: FunctionSystem, samples: int = 10_000, seed: int = 0) -> float:
     """Lower bound for sup ||f||_X / ||f||_S over the span.
 
-    Sup-normed systems have ratio exactly 1.  For Lipschitz norms the bound
-    is the maximum over basis directions plus ``samples`` random coefficient
+    The ratio never exceeds 1, and 1_E attains it: sup-normed systems and
+    spans containing 1_E get exactly 1.  Other Lipschitz-normed spans get
+    the maximum over basis directions plus ``samples`` random coefficient
     vectors.
     """
-    if S.norm_tag == "sup":
+    if S.norm_tag == "sup" or S.span.contains(S.unit_table())[0]:
         return 1.0
     rng = np.random.default_rng(seed)
     best = 0.0

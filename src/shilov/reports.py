@@ -100,19 +100,13 @@ def pairs_to_complex_array(data) -> np.ndarray:
     return (arr[..., 0] + 1j * arr[..., 1]).astype(complex)
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def _sanitize(obj):
     # json.dumps emits bare Infinity/NaN tokens, which are not valid JSON;
-    # map non-finite floats to strings before encoding.
+    # map non-finite floats to strings before encoding.  NumPy scalars and
+    # arrays become Python values first: np.float64 is a float whose repr
+    # reads "np.float64(nan)", and json never hands a float to a default.
+    if isinstance(obj, (np.generic, np.ndarray)):
+        obj = obj.tolist()
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else repr(obj)
     if isinstance(obj, dict):
@@ -124,4 +118,4 @@ def _sanitize(obj):
 
 def canonical_json(data) -> str:
     """Deterministic JSON text: sorted keys, stable float repr, newline-terminated."""
-    return json.dumps(_sanitize(data), sort_keys=True, indent=2, default=_json_default) + "\n"
+    return json.dumps(_sanitize(data), sort_keys=True, indent=2) + "\n"

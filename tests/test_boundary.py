@@ -2,6 +2,7 @@
 
 import importlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ def test_full_algebra_indicator_peaks():
     W = sh.witnesses_from_system(full)
     cert = sh.certify_peak(W, 1)
     assert cert.status == "certified_peak"
-    assert cert.separation == pytest.approx(1.0, abs=1e-9)
+    assert cert.refined == pytest.approx(0.0, abs=1e-9)
 
 
 def test_affine_endpoint_certifies_with_known_optimum():
@@ -41,7 +42,7 @@ def test_affine_endpoint_certifies_with_known_optimum():
     oracle = minimax_grid_oracle(W.values, 2)
     assert oracle == pytest.approx(1.0 / 3.0, abs=1e-5)
     assert cert.refined == pytest.approx(oracle, abs=1e-3)
-    assert cert.separation >= 0.5  # at least the witness a(z) = z achieves 0.5
+    assert cert.refined <= 0.5  # at most what the witness a(z) = z achieves
     assert sh.reverify_certificate(W, cert)
 
 
@@ -61,15 +62,44 @@ def test_zero_target_row_immediately_not_peak():
     assert cert.lp_lower == math.inf
 
 
+def test_reverify_checks_the_unseen_row():
+    unseen = sh.WitnessFamily(("a", "b", "c"), np.array([[1.0], [0.0], [0.5]]))
+    cert = sh.certify_peak(unseen, 1)
+    assert sh.reverify_certificate(unseen, cert)
+    seen = sh.WitnessFamily(("a", "b", "c"), np.array([[1.0], [0.25], [0.5]]))
+    assert not sh.reverify_certificate(seen, cert)
+
+
+def test_reverify_rederives_the_peak_verdict():
+    W = affine_family()
+    cert = sh.certify_peak(W, 2)
+    assert sh.reverify_certificate(W, cert)
+    # a stored refined below the coefficients' own off-target maximum
+    assert not sh.reverify_certificate(W, replace(cert, refined=cert.refined / 2))
+    assert not sh.reverify_certificate(W, replace(cert, refined=1.0))
+
+
+def test_lone_candidate_peaks_trivially():
+    v = np.array([[2.0 - 1.0j]])
+    single = sh.WitnessFamily(("only",), v)
+    cert = sh.certify_peak(single, 0)
+    assert cert.status == "certified_peak"
+    assert np.array_equal(cert.coefficients, v[0].conj() / 5.0)
+    assert (cert.lp_lower, cert.lp_upper, cert.refined) == (0.0, 0.0, 0.0)
+    [swept] = sh.shilov_estimate(single).certificates
+    assert swept.to_dict() == cert.to_dict()
+    assert sh.reverify_certificate(single, cert)
+
+
 def test_certify_validates_inputs():
     W = affine_family()
     with pytest.raises(sh.CertificationError):
         sh.certify_peak(W, 0, m=4)
     with pytest.raises(IndexError):
         sh.certify_peak(W, 7)
-    single = sh.WitnessFamily(("only",), np.array([[1.0]], dtype=complex))
-    with pytest.raises(sh.CertificationError):
-        sh.certify_peak(single, 0)
+    for tol in (0.0, 1.0, -1e-4):
+        with pytest.raises(sh.CertificationError, match="tol"):
+            sh.certify_peak(W, 0, tol=tol)
 
 
 def test_witness_family_rejects_dependent_columns():
@@ -166,6 +196,12 @@ def test_is_boundary():
 def test_is_boundary_rejects_empty():
     with pytest.raises(ValueError):
         sh.is_boundary([], affine_family())
+
+
+@pytest.mark.parametrize("subset", [[-1], [3], [0, 5]])
+def test_is_boundary_rejects_indices_out_of_range(subset):
+    with pytest.raises(ValueError, match="0, 3"):
+        sh.is_boundary(subset, affine_family())
 
 
 # --- product peakers -------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Config validation, command execution, determinism, error handling."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 import shilov as sh
 from shilov.cli import ConfigError, main, validate_config
+from shilov.reports import canonical_json
 
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -271,3 +273,82 @@ def test_seed_override_changes_report(tmp_path):
     r1 = json.loads((out1 / "chars.report.json").read_text())
     r2 = json.loads((out2 / "chars.report.json").read_text())
     assert r1["seed"] == 7 and r2["seed"] == 99
+
+
+def bounded_config():
+    return {
+        "spaces": {
+            "disk": {"shape": [{"kind": "disk", "center": [0, 0], "radius": 1.0}], "resolution": 16},
+            "samples": {
+                "sample_of": "disk",
+                "strategies": [
+                    {"kind": "circle", "center": [0, 0], "radius": 1.0, "count": 4},
+                    {"kind": "interior_grid", "step": 0.5},
+                ],
+            },
+        },
+        "systems": {
+            "lip": {"kind": "lip", "space": "samples", "algebra": "complex", "alpha": 1.0}
+        },
+        "run": [{"command": "shilov", "target": "lip", "tol": 1e-4}],
+    }
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("run", 0, "tol"), 0),
+        (("run", 0, "tol"), 1),
+        (("run", 0, "tol"), 2.0),
+        (("spaces", "samples", "strategies", 1, "step"), 0),
+        (("spaces", "samples", "strategies", 1, "step"), -0.5),
+        (("systems", "lip", "alpha"), 0),
+        (("systems", "lip", "alpha"), 2),
+        (("spaces", "disk", "shape", 0, "radius"), 0),
+        (("spaces", "samples", "strategies", 0, "radius"), -1.0),
+    ],
+)
+def test_schema_bounds_config_values(tmp_path, capsys, path, value):
+    config = bounded_config()
+    validate_config(write_config(tmp_path, config))
+    *parents, key = path
+    node = config
+    for step in parents:
+        node = node[step]
+    node[key] = value
+    config_path = write_config(tmp_path, config)
+    with pytest.raises(ConfigError, match="schema violation"):
+        validate_config(config_path)
+    assert main(["--config", str(config_path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+def test_peaker_unknown_point_is_a_config_error(tmp_path, capsys):
+    config = json.loads((DEMO_DIR / "exact_demo.json").read_text())
+    config["run"] = [{"command": "peaker", "target": "cxe_demo", "point": "nowhere"}]
+    path = write_config(tmp_path, config)
+    assert main(["--config", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "config" and "nowhere" in error["message"]
+
+
+def test_canonical_json_writes_non_finite_values_as_strings():
+    def refuse(token):
+        raise ValueError(f"bare {token} is not JSON")
+
+    data = {
+        "f32": np.float32("inf"),
+        "f64": np.float64("nan"),
+        "neg": -math.inf,
+        "array": np.array([0.5, -np.inf]),
+        "count": np.int64(3),
+        "finite": np.float64(0.1),
+    }
+    assert json.loads(canonical_json(data), parse_constant=refuse) == {
+        "f32": "inf",
+        "f64": "nan",
+        "neg": "-inf",
+        "array": [0.5, "-inf"],
+        "count": 3,
+        "finite": 0.1,
+    }

@@ -284,6 +284,16 @@ def test_embedding_constant():
         assert ratio <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("name", ["complex", "cyclic_group_3"])
+def test_embedding_constant_is_one_on_spans_with_the_unit(name):
+    X = sh.FiniteSpace(("a", "b", "c"), np.array([0.2 + 0.1j, 0.9 - 0.3j, -0.5 + 0.7j]))
+    # 1_E has Lipschitz seminorm 0, so it attains the largest ratio, 1
+    assert sh.embedding_constant(sh.make_lip(X, sh.preset_algebra(name), 0.5)) == 1.0
+    # without 1_E the bound is sampled: span{e_1} on two points has ratio 1/2
+    single = scalar_system([0, 1], [[0, 1]], norm_tag="lipschitz", alpha=1.0)
+    assert sh.embedding_constant(single, samples=200) == pytest.approx(0.5)
+
+
 # --- abstract algebra view and quadruples -----------------------------------------
 
 
