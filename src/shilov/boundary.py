@@ -11,7 +11,8 @@ directions and sec(pi/m) times it, so one linear program yields a certified
 bracket [lp_lower, lp_upper] around the optimum; a smoothed first-order
 descent warm-started at the LP solution then tightens the feasible value.
 Every LP takes one path: an active set of polygon constraints, seeded by
-that descent and grown on incremental HiGHS.
+Lawson's reweighting iteration (run for a whole block of targets at once)
+and grown on incremental HiGHS inside a box that holds every LP optimum.
 
 On a finite candidate set with the full algebra as witnesses the certified
 peak set is the Shilov boundary and coincides with the peak-point set; with
@@ -25,6 +26,7 @@ Zero-padded, its certificates certify the same rows of the whole family.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -87,7 +89,7 @@ class WitnessFamily:
     groups: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
+        values = np.array(self.values, dtype=complex)  # a copy: frozen below
         if values.ndim != 2:
             raise ValueError("witness values must be a 2-d matrix")
         if len(self.labels) != values.shape[0]:
@@ -114,6 +116,10 @@ class WitnessFamily:
     @property
     def candidate_count(self) -> int:
         return self.values.shape[0]
+
+    @functools.cached_property
+    def _scaled(self) -> "_Scaled":
+        return _Scaled.of(self.values)
 
 
 def _independent_columns(matrix: np.ndarray) -> np.ndarray:
@@ -195,14 +201,16 @@ class PeakCertificate:
 class _HighsRounds:
     """Incremental LP on HiGHS: added rows keep the basis, so re-runs are warm.
 
-    HiGHS occasionally gives up on a dense model (``run`` returns kError).
-    The model then drops its solver state (basis, factorization), switches
-    presolve on for the rest of this LP and runs once more on the same rows
-    and tolerances; a second kError raises CertificationError.
+    HiGHS occasionally gives up on a dense model: ``run`` returns kError, or
+    ends with a model status other than optimal (kUnknown when the final
+    basis misses the 1e-9 primal tolerance on a degenerate LP).  The model
+    then drops its solver state (basis, factorization), switches presolve
+    on for the rest of this LP and runs once more on the same rows and
+    tolerances; a second failure raises CertificationError.
     """
 
-    def __init__(self, k: int, v_t: np.ndarray):
-        self.k = k
+    def __init__(self, v_t: np.ndarray, radius: float):
+        k = self.k = v_t.size
         inf = _highs_core.kHighsInf
         h = _highs_core._Highs()
         h.setOptionValue("output_flag", False)
@@ -212,9 +220,11 @@ class _HighsRounds:
         h.setOptionValue("primal_feasibility_tolerance", 1e-9)
         h.setOptionValue("dual_feasibility_tolerance", 1e-9)
         nvars = 2 * k + 1
-        lower = np.full(nvars, -inf)
-        lower[-1] = 0.0
-        h.addVars(nvars, lower, np.full(nvars, inf))
+        # Re c and Im c in [-radius, radius] (see _solve_polygon_lp), t >= 0
+        lower = np.full(nvars, -radius)
+        upper = np.full(nvars, radius)
+        lower[-1], upper[-1] = 0.0, inf
+        h.addVars(nvars, lower, upper)
         cost = np.zeros(nvars)
         cost[-1] = 1.0
         h.changeColsCost(nvars, np.arange(nvars, dtype=np.int32), cost)
@@ -244,18 +254,20 @@ class _HighsRounds:
             np.full(nrows, -_highs_core.kHighsInf), np.zeros(nrows),
         )
 
+    def _run(self) -> bool:
+        return (
+            self.h.run() == _highs_core.HighsStatus.kOk
+            and self.h.getModelStatus() == _highs_core.HighsModelStatus.kOptimal
+        )
+
     def solve(self) -> tuple[np.ndarray, float]:
-        status = self.h.run()
-        if status == _highs_core.HighsStatus.kError:
+        if not self._run():
             self.h.clearSolver()
             self.h.setOptionValue("presolve", "on")
-            status = self.h.run()
-        if status != _highs_core.HighsStatus.kOk:
-            raise CertificationError("HiGHS run failed")
-        if self.h.getModelStatus() != _highs_core.HighsModelStatus.kOptimal:
-            raise CertificationError(
-                f"LP not solved to optimality: {self.h.getModelStatus()}"
-            )
+            if not self._run():
+                raise CertificationError(
+                    f"HiGHS run failed: model status {self.h.getModelStatus()}"
+                )
         x = np.asarray(self.h.getSolution().col_value)
         k = self.k
         return x[:k] + 1j * x[k : 2 * k], float(self.h.getObjectiveValue())
@@ -265,8 +277,9 @@ def _solve_polygon_lp(
     V_off: np.ndarray,
     v_t: np.ndarray,
     m: int,
+    seed: np.ndarray,
+    sigma_min: float,
     stop_lower: float | None = None,
-    warm_start: np.ndarray | None = None,
 ):
     """Minimize the polygon max over off-target rows subject to (Vc)(target)=1.
 
@@ -276,15 +289,28 @@ def _solve_polygon_lp(
     optimum is always a valid lower bound for the full LP, and on clean
     termination (no violated pairs) it equals the full optimum exactly.
 
+    ``seed`` is a feasible point (v_t seed = 1); its near-maximal rows seed
+    the active set.  It also bounds the LP: with T its off-target max
+    modulus, every full-LP optimum c has polygon value p <= T, so
+    |(Vc)_r| <= T sec(pi/m) off the target, |(Vc)_t| = 1 and
+    ||c||_2 <= sqrt(1 + (n - 1) (T sec)^2) / sigma_min(V).  Boxing each real
+    variable by that radius keeps every full-LP optimum (so reduced optima
+    stay lower bounds) and makes every reduced LP bounded.
+
     ``stop_lower`` allows an early exit once the certified lower bound passes
     that threshold while the iterate's true max modulus stays inside the
     sec(pi/m) bracket; near-flat optima (every candidate active) otherwise
-    waste rounds polishing a hugely degenerate vertex.  ``warm_start`` seeds
-    the active-set search with a previous candidate's solution.
+    waste rounds polishing a hugely degenerate vertex.
     """
-    k = V_off.shape[1]
+    k = v_t.size
+    sec = 1.0 / math.cos(math.pi / m)
     phases = np.exp(-2j * np.pi * np.arange(m) / m)
-    backend = _HighsRounds(k, v_t)
+    w_seed = V_off @ seed
+    w_abs = np.abs(w_seed)
+    top = w_abs.max()
+    # doubled against roundoff in sigma_min and in the seed's normalization
+    radius = 2.0 * math.sqrt(1.0 + V_off.shape[0] * (top * sec) ** 2) / sigma_min
+    backend = _HighsRounds(v_t, radius)
 
     def rows_for(cand_idx: np.ndarray, dir_idx: np.ndarray) -> np.ndarray:
         W_sel = V_off[cand_idx] * phases[dir_idx][:, None]  # (pairs, k)
@@ -292,20 +318,9 @@ def _solve_polygon_lp(
             [W_sel.real, -W_sel.imag, -np.ones((len(cand_idx), 1))], axis=1
         )
 
-    # Seed the active set from a cheap smoothed descent: near-maximal rows at
-    # a near-optimal point are the constraints the LP will bind, so the
-    # generation loop usually terminates after one or two warm re-runs.
-    c_start = v_t.conj() / float(np.vdot(v_t, v_t).real)
-    stages, iters = [1e-1, 1e-2, 1e-3], 80
-    if warm_start is not None:
-        shift = np.dot(v_t, warm_start)
-        if abs(shift) > 1e-9 * (1.0 + float(np.abs(warm_start).max())):
-            c_start = warm_start / shift
-            stages, iters = [1e-2, 1e-3], 40
-    c_fo = _refine_first_order(V_off, v_t, c_start, stages=stages, maxiter=iters)
-    w_fo = V_off @ c_fo
-    w_abs = np.abs(w_fo)
-    top = w_abs.max()
+    # Near-maximal rows at a near-optimal point are the constraints the LP
+    # will bind, so the generation loop usually terminates after one or two
+    # warm re-runs.
     if top >= 0.95:  # near-flat: most candidates will be active
         near = np.flatnonzero(w_abs >= min(0.9, top * 0.9))
     else:
@@ -314,16 +329,18 @@ def _solve_polygon_lp(
         near = np.argsort(-w_abs, kind="stable")[: 2 * k + 16]
     if near.size > 400:
         near = near[np.argsort(-w_abs[near], kind="stable")[:400]]
-    best_dir = np.argmax(np.real(np.multiply.outer(w_fo, phases)), axis=1)
+    best_dir = np.argmax(np.real(np.multiply.outer(w_seed, phases)), axis=1)
+    # at a zero optimum every row must vanish: three spread directions pin it
+    # in the first run, where a boxed column would otherwise rest at a bound
+    shifts = (-1, 0, 1) if top > 0 else (0, m // 3, 2 * m // 3)
     active = {
-        (int(r), int((best_dir[r] + shift) % m)) for r in near for shift in (-1, 0, 1)
+        (int(r), int((best_dir[r] + shift) % m)) for r in near for shift in shifts
     }
     pairs = sorted(active)
     backend.add_rows(
         rows_for(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
     )
 
-    sec = 1.0 / math.cos(math.pi / m)
     for _ in range(80):
         c, t_star = backend.solve()
         if (
@@ -423,13 +440,104 @@ def _refine_first_order(
     return c_start + N @ y
 
 
+# Targets per vectorized seeding pass: _seeds' work arrays are (chunk, n)
+# and (chunk, k, k) for n candidates and k witnesses.
+_SEED_CHUNK = 64
+_SEED_ITERS = 60  # Lawson rounds at most
+_SEED_RTOL = 1e-3  # relative gap to Lawson's lower bound that ends the rounds
+
+
+@single_threaded()
+def _seeds(V: np.ndarray, targets) -> np.ndarray:
+    """Near-optimal coefficients (v_t c = 1) for each target, one row each.
+
+    Lawson's iteration for the minimax problem, run for every target at
+    once: with weights d on the off-target rows (uniform at first), c
+    minimizes sum_r d_r |(Vc)_r|^2 subject to v_t c = 1, which is
+    c = x / (v_t x) with M x = conj(v_t), M = V^H diag(d) V; then
+    d_r <- d_r |(Vc)_r|, normalized.  The weights concentrate on the rows
+    that bind at the optimum, and those rows are what the LP's active set
+    needs.  A row returned is the best iterate by the true off-target max;
+    an unseen target's row is zero.  Targets run in chunks of _SEED_CHUNK,
+    so memory stays O(chunk * (n + k^2) + n * k).
+    """
+    targets = np.asarray(targets, dtype=int).reshape(-1)
+    seeds = np.zeros((targets.size, V.shape[1]), dtype=complex)
+    for start in range(0, targets.size, _SEED_CHUNK):
+        chunk = targets[start : start + _SEED_CHUNK]
+        seen = ~_unseen_row(V, chunk)
+        seeds[start : start + chunk.size][seen] = _lawson(V, chunk[seen])
+    return seeds
+
+
+def _lawson(V: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """_seeds on seen targets."""
+    n, k = V.shape
+    a = V[targets]  # (T, k) target rows
+    if n == 1 or not targets.size:
+        return a.conj() / (a.real**2 + a.imag**2).sum(axis=1)[:, None]
+    rows = np.arange(targets.size)
+    V_H = V.conj().T
+    d = np.ones((targets.size, n))
+    d[rows, targets] = 0.0
+    d /= n - 1
+    best = np.full(targets.size, np.inf)
+    best_c = np.zeros_like(a)
+    for _ in range(_SEED_ITERS):
+        M = np.stack([(V_H * weights) @ V for weights in d])
+        # a tiny ridge keeps M invertible when fewer than k rows carry weight
+        ridge = 1e-14 * (1.0 + np.trace(M, axis1=1, axis2=2).real)
+        M += ridge[:, None, None] * np.eye(k)
+        x = np.linalg.solve(M, a.conj()[:, :, None])[:, :, 0]
+        a_x = (a * x).sum(axis=1)  # = conj(a)^H M^-1 conj(a) > 0
+        c = x / a_x[:, None]
+        r = np.abs(c @ V.T)
+        r[rows, targets] = 0.0
+        top = r.max(axis=1)
+        better = top < best
+        best = np.where(better, top, best)
+        best_c[better] = c[better]
+        # sum_r d_r |(Vc)_r|^2 = 1 / (v_t x) never exceeds the squared
+        # optimum (d sums to 1): stop once every best is that close to it
+        if np.all(best - 1.0 / np.sqrt(np.abs(a_x)) <= _SEED_RTOL * best):
+            break
+        weighted = d * r
+        total = weighted.sum(axis=1)
+        # all weighted rows at zero: c is optimal, keep the weights
+        np.divide(weighted, total[:, None], out=d, where=total[:, None] > 0)
+    return best_c
+
+
+@dataclass
+class _Scaled:
+    """A family's values as certify_peak solves on them.
+
+    Column j is divided by scale[j], the power of two nearest its max
+    modulus, so every column's max modulus lies within sqrt(2) of 1 and the
+    map back (c = c_scaled / scale) is exact in floating point.  sigma_min
+    is the scaled matrix's smallest singular value (the LP box's radius
+    divides by it).  seeds holds _seeds rows by target, filled by a sweep.
+    """
+
+    values: np.ndarray
+    scale: np.ndarray
+    sigma_min: float
+    seeds: dict[int, np.ndarray] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, V: np.ndarray) -> "_Scaled":
+        exponents = np.round(np.log2(np.abs(V).max(axis=0))).astype(int)
+        scale = np.ldexp(1.0, exponents)
+        values = V / scale
+        return cls(values, scale, float(np.linalg.svd(values, compute_uv=False)[-1]))
+
+
 @single_threaded()
 def certify_peak(
     W: WitnessFamily,
     target: int,
     tol: float = DEFAULT_TOL,
     m: int = DEFAULT_SIDES,
-    warm_start: np.ndarray | None = None,
 ) -> PeakCertificate:
     """Certify whether candidate ``target`` is a peak point of the family.
 
@@ -438,31 +546,42 @@ def certify_peak(
     lower bound to reach 1 - tol/100 or a zero target row; anything between
     is undecided.  A lone candidate peaks trivially, with bounds 0.
 
-    The LP runs on incremental HiGHS with 1e-9 feasibility tolerances (a
-    kError is retried once from a cleared solver with presolve on).  L-BFGS
+    W's columns are first rescaled by powers of two to max modulus near 1;
+    coefficients map back exactly, so every number of the certificate is
+    read off W itself.  The LP's active set is seeded by _seeds (a sweep
+    computes the seeds of a whole block in one pass), and its variables are
+    boxed by |Re c_j|, |Im c_j| <= 2 sqrt(1 + (n - 1) (T sec(pi/m))^2) /
+    sigma_min, with T the seed's off-target max and sigma_min the scaled
+    family's smallest singular value: every LP optimum lies inside, so
+    lp_lower stays sound, and no reduced LP is unbounded.  The LP runs on
+    incremental HiGHS with 1e-9 feasibility tolerances (a failed run is
+    retried once from a cleared solver with presolve on).  L-BFGS
     refinement then tightens the LP point: five smoothing stages of 200
     iterations when n * k <= 80 (n candidates, k witnesses), one stage of
     40 otherwise.
     """
-    V = W.values
-    n, k = V.shape
+    n, k = W.values.shape
     if m < 8:
         raise CertificationError("polygon approximation needs m >= 8 sides")
     if not 0 < tol < 1:
         raise CertificationError(f"tol must lie in (0, 1), got {tol}")
     if not 0 <= target < n:
         raise IndexError(f"target {target} out of range")
-
-    v_t = V[target]
-    V_off = np.delete(V, target, axis=0)
-    if _unseen_row(V, target):
+    if _unseen_row(W.values, target):
         return _unseen(target, k)
+
+    scaled = W._scaled
+    v_t = scaled.values[target]
+    V_off = np.delete(scaled.values, target, axis=0)
     if n == 1:
         best_c = v_t.conj() / float(np.vdot(v_t, v_t).real)
         lp_lower = lp_upper = 0.0
     else:
+        seed = scaled.seeds.get(target)
+        if seed is None:
+            [seed] = _seeds(scaled.values, [target])
         c_lp, p = _solve_polygon_lp(
-            V_off, v_t, m, stop_lower=1.0 - tol * 1e-2 + _LP_PAD, warm_start=warm_start
+            V_off, v_t, m, seed, scaled.sigma_min, stop_lower=1.0 - tol * 1e-2 + _LP_PAD
         )
         c_lp = c_lp / np.dot(v_t, c_lp)  # exact normalization at the target
         sec = 1.0 / math.cos(math.pi / m)
@@ -478,6 +597,8 @@ def certify_peak(
         best_c = c_lp
         if _max_modulus(V_off, c_ref) < _max_modulus(V_off, c_lp):
             best_c = c_ref
+    # power-of-two scaling commutes with rounding: V_off c here equals the
+    # off-target values of W.values @ (best_c / scale) bit for bit
     refined = _max_modulus(V_off, best_c)
 
     if refined < 1.0 - tol:
@@ -486,12 +607,14 @@ def certify_peak(
         status = "certified_not_peak"
     else:
         status = "undecided"
-    return PeakCertificate(target, status, best_c, lp_lower, lp_upper, refined)
+    coefficients = best_c / scaled.scale
+    return PeakCertificate(target, status, coefficients, lp_lower, lp_upper, refined)
 
 
-def _unseen_row(V: np.ndarray, target: int) -> bool:
-    """No witness sees the target: its row is zero relative to V's scale."""
-    return float(np.abs(V[target]).max()) <= 1e-13 * max(1.0, float(np.abs(V).max()))
+def _unseen_row(V: np.ndarray, target: int | np.ndarray):
+    """No witness sees the target: its row is zero relative to V's scale.
+    ``target`` may be an index array, giving one flag per index."""
+    return np.abs(V[target]).max(axis=-1) <= 1e-13 * max(1.0, float(np.abs(V).max()))
 
 
 def _unseen(target: int, k: int) -> PeakCertificate:
@@ -513,7 +636,7 @@ def reverify_certificate(W: WitnessFamily, cert: PeakCertificate) -> bool:
             and bool(np.all(off <= cert.refined + CERT_REVERIFY_TOL))
         )
     if cert.status == "certified_not_peak" and cert.lp_lower == math.inf:
-        return _unseen_row(W.values, cert.target)
+        return bool(_unseen_row(W.values, cert.target))
     return True
 
 
@@ -571,9 +694,12 @@ def shilov_estimate(
     optimum is A's own and a padded certificate re-verifies on W.  A family
     whose groups share columns is one block.
 
-    Within a block consecutive candidates usually have closely related
-    optima, so each solve seeds the next one's active-set search; results
-    are identical either way, the hint only shortens the path.
+    Each block's LP seeds come from one vectorized pass of _seeds over all
+    of its candidates (see certify_peak), where a single certify_peak call
+    runs that pass for its target alone.  The two seeds differ only in
+    roundoff and the seed only shortens the active-set search: the verdicts
+    are the same either way, and the LP values agree up to the solver's 1e-9
+    tolerances.
     """
     return _estimate_families([W], tol, m)[0]
 
@@ -627,16 +753,11 @@ def _blocks(W: WitnessFamily) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _sweep(W: WitnessFamily, tol: float, m: int) -> list[PeakCertificate]:
-    """certify_peak on every candidate of W in order, each warm-starting the
-    next."""
-    certs = []
-    warm = None
-    for i in range(W.candidate_count):
-        cert = certify_peak(W, i, tol=tol, m=m, warm_start=warm)
-        if np.any(cert.coefficients):
-            warm = cert.coefficients
-        certs.append(cert)
-    return certs
+    """certify_peak on every candidate of W in order, all seeded by one
+    vectorized pass of _seeds."""
+    scaled = W._scaled
+    scaled.seeds.update(enumerate(_seeds(scaled.values, range(W.candidate_count))))
+    return [certify_peak(W, i, tol=tol, m=m) for i in range(W.candidate_count)]
 
 
 def is_boundary(

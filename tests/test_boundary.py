@@ -2,13 +2,15 @@
 
 import importlib
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import shilov as sh
-from shilov.boundary import _blocks, _independent_columns
+from shilov.boundary import _blocks, _independent_columns, _seeds
 from conftest import (
     assert_peak_sets_reverify,
     minimax_grid_oracle,
@@ -108,6 +110,16 @@ def test_witness_family_rejects_dependent_columns():
         sh.WitnessFamily(("a", "b", "c"), V)
     with pytest.raises(ValueError, match="one group per candidate"):
         sh.WitnessFamily(("a", "b", "c"), V[:, :1], groups=(0, 1))
+
+
+def test_witness_family_leaves_the_callers_matrix_writable():
+    V = np.array([[1.0, 0.5j], [0.25, 1.0], [1j, 0.0]])
+    W = sh.WitnessFamily(("a", "b", "c"), V)
+    assert V.flags.writeable and not W.values.flags.writeable
+    V[0, 0] = 7.0
+    assert W.values[0, 0] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        W.values[0, 0] = 7.0
 
 
 @pytest.mark.parametrize("r, dependent", [(3e-9, True), (1e-7, False)])
@@ -501,8 +513,8 @@ def test_highs_error_is_retried_in_place(monkeypatch, failures):
     models = []
     init = sh.boundary._HighsRounds.__init__
 
-    def failing_init(self, k, v_t):
-        init(self, k, v_t)
+    def failing_init(self, *args):
+        init(self, *args)
         self.h = _FailingRuns(self.h, failures)
         models.append(self.h)
 
@@ -523,31 +535,43 @@ def test_highs_error_is_retried_in_place(monkeypatch, failures):
 
 @pytest.fixture(scope="module")
 def annulus_product_run():
-    """verify_peak_product on the 50-point annulus quadruple, counting the
-    certify_peak calls it makes."""
+    """verify_peak_product on the 50-point annulus quadruple, recording for
+    each certify_peak call its family's shape and how many
+    scipy.optimize.minimize calls it made."""
     X = annulus_sample_50()
     E = sh.preset_algebra("pointwise_2")
     B = sh.make_rational(X, sh.complex_field(), 10, [0])
     Q = sh.Quadruple(X, E, B, sh.span_BE(B, E))
-    calls = []
-    certify = sh.boundary.certify_peak
+    calls, minimized = [], [0]
+    certify, minimize = sh.boundary.certify_peak, scipy.optimize.minimize
+
+    def counted_minimize(*args, **kwargs):
+        minimized[0] += 1
+        return minimize(*args, **kwargs)
 
     def counted(W, target, **kwargs):
-        calls.append(target)
-        return certify(W, target, **kwargs)
+        before = minimized[0]
+        cert = certify(W, target, **kwargs)
+        calls.append((W.values.shape, minimized[0] - before))
+        return cert
 
     sh.boundary.certify_peak = counted
+    scipy.optimize.minimize = counted_minimize
     try:
         report = sh.verify_peak_product(Q, regime="estimation")
     finally:
         sh.boundary.certify_peak = certify
-    return Q, report, len(calls)
+        scipy.optimize.minimize = minimize
+    return Q, report, calls, minimized[0]
 
 
 def test_product_sweep_certifies_each_block_once(annulus_product_run):
-    Q, report, calls = annulus_product_run
+    Q, report, calls, minimized = annulus_product_run
     # E's two characters and B's 50 points; B~'s two blocks are B's family
-    assert calls == len(sh.characters(Q.scalars)) + Q.space.size == 52
+    assert len(calls) == len(sh.characters(Q.scalars)) + Q.space.size == 52
+    # L-BFGS runs only in the final refinement: five stages when n * k <= 80
+    assert all(count == (5 if n * k <= 80 else 1) for (n, k), count in calls)
+    assert minimized == 2 * 5 + 50 * 1 == 60
     assert report.passed and report.certificates_reverified
     family = report.base.bt_partition.family
     blocks = _blocks(family)
@@ -559,13 +583,92 @@ def test_product_sweep_certifies_each_block_once(annulus_product_run):
 
 
 def test_split_partition_matches_unsplit_sweep(annulus_product_run):
-    _, report, _ = annulus_product_run
+    _, report, _, _ = annulus_product_run
     part = report.base.bt_partition
     W = part.family
     reference = [sh.certify_peak(W, i).status for i in range(W.candidate_count)]
     assert [c.status for c in part.certificates] == reference
     assert [c.target for c in part.certificates] == list(range(W.candidate_count))
     assert all(sh.reverify_certificate(W, c) for c in part.certificates)
+
+
+def _cold_seeds(V, targets):
+    rows = V[np.asarray(list(targets))]
+    return rows.conj() / (np.abs(rows) ** 2).sum(axis=1, keepdims=True)
+
+
+def _seed_test_cases():
+    """(family, targets, swept) triples: one random target of each of 30
+    random families, and every candidate of three blocks swept whole (the
+    annulus_product B family, a block with an unseen row, a one-candidate
+    block)."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for _ in range(30):
+        n = int(rng.integers(3, 13))
+        k = int(rng.integers(1, min(7, n)))
+        V = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        W = sh.WitnessFamily(tuple(f"p{i}" for i in range(n)), V)
+        cases.append((W, [int(rng.integers(0, n))], False))
+    B = sh.make_rational(annulus_sample_50(), sh.complex_field(), 10, [0])
+    unseen = np.array([[1.0, 0.0], [0.0, 0.0], [0.5, 1.0], [1j, 0.25]])  # row 1
+    for W in (
+        sh.witnesses_from_system(B),
+        sh.WitnessFamily(("a", "b", "c", "d"), unseen),
+        sh.WitnessFamily(("only",), np.array([[2.0 - 1.0j]])),
+    ):
+        cases.append((W, list(range(W.candidate_count)), True))
+    return cases
+
+
+def test_seed_only_shortens_the_path(monkeypatch):
+    cases = _seed_test_cases()
+
+    def certify(W, targets, swept):
+        if swept:  # the sweep's seeds, computed for the whole block at once
+            certificates = sh.shilov_estimate(W).certificates
+            return [certificates[t] for t in targets]
+        return [sh.certify_peak(W, t) for t in targets]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for W, _, _ in cases:
+            values = W._scaled.values
+            seeds = _seeds(values, range(W.candidate_count))
+            assert np.isfinite(seeds).all()
+            for row, seed in zip(values, seeds):
+                if np.any(row):
+                    assert np.dot(row, seed) == pytest.approx(1.0, abs=1e-12)
+                else:
+                    assert not np.any(seed)
+        seeded = [certify(*case) for case in cases]
+        monkeypatch.setattr(sh.boundary, "_seeds", _cold_seeds)
+        cold = [[sh.certify_peak(W, t) for t in targets] for W, targets, _ in cases]
+    for (W, _, _), fast, slow in zip(cases, seeded, cold):
+        for a, b in zip(fast, slow):
+            assert a.status == b.status
+            if a.lp_lower != math.inf or b.lp_lower != math.inf:
+                assert a.lp_lower == pytest.approx(b.lp_lower, abs=1e-8)
+            assert sh.reverify_certificate(W, a) and sh.reverify_certificate(W, b)
+
+
+@pytest.mark.parametrize("factors", [(1e3,), (1e-3,), (1e3, 1e-3)])
+def test_column_scale_leaves_the_verdicts(factors):
+    rng = np.random.default_rng(37)
+    for _ in range(10):
+        n = int(rng.integers(3, 11))
+        k = int(rng.integers(1, min(6, n)))
+        V = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        scale = np.resize(np.array(factors), k)
+        labels = tuple(f"p{i}" for i in range(n))
+        W, W_scaled = sh.WitnessFamily(labels, V), sh.WitnessFamily(labels, V * scale)
+        for i in range(n):
+            cert, cert_scaled = sh.certify_peak(W, i), sh.certify_peak(W_scaled, i)
+            assert cert_scaled.status == cert.status
+            assert sh.reverify_certificate(W_scaled, cert_scaled)
+            # W_scaled c = W (scale c): the same certificate for the unscaled W
+            unscaled = replace(cert_scaled, coefficients=scale * cert_scaled.coefficients)
+            assert sh.reverify_certificate(W, unscaled)
 
 
 @pytest.mark.parametrize("name", ["dual_numbers", "cyclic_group_2"])
@@ -578,14 +681,11 @@ def test_groups_sharing_columns_are_one_block(name):
     assert rows.tolist() == list(range(W.candidate_count))
     assert cols.tolist() == list(range(W.values.shape[1]))
     part = sh.shilov_estimate(W)
-    warm, reference = None, []
-    for i in range(W.candidate_count):
-        cert = sh.certify_peak(W, i, warm_start=warm)
-        warm = cert.coefficients if np.any(cert.coefficients) else warm
-        reference.append(cert)
-    for cert, ref in zip(part.certificates, reference):
-        assert cert.status == ref.status
-        assert np.array_equal(cert.coefficients, ref.coefficients)
+    # the sweep seeds the block in one pass, each call here seeds itself:
+    # seeds differ in roundoff, verdicts do not
+    reference = [sh.certify_peak(W, i) for i in range(W.candidate_count)]
+    assert [c.status for c in part.certificates] == [c.status for c in reference]
+    assert all(sh.reverify_certificate(W, c) for c in part.certificates + reference)
 
 
 def test_rows_no_witness_sees_are_not_peaks():
