@@ -13,15 +13,18 @@ descent warm-started at the LP solution then tightens the feasible value.
 Every LP takes one path: an active set of polygon constraints, seeded by
 Lawson's reweighting iteration (run for a whole block of targets at once)
 and grown on incremental HiGHS inside a box that holds every LP optimum.
+A square family needs no LP: it is invertible, so V^-1 e_t vanishes off
+the target and the optimum is 0.
 
 On a finite candidate set with the full algebra as witnesses the certified
 peak set is the Shilov boundary and coincides with the peak-point set; with
 a capped witness family it is a sound under-approximation.
 
-Sweeps follow the product structure g = v f of the paper: the (psi, x) rows
-of one character psi form a group, groups that share no nonzero witness
-column are independent blocks, and each distinct block is certified once.
-Zero-padded, its certificates certify the same rows of the whole family.
+Sweeps read the product structure g = v f of the paper off the witness
+values: two rows share a block when nonzero witness columns join them, so
+the blocks are the connected components of the row-column support graph.
+Each distinct block is certified once; zero-padded, its certificates
+certify the same rows of the whole family.
 """
 
 from __future__ import annotations
@@ -75,18 +78,16 @@ class WitnessFamily:
 
     values[r, j] is the j-th witness evaluated at candidate r.  Columns are
     linearly independent (builders drop dependent witnesses: only the column
-    space matters to the minimax programs).  coords, when present, give a
-    planar location per candidate for geometry exports.  groups[r] names the
-    character psi of a (psi, x) candidate row; the default puts every row in
-    one group.  shilov_estimate certifies groups apart when their rows share
-    no nonzero witness column.
+    space matters to the minimax programs), so a family has at most as many
+    columns as rows, and a square family is invertible.  coords, when
+    present, give a planar location per candidate for geometry exports.
+    shilov_estimate reads the family's blocks off the zero pattern of values.
     """
 
     labels: tuple[str, ...]
     values: np.ndarray
     coords: np.ndarray | None = None
     label: str = ""
-    groups: tuple[int, ...] | None = None
 
     def __post_init__(self):
         values = np.array(self.values, dtype=complex)  # a copy: frozen below
@@ -101,13 +102,9 @@ class WitnessFamily:
             raise ValueError(
                 f"witness columns dependent: rank {rank} < {values.shape[1]}"
             )
-        groups = (0,) * values.shape[0] if self.groups is None else tuple(self.groups)
-        if len(groups) != values.shape[0]:
-            raise ValueError("one group per candidate row required")
         values.setflags(write=False)
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "groups", groups)
         if self.coords is not None:
             coords = np.asarray(self.coords, dtype=complex).reshape(values.shape[0])
             coords.setflags(write=False)
@@ -152,11 +149,10 @@ def witnesses_from_system(S: FunctionSystem, label: str = "") -> WitnessFamily:
     """Candidates = evaluation characters of a function system.
 
     The candidates are the pairs (psi, x), psi-major over
-    S.scalars.characters, with values psi(f_m(x)) (pi_matrix) and psi's
-    index as their group; scalar systems have one psi and keep the point
-    labels.  For E-valued systems rows factor through the semisimple
-    quotient of E, so dependent witness columns (e.g. radical multiples)
-    are dropped.
+    S.scalars.characters, with values psi(f_m(x)) (pi_matrix); scalar
+    systems have one psi and keep the point labels.  For E-valued systems
+    rows factor through the semisimple quotient of E, so dependent witness
+    columns (e.g. radical multiples) are dropped.
     """
     X = S.space
     psis = S.scalars.characters
@@ -168,7 +164,6 @@ def witnesses_from_system(S: FunctionSystem, label: str = "") -> WitnessFamily:
         _independent_columns(pi_matrix(S)),
         coords=None if X.coords is None else np.tile(X.coords, len(psis)),
         label=label or (S.label or "system"),
-        groups=tuple(np.repeat(np.arange(len(psis)), X.size).tolist()),
     )
 
 
@@ -188,14 +183,7 @@ class PeakCertificate:
     refined: float
 
     def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "status": self.status,
-            "coefficients": complex_array_to_pairs(self.coefficients),
-            "lp_lower": self.lp_lower,
-            "lp_upper": self.lp_upper,
-            "refined": self.refined,
-        }
+        return {**vars(self), "coefficients": complex_array_to_pairs(self.coefficients)}
 
 
 class _HighsRounds:
@@ -279,11 +267,11 @@ def _solve_polygon_lp(
     m: int,
     seed: np.ndarray,
     sigma_min: float,
-    stop_lower: float | None = None,
+    stop_lower: float,
 ):
     """Minimize the polygon max over off-target rows subject to (Vc)(target)=1.
 
-    This is the one LP path, whatever the family's size.  Constraints are
+    This is the one LP path of every non-square family.  Constraints are
     generated lazily per (candidate, direction) pair: solve on an active
     subset, add the most violated pairs, re-run the warm solver.  The reduced
     optimum is always a valid lower bound for the full LP, and on clean
@@ -297,9 +285,9 @@ def _solve_polygon_lp(
     variable by that radius keeps every full-LP optimum (so reduced optima
     stay lower bounds) and makes every reduced LP bounded.
 
-    ``stop_lower`` allows an early exit once the certified lower bound passes
-    that threshold while the iterate's true max modulus stays inside the
-    sec(pi/m) bracket; near-flat optima (every candidate active) otherwise
+    ``stop_lower`` ends the search early once the certified lower bound
+    passes that threshold while the iterate's true max modulus stays inside
+    the sec(pi/m) bracket; near-flat optima (every candidate active) otherwise
     waste rounds polishing a hugely degenerate vertex.
     """
     k = v_t.size
@@ -336,18 +324,11 @@ def _solve_polygon_lp(
     active = {
         (int(r), int((best_dir[r] + shift) % m)) for r in near for shift in shifts
     }
-    pairs = sorted(active)
-    backend.add_rows(
-        rows_for(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
-    )
+    backend.add_rows(rows_for(*np.array(sorted(active)).T))
 
     for _ in range(80):
         c, t_star = backend.solve()
-        if (
-            stop_lower is not None
-            and t_star >= stop_lower
-            and _max_modulus(V_off, c) <= t_star * sec
-        ):
+        if t_star >= stop_lower and _max_modulus(V_off, c) <= t_star * sec:
             return c, t_star
         proj = np.real(np.multiply.outer(V_off @ c, phases))
         slack = proj - (t_star + 1e-11 * (1.0 + abs(t_star)))
@@ -370,18 +351,12 @@ def _solve_polygon_lp(
         additions.sort(key=lambda item: (item[0], item[1]))
         chosen = [pair for _, pair in additions[:300]]
         active.update(chosen)
-        backend.add_rows(
-            rows_for(
-                np.array([p[0] for p in chosen]), np.array([p[1] for p in chosen])
-            )
-        )
+        backend.add_rows(rows_for(*np.array(chosen).T))
     raise CertificationError("constraint generation failed to converge")
 
 
 def _max_modulus(V_off: np.ndarray, c: np.ndarray) -> float:
-    if V_off.shape[0] == 0:
-        return 0.0
-    return float(np.max(np.abs(V_off @ c)))
+    return float(np.abs(V_off @ c).max(initial=0.0))
 
 
 def _refine_first_order(
@@ -458,24 +433,26 @@ def _seeds(V: np.ndarray, targets) -> np.ndarray:
     d_r <- d_r |(Vc)_r|, normalized.  The weights concentrate on the rows
     that bind at the optimum, and those rows are what the LP's active set
     needs.  A row returned is the best iterate by the true off-target max;
-    an unseen target's row is zero.  Targets run in chunks of _SEED_CHUNK,
-    so memory stays O(chunk * (n + k^2) + n * k).
+    an unseen target's row is zero.  A square V is invertible, and its
+    rows are V^-1 e_t, the exact optimum.  Targets run in chunks of
+    _SEED_CHUNK, so memory stays O(chunk * (n + k^2) + n * k).
     """
     targets = np.asarray(targets, dtype=int).reshape(-1)
     seeds = np.zeros((targets.size, V.shape[1]), dtype=complex)
     for start in range(0, targets.size, _SEED_CHUNK):
         chunk = targets[start : start + _SEED_CHUNK]
         seen = ~_unseen_row(V, chunk)
-        seeds[start : start + chunk.size][seen] = _lawson(V, chunk[seen])
+        if seen.any():
+            seeds[start : start + chunk.size][seen] = _lawson(V, chunk[seen])
     return seeds
 
 
 def _lawson(V: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """_seeds on seen targets."""
+    """_seeds on a nonempty index array of seen targets."""
     n, k = V.shape
+    if n == k:  # square, so invertible: V c = e_t
+        return np.linalg.solve(V, np.eye(n)[:, targets]).T
     a = V[targets]  # (T, k) target rows
-    if n == 1 or not targets.size:
-        return a.conj() / (a.real**2 + a.imag**2).sum(axis=1)[:, None]
     rows = np.arange(targets.size)
     V_H = V.conj().T
     d = np.ones((targets.size, n))
@@ -544,12 +521,14 @@ def certify_peak(
     certified_peak iff the coefficients, 1 at the target, have max modulus
     ``refined`` < 1 - tol off it; certified_not_peak requires the certified
     lower bound to reach 1 - tol/100 or a zero target row; anything between
-    is undecided.  A lone candidate peaks trivially, with bounds 0.
+    is undecided.
 
     W's columns are first rescaled by powers of two to max modulus near 1;
     coefficients map back exactly, so every number of the certificate is
-    read off W itself.  The LP's active set is seeded by _seeds (a sweep
-    computes the seeds of a whole block in one pass), and its variables are
+    read off W itself.  Every target is seeded by _seeds (a sweep computes
+    the seeds of a whole block in one pass).  A square W is invertible: its
+    seed V^-1 e_t is the certificate, with bounds 0, and no LP runs.
+    Otherwise the seed starts the LP's active set, whose variables are
     boxed by |Re c_j|, |Im c_j| <= 2 sqrt(1 + (n - 1) (T sec(pi/m))^2) /
     sigma_min, with T the seed's off-target max and sigma_min the scaled
     family's smallest singular value: every LP optimum lies inside, so
@@ -573,13 +552,13 @@ def certify_peak(
     scaled = W._scaled
     v_t = scaled.values[target]
     V_off = np.delete(scaled.values, target, axis=0)
-    if n == 1:
-        best_c = v_t.conj() / float(np.vdot(v_t, v_t).real)
+    seed = scaled.seeds.get(target)
+    if seed is None:
+        [seed] = _seeds(scaled.values, [target])
+    if n == k:  # the optimum is 0, attained by the seed
+        best_c = seed / np.dot(v_t, seed)
         lp_lower = lp_upper = 0.0
     else:
-        seed = scaled.seeds.get(target)
-        if seed is None:
-            [seed] = _seeds(scaled.values, [target])
         c_lp, p = _solve_polygon_lp(
             V_off, v_t, m, seed, scaled.sigma_min, stop_lower=1.0 - tol * 1e-2 + _LP_PAD
         )
@@ -623,6 +602,7 @@ def _unseen(target: int, k: int) -> PeakCertificate:
     return PeakCertificate(target, "certified_not_peak", zeros, math.inf, math.inf, math.inf)
 
 
+@single_threaded()
 def reverify_certificate(W: WitnessFamily, cert: PeakCertificate) -> bool:
     """Re-derive a verdict from W and the certificate: a peak's coefficients
     evaluate to 1 at the target and at most refined < 1 off it; an unseen
@@ -686,20 +666,19 @@ def shilov_estimate(
     Shilov boundary (and equals it when the witnesses span the full algebra
     on a finite candidate set).
 
-    W splits into blocks: its character groups, merged while their nonzero
-    witness columns meet.  Each bitwise-distinct block, restricted to its
-    own columns, is swept once and its certificates are padded with zeros
-    back to W's width.  The split is exact: for a target in block A, zeroing
-    the coefficients outside A's columns zeroes every row outside A, so the
-    optimum is A's own and a padded certificate re-verifies on W.  A family
-    whose groups share columns is one block.
+    W splits into blocks read off its values: rows joined through nonzero
+    witness columns share a block (_blocks).  Each bitwise-distinct block,
+    restricted to its own columns, is swept once and its certificates are
+    padded with zeros back to W's width.  The split is exact: A's rows
+    vanish off A's columns and every other row vanishes on them, so
+    coefficients supported on A's columns act on A's rows as on the block
+    and zero every other row; the optimum is A's own, and a padded
+    certificate re-verifies on W.  Rows no witness sees are not peaks.
 
-    Each block's LP seeds come from one vectorized pass of _seeds over all
-    of its candidates (see certify_peak), where a single certify_peak call
-    runs that pass for its target alone.  The two seeds differ only in
-    roundoff and the seed only shortens the active-set search: the verdicts
-    are the same either way, and the LP values agree up to the solver's 1e-9
-    tolerances.
+    One vectorized pass of _seeds seeds all of a block's candidates, where
+    a lone certify_peak call seeds its target alone.  The seeds differ only
+    in roundoff and only shorten the LP's active-set search: the verdicts
+    are the same, and LP values agree up to the solver's 1e-9 tolerances.
     """
     return _estimate_families([W], tol, m)[0]
 
@@ -708,7 +687,8 @@ def _estimate_families(
     families: list[WitnessFamily], tol: float, m: int
 ) -> list[BoundaryPartition]:
     """shilov_estimate of each family, with one table of swept blocks shared
-    by all of them: a block seen before reuses its certificates."""
+    by all of them: a block seen before reuses its certificates.  A block
+    is swept in order, every candidate seeded by one pass of _seeds."""
     swept: dict[tuple, list[PeakCertificate]] = {}
     partitions = []
     for W in families:
@@ -721,8 +701,9 @@ def _estimate_families(
             block = W.values[np.ix_(rows, cols)]
             key = (block.shape, block.tobytes())
             if key not in swept:
-                labels = tuple(W.labels[r] for r in rows)
-                swept[key] = _sweep(WitnessFamily(labels, block), tol, m)
+                A = WitnessFamily(tuple(W.labels[r] for r in rows), block)
+                A._scaled.seeds.update(enumerate(_seeds(A._scaled.values, range(rows.size))))
+                swept[key] = [certify_peak(A, i, tol=tol, m=m) for i in range(rows.size)]
             for cert in swept[key]:
                 coefficients = np.zeros(k, dtype=complex)
                 coefficients[cols] = cert.coefficients
@@ -734,30 +715,24 @@ def _estimate_families(
 
 
 def _blocks(W: WitnessFamily) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Row and column indices of W's blocks: character groups merged while
-    their supports (columns with a nonzero entry in the group) meet."""
-    groups = np.array(W.groups)
+    """Row and column indices of W's blocks: the connected components of
+    the graph joining row r to column j when W.values[r, j] != 0, each
+    labelled by its first row (min-label hooking with pointer jumping).
+    A zero row is a block alone, with no columns."""
     support = W.values != 0
-    blocks: list[tuple[np.ndarray, np.ndarray]] = []  # (row mask, column mask)
-    for g in dict.fromkeys(W.groups):
-        rows = groups == g
-        cols = support[rows].any(axis=0)
-        apart = []
-        for other_rows, other_cols in blocks:
-            if (other_cols & cols).any():
-                rows, cols = rows | other_rows, cols | other_cols
-            else:
-                apart.append((other_rows, other_cols))
-        blocks = apart + [(rows, cols)]
-    return [(np.flatnonzero(rows), np.flatnonzero(cols)) for rows, cols in blocks]
-
-
-def _sweep(W: WitnessFamily, tol: float, m: int) -> list[PeakCertificate]:
-    """certify_peak on every candidate of W in order, all seeded by one
-    vectorized pass of _seeds."""
-    scaled = W._scaled
-    scaled.seeds.update(enumerate(_seeds(scaled.values, range(W.candidate_count))))
-    return [certify_peak(W, i, tol=tol, m=m) for i in range(W.candidate_count)]
+    n = support.shape[0]
+    rows = np.arange(n)
+    while True:
+        cols = np.where(support, rows[:, None], n).min(axis=0)
+        low = np.where(support, cols, n).min(axis=1)
+        joined = np.minimum(rows, low)
+        np.minimum.at(joined, rows, low)
+        while not np.array_equal(joined, joined[joined]):
+            joined = joined[joined]
+        if np.array_equal(joined, rows):
+            break
+        rows = joined
+    return [(np.flatnonzero(rows == b), np.flatnonzero(cols == b)) for b in np.unique(rows)]
 
 
 def is_boundary(
@@ -904,10 +879,10 @@ def verify_product_theorem(
     be empty.  Estimation regime (capped witnesses): certified sets are
     under-approximations; the report carries containment and coverage.
 
-    The three families share one table of swept blocks (see
-    shilov_estimate): a block of the vector family that equals the scalar
-    family, as each character's block of span(B E) over C^n does, reuses
-    the scalar family's certificates instead of being certified again.
+    Each family splits into the blocks its witness values show, and the
+    three share one table of swept blocks (see shilov_estimate).  Each
+    character's block of span(B E) over C^n is the scalar family itself;
+    each point's rows of C(X, E) repeat the square blocks of E's family.
     """
     if regime not in ("exact", "estimation"):
         raise ValueError(f"unknown regime {regime!r}")

@@ -69,8 +69,23 @@ from .spaces import (
     write_pgm,
 )
 
+# Size caps from one memory budget: no array that one config value sizes
+# holds more than about _MAX_ENTRIES complex entries (256 MiB).  Centres and
+# radii within _MAX_COORD keep a raster within 4 _MAX_COORD units, 2**12
+# pixels a side at _MAX_RESOLUTION; a sampling strategy yields at most about
+# _MAX_POINTS points (an interior grid 2**7 a side at _MIN_STEP); the LP's
+# points x sides and a system's points x (degree + 1) tables cap m and degree.
+_MAX_ENTRIES, _MAX_POINTS, _MAX_COORD = 2**24, 2**14, 4
+_MAX_RESOLUTION = (2**12 - 3) // (4 * _MAX_COORD)
+_MIN_STEP = 4 * _MAX_COORD / 2**7
+_MAX_SIDES = _MAX_ENTRIES // _MAX_POINTS
+_MAX_DEGREE = _MAX_ENTRIES // _MAX_POINTS - 1
+
 _PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
-_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_COORD = {"type": "number", "minimum": -_MAX_COORD, "maximum": _MAX_COORD}
+_CENTRE = {**_PAIR, "items": _COORD}
+_RADIUS = {"type": "number", "exclusiveMinimum": 0, "maximum": _MAX_COORD}
+_COUNT = {"type": "integer", "minimum": 1, "maximum": _MAX_POINTS}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -118,14 +133,14 @@ CONFIG_SCHEMA = {
                             "required": ["kind"],
                             "properties": {
                                 "kind": {"enum": ["disk", "annulus"]},
-                                "center": _PAIR,
-                                "radius": _POSITIVE,
-                                "inner": {"type": "number"},
-                                "outer": {"type": "number"},
+                                "center": _CENTRE,
+                                "radius": _RADIUS,
+                                "inner": _COORD,
+                                "outer": _COORD,
                             },
                         },
                     },
-                    "resolution": {"type": "integer", "minimum": 8},
+                    "resolution": {"type": "integer", "minimum": 8, "maximum": _MAX_RESOLUTION},
                     "sample_of": {"type": "string"},
                     "strategies": {
                         "type": "array",
@@ -136,10 +151,10 @@ CONFIG_SCHEMA = {
                                 "kind": {
                                     "enum": ["circle", "interior_grid", "boundary_uniform"]
                                 },
-                                "center": _PAIR,
-                                "radius": _POSITIVE,
-                                "count": {"type": "integer", "minimum": 1},
-                                "step": _POSITIVE,
+                                "center": _CENTRE,
+                                "radius": _RADIUS,
+                                "count": _COUNT,
+                                "step": {"type": "number", "minimum": _MIN_STEP},
                             },
                         },
                     },
@@ -156,7 +171,7 @@ CONFIG_SCHEMA = {
                     "space": {"type": "string"},
                     "algebra": {"type": "string"},
                     "alpha": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                    "degree": {"type": "integer", "minimum": 0},
+                    "degree": {"type": "integer", "minimum": 0, "maximum": _MAX_DEGREE},
                     "poles": {"type": "array", "items": _PAIR},
                     "close": {"type": "boolean"},
                 },
@@ -195,7 +210,7 @@ CONFIG_SCHEMA = {
                     "target": {"type": "string"},
                     "name": {"type": "string"},
                     "tol": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                    "m": {"type": "integer", "minimum": 8},
+                    "m": {"type": "integer", "minimum": 8, "maximum": _MAX_SIDES},
                     "regime": {"enum": ["exact", "estimation"]},
                     "raster": {"type": "string"},
                     "point": {"type": "string"},
@@ -267,20 +282,13 @@ class _Workspace:
             parts = []
             for st in spec["strategies"]:
                 if st["kind"] == "circle":
-                    parts.append(
-                        sample_raster(
-                            base,
-                            CircleSample(
-                                pair_to_complex(st.get("center", [0.0, 0.0])),
-                                float(st["radius"]),
-                                int(st["count"]),
-                            ),
-                        )
-                    )
+                    centre = pair_to_complex(st.get("center", [0.0, 0.0]))
+                    strategy = CircleSample(centre, float(st["radius"]), int(st["count"]))
                 elif st["kind"] == "interior_grid":
-                    parts.append(sample_raster(base, InteriorGrid(float(st["step"]))))
+                    strategy = InteriorGrid(float(st["step"]))
                 else:
-                    parts.append(sample_raster(base, BoundaryUniform(int(st["count"]))))
+                    strategy = BoundaryUniform(int(st["count"]))
+                parts.append(sample_raster(base, strategy))
             return parts[0] if len(parts) == 1 else combine_spaces(*parts)
         raise ConfigError("space spec must give points, shape, or sample_of")
 

@@ -645,12 +645,26 @@ def build_pi(Q: Quadruple, vector_algebra: AlgebraSpec | None = None) -> list[Ch
 
 def check_pi_injective(Q: Quadruple) -> bool:
     """True iff the pi rows (pi_matrix) of the vector system are pairwise
-    more than DISTINCT_TOL apart in sup norm; ValueError unless it is closed."""
+    more than DISTINCT_TOL apart in sup norm; ValueError unless it is closed.
+    Rows that close have projections on a unit-modulus u within m
+    DISTINCT_TOL (m columns), so only rows that near in the sorted
+    projections are compared, one offset at a time, in O(n m) memory."""
     if not Q.vector_system.closed:
         raise ValueError("check_pi_injective needs a closed vector system")
     P = pi_matrix(Q.vector_system)
-    dist = np.abs(P[:, None, :] - P[None, :, :]).max(axis=2)
-    return not np.any(dist[np.triu_indices(len(P), k=1)] <= DISTINCT_TOL)
+    m = P.shape[1]
+    proj = (P @ np.exp(1j * np.arange(m))).real
+    # widened by a bound on the roundoff of two computed projections
+    window = m * (DISTINCT_TOL + 4.0 * np.finfo(float).eps * np.abs(P).sum(axis=1).max())
+    order = np.argsort(proj, kind="stable")
+    P, proj = P[order], proj[order]
+    for offset in range(1, len(P)):
+        near = np.flatnonzero(proj[offset:] - proj[:-offset] <= window)
+        if not near.size:
+            break
+        if np.any(np.abs(P[near] - P[near + offset]).max(axis=1) <= DISTINCT_TOL):
+            return False
+    return True
 
 
 def check_natural(Q: Quadruple) -> bool:

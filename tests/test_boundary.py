@@ -12,6 +12,7 @@ import scipy.optimize
 import shilov as sh
 from shilov.boundary import _blocks, _independent_columns, _seeds
 from conftest import (
+    PRESET_NAMES,
     assert_peak_sets_reverify,
     minimax_grid_oracle,
     random_natural_quadruple,
@@ -108,8 +109,6 @@ def test_witness_family_rejects_dependent_columns():
     V = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]], dtype=complex)
     with pytest.raises(ValueError):
         sh.WitnessFamily(("a", "b", "c"), V)
-    with pytest.raises(ValueError, match="one group per candidate"):
-        sh.WitnessFamily(("a", "b", "c"), V[:, :1], groups=(0, 1))
 
 
 def test_witness_family_leaves_the_callers_matrix_writable():
@@ -567,11 +566,13 @@ def annulus_product_run():
 
 def test_product_sweep_certifies_each_block_once(annulus_product_run):
     Q, report, calls, minimized = annulus_product_run
-    # E's two characters and B's 50 points; B~'s two blocks are B's family
-    assert len(calls) == len(sh.characters(Q.scalars)) + Q.space.size == 52
-    # L-BFGS runs only in the final refinement: five stages when n * k <= 80
-    assert all(count == (5 if n * k <= 80 else 1) for (n, k), count in calls)
-    assert minimized == 2 * 5 + 50 * 1 == 60
+    # E = C^2 splits into two equal 1 x 1 blocks, certified once by one
+    # solve; B's 50 points are one block, and B~'s two blocks are B's family
+    assert len(calls) == 1 + Q.space.size == 51
+    # L-BFGS runs only in the final refinement of a non-square block
+    assert calls[0] == ((1, 1), 0)
+    assert all(count == 1 for (n, k), count in calls[1:])
+    assert minimized == 50 * 1 == 50
     assert report.passed and report.certificates_reverified
     family = report.base.bt_partition.family
     blocks = _blocks(family)
@@ -673,13 +674,20 @@ def test_column_scale_leaves_the_verdicts(factors):
 
 @pytest.mark.parametrize("name", ["dual_numbers", "cyclic_group_2"])
 def test_groups_sharing_columns_are_one_block(name):
+    # the rows of one point share its columns whatever E's basis: C(X, E)
+    # splits by point, into square blocks of |M(E)| rows
     rng = np.random.default_rng(17)
     X = random_space(rng, 4)
     E = sh.dual_numbers() if name == "dual_numbers" else sh.cyclic_group_algebra(2)
     W = sh.witnesses_from_system(sh.make_CXE(X, E))
-    [(rows, cols)] = _blocks(W)
-    assert rows.tolist() == list(range(W.candidate_count))
-    assert cols.tolist() == list(range(W.values.shape[1]))
+    blocks = _blocks(W)
+    n_chars = len(E.characters)
+    assert [rows.tolist() for rows, _ in blocks] == [
+        list(range(x, W.candidate_count, X.size)) for x in range(X.size)
+    ]
+    assert [cols.tolist() for _, cols in blocks] == [
+        list(range(x * n_chars, (x + 1) * n_chars)) for x in range(X.size)
+    ]
     part = sh.shilov_estimate(W)
     # the sweep seeds the block in one pass, each call here seeds itself:
     # seeds differ in roundoff, verdicts do not
@@ -697,7 +705,8 @@ def test_rows_no_witness_sees_are_not_peaks():
     half = sh.FunctionSystem(X, E, full.basis[::2])
     W = sh.witnesses_from_system(half)
     blocks = _blocks(W)
-    assert sorted(cols.size for _, cols in blocks) == [0, 3]
+    # each seen row is a 1 x 1 block, each unseen row a block without columns
+    assert sorted(cols.size for _, cols in blocks) == [0, 0, 0, 1, 1, 1]
     part = sh.shilov_estimate(W)
     assert [c.status for c in part.certificates] == [
         sh.certify_peak(W, i).status for i in range(W.candidate_count)
@@ -713,21 +722,110 @@ def test_certify_peak_runs_blas_single_threaded(monkeypatch):
     if not controls:
         pytest.skip("no bundled OpenBLAS found")
     counts_inside = []
-    real = sh.boundary._max_modulus
 
-    def spy(V_off, c):
-        counts_inside.append([get() for get, _ in controls])
-        return real(V_off, c)
+    def spying(real):
+        def spy(*args):
+            counts_inside.append([get() for get, _ in controls])
+            return real(*args)
 
-    monkeypatch.setattr(sh.boundary, "_max_modulus", spy)
+        return spy
+
+    for name in ("_max_modulus", "_unseen_row"):
+        monkeypatch.setattr(sh.boundary, name, spying(getattr(sh.boundary, name)))
+    unseen = sh.WitnessFamily(("a", "b"), np.array([[1.0], [0.0]]))
     previous = [get() for get, _ in controls]
     try:
         for _, set_ in controls:
             set_(2)
         sh.certify_peak(affine_family(), 0)
+        cert = sh.certify_peak(unseen, 1)
+        before = len(counts_inside)
+        # reverify_certificate reads an unseen row through _unseen_row
+        assert sh.reverify_certificate(unseen, cert)
+        reverify_calls = len(counts_inside) - before
         after = [get() for get, _ in controls]
     finally:
         for (_, set_), count in zip(controls, previous):
             set_(count)
     assert after == [2] * len(controls)
+    assert reverify_calls == 1
     assert counts_inside and all(c == [1] * len(controls) for c in counts_inside)
+
+
+def _support_components(support):
+    """Oracle for _blocks: union-find over the nonzero entries."""
+    n, k = support.shape
+    parent = list(range(n + k))  # rows, then columns
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for r, j in zip(*np.nonzero(support)):
+        parent[root(int(r))] = root(n + int(j))
+    components = {}
+    for i in range(n + k):
+        components.setdefault(root(i), []).append(i)
+    blocks = [
+        ([i for i in members if i < n], [i - n for i in members if i >= n])
+        for members in components.values()
+    ]
+    return sorted(blocks)
+
+
+def test_blocks_are_the_support_components():
+    rng = np.random.default_rng(40)
+    for _ in range(40):
+        n = int(rng.integers(2, 16))
+        k = int(rng.integers(1, n + 1))
+        values = rng.standard_normal((n, k)) * (rng.random((n, k)) < 0.2)
+        values[rng.integers(0, n, k), np.arange(k)] += 1.0  # no zero column
+        if np.linalg.matrix_rank(values) < k:
+            continue
+        W = sh.WitnessFamily(tuple(f"p{i}" for i in range(n)), values)
+        blocks = [(rows.tolist(), cols.tolist()) for rows, cols in _blocks(W)]
+        assert blocks == _support_components(W.values != 0)
+
+
+def test_block_diagonal_family_splits_without_labels():
+    rng = np.random.default_rng(41)
+    rows_a, cols_a, rows_b, cols_b = [0, 2, 4, 6, 8], [0, 3], [1, 3, 5, 7], [1, 2, 4]
+    V = np.zeros((9, 5), dtype=complex)
+    for rows, cols in ((rows_a, cols_a), (rows_b, cols_b)):
+        shape = (len(rows), len(cols))
+        V[np.ix_(rows, cols)] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    W = sh.WitnessFamily(tuple(f"p{i}" for i in range(9)), V)
+    blocks = [(rows.tolist(), cols.tolist()) for rows, cols in _blocks(W)]
+    assert blocks == [(rows_a, cols_a), (rows_b, cols_b)]
+    part = sh.shilov_estimate(W)
+    whole = [sh.certify_peak(W, i) for i in range(W.candidate_count)]
+    assert [c.status for c in part.certificates] == [c.status for c in whole]
+    assert part.peak and part.not_peak + part.undecided
+    assert all(sh.reverify_certificate(W, c) for c in part.certificates + whole)
+
+
+def _square_families():
+    rng = np.random.default_rng(42)
+    X = random_space(rng, 4)
+    for name in PRESET_NAMES:
+        yield sh.witnesses_from_system(sh.make_CXE(X, sh.preset_algebra(name)))
+    V = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    yield sh.WitnessFamily(tuple(f"p{i}" for i in range(6)), V)
+
+
+def test_square_blocks_certify_with_one_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a square block needs no LP and no refinement")
+
+    monkeypatch.setattr(sh.boundary, "_HighsRounds", refuse)
+    monkeypatch.setattr(sh.boundary, "_refine_first_order", refuse)
+    for W in _square_families():
+        n = W.candidate_count
+        swept = sh.shilov_estimate(W).certificates
+        alone = [sh.certify_peak(W, i) for i in range(n)]
+        for cert in swept + alone:
+            assert cert.status == "certified_peak"
+            assert cert.lp_lower == cert.lp_upper == 0.0
+            assert cert.refined < 1e-12
+            assert sh.reverify_certificate(W, cert)

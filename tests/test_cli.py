@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import shilov as sh
+from shilov import cli
 from shilov.cli import ConfigError, main, validate_config
 from shilov.reports import canonical_json
 
@@ -321,6 +322,53 @@ def test_schema_bounds_config_values(tmp_path, capsys, path, value):
         validate_config(config_path)
     assert main(["--config", str(config_path), "--output-dir", str(tmp_path / "out")]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+def sized_config():
+    """bounded_config plus an annulus, a poly system and polygon sides."""
+    config = bounded_config()
+    config["spaces"]["ring"] = {
+        "shape": [{"kind": "annulus", "center": [0, 0], "inner": 0.5, "outer": 1.0}],
+        "resolution": 16,
+    }
+    config["systems"]["poly"] = {
+        "kind": "poly", "space": "samples", "algebra": "complex", "degree": 4
+    }
+    config["run"][0]["m"] = 32
+    return config
+
+
+@pytest.mark.parametrize(
+    "path, cap, over",
+    [
+        (("spaces", "disk", "resolution"), cli._MAX_RESOLUTION, cli._MAX_RESOLUTION + 1),
+        (("spaces", "samples", "strategies", 0, "count"), cli._MAX_POINTS, cli._MAX_POINTS + 1),
+        (("spaces", "samples", "strategies", 1, "step"), cli._MIN_STEP, cli._MIN_STEP / 2),
+        (("systems", "poly", "degree"), cli._MAX_DEGREE, cli._MAX_DEGREE + 1),
+        (("run", 0, "m"), cli._MAX_SIDES, cli._MAX_SIDES + 1),
+        (("spaces", "disk", "shape", 0, "radius"), cli._MAX_COORD, 2 * cli._MAX_COORD),
+        (("spaces", "samples", "strategies", 0, "radius"), cli._MAX_COORD, 2 * cli._MAX_COORD),
+        (("spaces", "ring", "shape", 0, "outer"), cli._MAX_COORD, 2 * cli._MAX_COORD),
+        (("spaces", "disk", "shape", 0, "center", 0), cli._MAX_COORD, cli._MAX_COORD + 1),
+        (("spaces", "samples", "strategies", 0, "center", 1), -cli._MAX_COORD, -cli._MAX_COORD - 1),
+    ],
+)
+def test_schema_caps_config_sizes(tmp_path, capsys, path, cap, over):
+    # the caps are checked by validation alone: no config here is ever run
+    *parents, key = path
+    config = sized_config()
+    node = config
+    for step in parents:
+        node = node[step]
+    node[key] = cap
+    validate_config(write_config(tmp_path, config))
+    node[key] = over
+    config_path = write_config(tmp_path, config)
+    with pytest.raises(ConfigError, match="schema violation"):
+        validate_config(config_path)
+    assert main(["--config", str(config_path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not (tmp_path / "out").exists()
 
 
 def test_peaker_unknown_point_is_a_config_error(tmp_path, capsys):

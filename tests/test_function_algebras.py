@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import shilov as sh
+from shilov.characters import DISTINCT_TOL
 from conftest import PRESET_CHARACTER_COUNTS, PRESET_NAMES, random_space
 
 
@@ -383,6 +384,25 @@ def test_build_pi_counts():
     Ed = sh.preset_algebra("dual_numbers")
     Qd = sh.Quadruple(Xd, Ed, sh.make_CXE(Xd, sh.complex_field()), sh.make_CXE(Xd, Ed))
     assert len(sh.build_pi(Qd)) == 3  # single character of E
+
+
+@pytest.mark.parametrize("gap", [0.0, 0.5, 0.9, 1.1, 40.0])
+def test_pi_injectivity_compares_rows_without_a_broadcast(monkeypatch, gap):
+    """Pairwise sup-norm oracle on random pi rows with one planted pair
+    gap * DISTINCT_TOL apart in every coordinate."""
+    rng = np.random.default_rng(int(gap * 10))
+    X = random_space(rng, 3)
+    E = sh.preset_algebra("pointwise_2")
+    Q = sh.Quadruple(X, E, sh.make_CXE(X, sh.complex_field()), sh.make_CXE(X, E))
+    for _ in range(20):
+        n, m = int(rng.integers(2, 30)), int(rng.integers(1, 9))
+        P = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+        i, j = rng.choice(n, 2, replace=False)
+        P[j] = P[i] + gap * DISTINCT_TOL * np.exp(2j * np.pi * rng.random(m))
+        monkeypatch.setattr(sh.function_algebras, "pi_matrix", lambda S, P=P: P)
+        dist = np.abs(P[:, None, :] - P[None, :, :]).max(axis=2)
+        expected = not np.any(dist[np.triu_indices(n, k=1)] <= DISTINCT_TOL)
+        assert sh.check_pi_injective(Q) == expected == (gap > 1.0)
 
 
 def test_pi_outputs_verify_and_natural():
