@@ -9,6 +9,12 @@ norm ||sum a_i e_i|| = sum w_i |a_i|.  Submultiplicativity of that norm
 reduces to the finite certificate ||e_i e_j|| <= w_i w_j, which
 ``validate_algebra`` checks together with commutativity, associativity and
 the unit law.
+
+The support of c shows when an algebra is a direct product: basis indices
+joined by a nonzero c[i, j, k] share a block, and the algebra is the
+product of its blocks.  C(X, E) in its indicator basis is |X| copies of E
+(or finer).  ``validate_algebra`` and ``characters`` work once per
+bitwise-distinct block, so C(X, E) costs one E-sized check.
 """
 
 from __future__ import annotations
@@ -209,33 +215,67 @@ def basis_multiplication_matrices(E: AlgebraSpec) -> list[np.ndarray]:
     return [E.structure[i].T.copy() for i in range(E.dim)]
 
 
-def validate_algebra(E: AlgebraSpec) -> ValidationReport:
-    """Check commutativity, associativity, the unit law, and the norm certificate.
+def support_components(support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Connected components of the bipartite graph that joins row r to
+    column j when support[r, j]: one label per row and one per column, each
+    component labelled by its first row (min-label hooking with pointer
+    jumping).  A row without support is a component alone; a column without
+    support is labelled n, the row count."""
+    n = support.shape[0]
+    rows = np.arange(n)
+    while True:
+        cols = np.where(support, rows[:, None], n).min(axis=0)
+        low = np.where(support, cols, n).min(axis=1)
+        joined = np.minimum(rows, low)
+        np.minimum.at(joined, rows, low)
+        while not np.array_equal(joined, joined[joined]):
+            joined = joined[joined]
+        if np.array_equal(joined, rows):
+            return rows, cols
+        rows = joined
 
-    Failures are reported with the offending basis indices and residual
-    magnitude; they are data, not exceptions.
 
-    Associativity is checked exactly on all n^4 entries (n = dim), in
-    O(n^5) time as n matrix products (BLAS gemm) and O(n^3) peak memory.
+def _distinct_blocks(E: AlgebraSpec) -> list[tuple[AlgebraSpec, list[np.ndarray]]]:
+    """E as a direct product: its blocks, one algebra per bitwise-distinct
+    (structure, unit, weights), each with the basis indices of its copies.
+
+    Basis indices i, j and k share a block when c[i, j, k] != 0, so the
+    blocks are the components of that index graph (support_components),
+    in order of their first index.  Off the blocks every product vanishes,
+    so E is the product of its blocks.  A dense algebra is one block.
     """
+    support = E.structure != 0
+    joined = support.any(axis=2) | support.any(axis=1) | support.any(axis=0)
+    labels, _ = support_components(joined | np.eye(E.dim, dtype=bool))
+    distinct: dict[tuple, tuple[AlgebraSpec, list[np.ndarray]]] = {}
+    for label in np.unique(labels):
+        idx = np.flatnonzero(labels == label)
+        parts = (E.structure[np.ix_(idx, idx, idx)], E.unit[idx], E.weights[idx])
+        key = (idx.size, *(part.tobytes() for part in parts))
+        if key not in distinct:
+            distinct[key] = (AlgebraSpec(idx.size, *parts, E.label), [])
+        distinct[key][1].append(idx)
+    return list(distinct.values())
+
+
+def _block_residuals(E: AlgebraSpec) -> list[tuple]:
+    """validate_algebra's four checks on one block, as (name, worst residual,
+    the basis indices of its first worst entry in scan order, a function of
+    those indices giving the detail).  A NaN residual counts as the worst;
+    the norm check's residual is its excess over the bound, floored at 0."""
     c = E.structure
-    report = ValidationReport(subject=E.label or "algebra")
+    found = []
 
     comm = np.abs(c - c.transpose(1, 0, 2))
     worst = np.unravel_index(np.argmax(comm), comm.shape)
-    report.add(
-        "commutativity",
-        bool(comm.max() <= STRUCTURE_TOL),
-        float(comm.max()),
-        f"e_{worst[0]}*e_{worst[1]}" if comm.max() > STRUCTURE_TOL else "",
-    )
+    found.append(("commutativity", float(comm.max()), worst, lambda i, j, k: f"e_{i}*e_{j}"))
 
     # (e_i e_j) e_k vs e_i (e_j e_k), one first index i at a time: both sides
     # are (n, n, n) gemm products, so peak memory stays O(n^3).  Only a strictly
     # larger residual replaces the running max, which keeps the first worst
     # entry in (i, j, k, l) order; a NaN replaces it and ends the scan.
     n = E.dim
-    assoc_max, worst = -1.0, (0, 0, 0)
+    assoc_max, worst = -1.0, (0, 0, 0, 0)
     for i in range(n):
         left = (c[i] @ c.reshape(n, n * n)).reshape(n, n, n)
         right = (c.reshape(n * n, n) @ c[i]).reshape(n, n, n)
@@ -243,38 +283,58 @@ def validate_algebra(E: AlgebraSpec) -> ValidationReport:
         flat = int(np.argmax(assoc))
         if not assoc.flat[flat] <= assoc_max:
             assoc_max = float(assoc.flat[flat])
-            worst = (i, *np.unravel_index(flat, assoc.shape)[:2])
+            worst = (i, *np.unravel_index(flat, assoc.shape))
             if np.isnan(assoc_max):
                 break
-    report.add(
-        "associativity",
-        bool(assoc_max <= STRUCTURE_TOL),
-        assoc_max,
-        f"(e_{worst[0]} e_{worst[1]}) e_{worst[2]}" if assoc_max > STRUCTURE_TOL else "",
-    )
+    found.append(("associativity", assoc_max, worst, lambda i, j, k, l: f"(e_{i} e_{j}) e_{k}"))
 
     unit_action = np.einsum("j,jik->ik", E.unit, c)  # row i: unit * e_i
-    unit_res = np.abs(unit_action - np.eye(E.dim))
+    unit_res = np.abs(unit_action - np.eye(n))
     worst_i = int(np.argmax(unit_res.max(axis=1)))
-    report.add(
-        "unit_law",
-        bool(unit_res.max() <= STRUCTURE_TOL),
-        float(unit_res.max()),
-        f"unit*e_{worst_i} != e_{worst_i}" if unit_res.max() > STRUCTURE_TOL else "",
-    )
+    found.append(("unit_law", float(unit_res.max()), (worst_i,), lambda i: f"unit*e_{i} != e_{i}"))
 
     # ||e_i e_j|| <= w_i w_j certifies submultiplicativity of the weighted norm
     prod_norms = np.einsum("k,ijk->ij", E.weights, np.abs(c))
     bound = np.outer(E.weights, E.weights)
     excess = prod_norms - bound
     worst = np.unravel_index(np.argmax(excess), excess.shape)
-    report.add(
-        "submultiplicativity",
-        bool(excess.max() <= STRUCTURE_TOL),
-        float(max(excess.max(), 0.0)),
-        f"||e_{worst[0]} e_{worst[1]}|| = {prod_norms[worst]:.6g} > "
-        f"{bound[worst]:.6g}" if excess.max() > STRUCTURE_TOL else "",
-    )
+    prod, limit = prod_norms[worst], bound[worst]
+    found.append((
+        "submultiplicativity", float(max(excess.max(), 0.0)), worst,
+        lambda i, j: f"||e_{i} e_{j}|| = {prod:.6g} > {limit:.6g}",
+    ))
+    return found
+
+
+def validate_algebra(E: AlgebraSpec) -> ValidationReport:
+    """Check commutativity, associativity, the unit law, and the norm certificate.
+
+    Failures are reported with the offending basis indices and residual
+    magnitude; they are data, not exceptions.
+
+    E is checked as the product of its blocks (_distinct_blocks), once per
+    bitwise-distinct block.  Every entry between two blocks is an exact
+    zero on both sides of each identity (a sum of products with a zero
+    factor), and a block's unit law needs only its own unit coordinates; so
+    all n^4 associativity entries (n = dim) are covered.  Each residual is
+    the max over the blocks, and the detail names global basis indices,
+    first in (i, j, k, l) scan order among equal residuals.  Associativity
+    costs O(sum n_b^5) time over the distinct blocks' dimensions n_b, as
+    n_b matrix products (BLAS gemm) each, and O(max n_b^3) peak memory.
+    """
+    report = ValidationReport(subject=E.label or "algebra")
+    copies_found: dict[str, list] = {}
+    for block, copies in _distinct_blocks(E):
+        for name, residual, worst, detail in _block_residuals(block):
+            copies_found.setdefault(name, []).extend(
+                (residual, tuple(int(idx[w]) for w in worst), detail) for idx in copies
+            )
+    for name, found in copies_found.items():
+        residual, worst, detail = min(
+            found, key=lambda f: (0, f[1]) if np.isnan(f[0]) else (1, -f[0], f[1])
+        )
+        failed = residual > STRUCTURE_TOL  # False for NaN, which fails the check too
+        report.add(name, residual <= STRUCTURE_TOL, residual, detail(*worst) if failed else "")
     return report
 
 

@@ -40,7 +40,7 @@ import scipy.optimize
 
 from scipy.optimize._highspy import _core as _highs_core  # incremental HiGHS
 
-from .algebra import AlgebraSpec, Element
+from .algebra import AlgebraSpec, Element, support_components
 from .blas import single_threaded
 from .characters import character_matrix, gelfand_norm
 from .function_algebras import (
@@ -97,11 +97,7 @@ class WitnessFamily:
             raise ValueError("one label per candidate row required")
         if values.shape[1] == 0:
             raise ValueError("witness family needs at least one column")
-        rank = Span.of(values.T).rank
-        if rank < values.shape[1]:
-            raise ValueError(
-                f"witness columns dependent: rank {rank} < {values.shape[1]}"
-            )
+        self._check_columns(values)
         values.setflags(write=False)
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "values", values)
@@ -110,6 +106,14 @@ class WitnessFamily:
             coords.setflags(write=False)
             object.__setattr__(self, "coords", coords)
 
+    @staticmethod
+    def _check_columns(values: np.ndarray) -> None:
+        rank = Span.of(values.T).rank
+        if rank < values.shape[1]:
+            raise ValueError(
+                f"witness columns dependent: rank {rank} < {values.shape[1]}"
+            )
+
     @property
     def candidate_count(self) -> int:
         return self.values.shape[0]
@@ -117,6 +121,21 @@ class WitnessFamily:
     @functools.cached_property
     def _scaled(self) -> "_Scaled":
         return _Scaled.of(self.values)
+
+    @functools.cached_property
+    def _unseen_floor(self) -> float:
+        """The row max modulus at or below which no witness sees a candidate."""
+        return _floor_of(self.values)
+
+
+class _Block(WitnessFamily):
+    """A block of a witness family: rows and columns cut out of a checked
+    family.  Its columns are independent because the family's are (they
+    vanish on every other row), so the rank check is not run again."""
+
+    @staticmethod
+    def _check_columns(values: np.ndarray) -> None:
+        pass
 
 
 def _independent_columns(matrix: np.ndarray) -> np.ndarray:
@@ -439,9 +458,10 @@ def _seeds(V: np.ndarray, targets) -> np.ndarray:
     """
     targets = np.asarray(targets, dtype=int).reshape(-1)
     seeds = np.zeros((targets.size, V.shape[1]), dtype=complex)
+    floor = _floor_of(V)
     for start in range(0, targets.size, _SEED_CHUNK):
         chunk = targets[start : start + _SEED_CHUNK]
-        seen = ~_unseen_row(V, chunk)
+        seen = ~_unseen_row(V, chunk, floor)
         if seen.any():
             seeds[start : start + chunk.size][seen] = _lawson(V, chunk[seen])
     return seeds
@@ -546,7 +566,7 @@ def certify_peak(
         raise CertificationError(f"tol must lie in (0, 1), got {tol}")
     if not 0 <= target < n:
         raise IndexError(f"target {target} out of range")
-    if _unseen_row(W.values, target):
+    if _unseen_row(W.values, target, W._unseen_floor):
         return _unseen(target, k)
 
     scaled = W._scaled
@@ -590,10 +610,16 @@ def certify_peak(
     return PeakCertificate(target, status, coefficients, lp_lower, lp_upper, refined)
 
 
-def _unseen_row(V: np.ndarray, target: int | np.ndarray):
-    """No witness sees the target: its row is zero relative to V's scale.
-    ``target`` may be an index array, giving one flag per index."""
-    return np.abs(V[target]).max(axis=-1) <= 1e-13 * max(1.0, float(np.abs(V).max()))
+def _floor_of(V: np.ndarray) -> float:
+    """Rows of V whose max modulus is at most this are zero relative to V's
+    scale."""
+    return 1e-13 * max(1.0, float(np.abs(V).max()))
+
+
+def _unseen_row(V: np.ndarray, target: int | np.ndarray, floor: float):
+    """No witness sees the target: its row is at most ``floor`` (_floor_of
+    V).  ``target`` may be an index array, giving one flag per index."""
+    return np.abs(V[target]).max(axis=-1) <= floor
 
 
 def _unseen(target: int, k: int) -> PeakCertificate:
@@ -616,7 +642,7 @@ def reverify_certificate(W: WitnessFamily, cert: PeakCertificate) -> bool:
             and bool(np.all(off <= cert.refined + CERT_REVERIFY_TOL))
         )
     if cert.status == "certified_not_peak" and cert.lp_lower == math.inf:
-        return bool(_unseen_row(W.values, cert.target))
+        return bool(_unseen_row(W.values, cert.target, W._unseen_floor))
     return True
 
 
@@ -701,7 +727,7 @@ def _estimate_families(
             block = W.values[np.ix_(rows, cols)]
             key = (block.shape, block.tobytes())
             if key not in swept:
-                A = WitnessFamily(tuple(W.labels[r] for r in rows), block)
+                A = _Block(tuple(W.labels[r] for r in rows), block)
                 A._scaled.seeds.update(enumerate(_seeds(A._scaled.values, range(rows.size))))
                 swept[key] = [certify_peak(A, i, tol=tol, m=m) for i in range(rows.size)]
             for cert in swept[key]:
@@ -716,22 +742,9 @@ def _estimate_families(
 
 def _blocks(W: WitnessFamily) -> list[tuple[np.ndarray, np.ndarray]]:
     """Row and column indices of W's blocks: the connected components of
-    the graph joining row r to column j when W.values[r, j] != 0, each
-    labelled by its first row (min-label hooking with pointer jumping).
-    A zero row is a block alone, with no columns."""
-    support = W.values != 0
-    n = support.shape[0]
-    rows = np.arange(n)
-    while True:
-        cols = np.where(support, rows[:, None], n).min(axis=0)
-        low = np.where(support, cols, n).min(axis=1)
-        joined = np.minimum(rows, low)
-        np.minimum.at(joined, rows, low)
-        while not np.array_equal(joined, joined[joined]):
-            joined = joined[joined]
-        if np.array_equal(joined, rows):
-            break
-        rows = joined
+    the graph joining row r to column j when W.values[r, j] != 0
+    (support_components).  A zero row is a block alone, with no columns."""
+    rows, cols = support_components(W.values != 0)
     return [(np.flatnonzero(rows == b), np.flatnonzero(cols == b)) for b in np.unique(rows)]
 
 

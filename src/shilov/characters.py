@@ -6,6 +6,9 @@ L_{e_1}, ..., L_{e_n} with one unitary Schur similarity computed from a
 random generic linear combination.  The diagonal of the triangularized
 family enumerates the joint eigenvalue tuples (with multiplicity); tuples
 that verify the character identities are kept, the rest are discarded.
+The search runs once per bitwise-distinct direct-product block of the
+algebra (Hausner: M(E1 x E2) is M(E1) and M(E2) side by side), so the
+characters of C(X, E), X x M(E), cost one search on E's blocks.
 
 Each algebra runs that search once: ``E.characters`` (AlgebraSpec) caches
 ``characters(E)`` at the default seed, and the Gelfand transform, the
@@ -24,6 +27,7 @@ import scipy.linalg
 from .algebra import (
     AlgebraSpec,
     Element,
+    _distinct_blocks,
     basis_multiplication_matrices,
     multiply,
     norm,
@@ -148,20 +152,9 @@ def _candidate_tuples(E: AlgebraSpec, rng: np.random.Generator) -> np.ndarray | 
     return np.column_stack([np.diagonal(M) for M in rotated])
 
 
-def characters(E: AlgebraSpec, seed: int = 0) -> list[Character]:
-    """All characters of E, deduplicated and lexicographically ordered.
-
-    The radical is split off first (trace form), candidate tuples are read
-    off a joint unitary triangularization of the quotient's multiplication
-    matrices and pulled back, and exactly those passing the character
-    invariants are kept.  Raises ValueError if E fails validation, and
-    GenericityFailure if no reseeded random combination yields a separating
-    triangularization within TRIANGULARIZATION_ATTEMPTS attempts.
-    """
-    if not E.validation.passed:
-        bad = ", ".join(c.name for c in E.validation.failures())
-        raise ValueError(f"algebra {E.label!r} fails validation: {bad}")
-
+def _block_characters(E: AlgebraSpec, seed: int) -> np.ndarray:
+    """The accepted character values of one block, one row each, in the
+    order of the triangularization's diagonal."""
     W = _semisimple_split(E)
     if W is None:
         raise GenericityFailure(f"trace form of {E.label!r} is identically zero")
@@ -181,24 +174,85 @@ def characters(E: AlgebraSpec, seed: int = 0) -> list[Character]:
             if verify_character(E, Character(values, E)).passed:
                 accepted.append(values)
         if accepted:
-            break
-    if not accepted:
-        raise GenericityFailure(
-            f"no separating triangularization for {E.label!r} after "
-            f"{TRIANGULARIZATION_ATTEMPTS} attempts"
-        )
+            return np.array(accepted)
+    raise GenericityFailure(
+        f"no separating triangularization for {E.label!r} after "
+        f"{TRIANGULARIZATION_ATTEMPTS} attempts"
+    )
 
-    unique: list[np.ndarray] = []
-    for row in accepted:
-        if all(np.max(np.abs(row - u)) >= DISTINCT_TOL for u in unique):
-            unique.append(row)
 
-    def sort_key(row):
-        raw = tuple(x for z in row for x in (z.real, z.imag))
-        # round away triangularization noise so the order is seed-independent
-        return tuple(round(x, 9) + 0.0 for x in raw), raw
+def close_rows(P: np.ndarray):
+    """Yield arrays (a, b, dist) of pairs of rows of P with their sup-norm
+    distances, one offset at a time; every pair at distance <= DISTINCT_TOL
+    is among them, once.  Rows that close have projections on a
+    unit-modulus u within m DISTINCT_TOL (m columns), so only rows that
+    near in the sorted projections are compared, in O(n m) memory."""
+    m = P.shape[1]
+    proj = (P @ np.exp(1j * np.arange(m))).real
+    # widened by a bound on the roundoff of two computed projections
+    window = m * (DISTINCT_TOL + 4.0 * np.finfo(float).eps * np.abs(P).sum(axis=1).max())
+    order = np.argsort(proj, kind="stable")
+    proj = proj[order]
+    for offset in range(1, len(P)):
+        near = np.flatnonzero(proj[offset:] - proj[:-offset] <= window)
+        if not near.size:
+            return
+        a, b = order[near], order[near + offset]
+        yield a, b, np.abs(P[a] - P[b]).max(axis=1)
 
-    unique.sort(key=sort_key)
+
+def _first_distinct(rows: np.ndarray) -> np.ndarray:
+    """The rows kept in order: each unless it lies within DISTINCT_TOL (sup
+    norm) of an earlier kept row."""
+    pairs = sorted(
+        (max(a, b), min(a, b))
+        for a_s, b_s, dist in close_rows(rows)
+        for a, b in zip(a_s[dist < DISTINCT_TOL], b_s[dist < DISTINCT_TOL])
+    )
+    keep = np.ones(len(rows), dtype=bool)
+    for later, earlier in pairs:  # every earlier row's verdict is final here
+        if keep[earlier]:
+            keep[later] = False
+    return rows[keep]
+
+
+def _lexicographic_order(rows: np.ndarray) -> np.ndarray:
+    """Indices sorting the rows by their (re, im) values rounded to 9
+    decimals, ties broken by the raw values (a stable sort).  The rounding
+    keeps the order seed-independent under triangularization noise."""
+    raw = np.stack([rows.real, rows.imag], axis=-1).reshape(len(rows), -1)
+    keys = np.concatenate([np.round(raw, 9), raw], axis=1)
+    return np.lexsort(keys.T[::-1])  # lexsort's primary key is its last
+
+
+def characters(E: AlgebraSpec, seed: int = 0) -> list[Character]:
+    """All characters of E, deduplicated and lexicographically ordered.
+
+    E is searched as the product of its blocks (algebra._distinct_blocks),
+    once per bitwise-distinct block, each with a fresh default_rng(seed):
+    M(E1 x E2) is M(E1) and M(E2) side by side, each character extended by
+    zero.  In a block the radical is split off first (trace form),
+    candidate tuples are read off a joint unitary triangularization of the
+    quotient's multiplication matrices and pulled back, and exactly those
+    passing the character invariants are kept.  Deduplication, order and
+    the chi<k> labels then run over all of E's characters.  Raises
+    ValueError if E fails validation, and GenericityFailure if no reseeded
+    random combination yields a separating triangularization of a block
+    within TRIANGULARIZATION_ATTEMPTS attempts.
+    """
+    if not E.validation.passed:
+        bad = ", ".join(c.name for c in E.validation.failures())
+        raise ValueError(f"algebra {E.label!r} fails validation: {bad}")
+
+    found = []
+    for block, copies in _distinct_blocks(E):
+        values = _block_characters(block, seed)
+        for idx in copies:
+            extended = np.zeros((len(values), E.dim), dtype=complex)
+            extended[:, idx] = values
+            found.append(extended)
+    unique = _first_distinct(np.concatenate(found))
+    unique = unique[_lexicographic_order(unique)]
     return [
         Character(row, E, label=f"chi{k}") for k, row in enumerate(unique)
     ]

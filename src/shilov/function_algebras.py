@@ -32,7 +32,7 @@ import scipy.linalg
 
 from .algebra import AlgebraSpec, Element, same_algebra
 from .blas import single_threaded
-from .characters import DISTINCT_TOL, Character, characters
+from .characters import DISTINCT_TOL, Character, characters, close_rows
 from .reports import (
     ValidationReport,
     complex_array_to_pairs,
@@ -646,25 +646,11 @@ def build_pi(Q: Quadruple, vector_algebra: AlgebraSpec | None = None) -> list[Ch
 def check_pi_injective(Q: Quadruple) -> bool:
     """True iff the pi rows (pi_matrix) of the vector system are pairwise
     more than DISTINCT_TOL apart in sup norm; ValueError unless it is closed.
-    Rows that close have projections on a unit-modulus u within m
-    DISTINCT_TOL (m columns), so only rows that near in the sorted
-    projections are compared, one offset at a time, in O(n m) memory."""
+    close_rows compares only rows near in a projection, in O(n m) memory."""
     if not Q.vector_system.closed:
         raise ValueError("check_pi_injective needs a closed vector system")
     P = pi_matrix(Q.vector_system)
-    m = P.shape[1]
-    proj = (P @ np.exp(1j * np.arange(m))).real
-    # widened by a bound on the roundoff of two computed projections
-    window = m * (DISTINCT_TOL + 4.0 * np.finfo(float).eps * np.abs(P).sum(axis=1).max())
-    order = np.argsort(proj, kind="stable")
-    P, proj = P[order], proj[order]
-    for offset in range(1, len(P)):
-        near = np.flatnonzero(proj[offset:] - proj[:-offset] <= window)
-        if not near.size:
-            break
-        if np.any(np.abs(P[near] - P[near + offset]).max(axis=1) <= DISTINCT_TOL):
-            return False
-    return True
+    return not any(np.any(dist <= DISTINCT_TOL) for _, _, dist in close_rows(P))
 
 
 def check_natural(Q: Quadruple) -> bool:

@@ -129,3 +129,22 @@ def minimax_grid_oracle(V: np.ndarray, target: int) -> float:
         center = y_grid[idx]
         radius = radius * (2.5 / 40.0)
     return best
+
+
+def direct_product(factors, position) -> tuple[sh.AlgebraSpec, list[np.ndarray]]:
+    """The product of the factor algebras with a permuted basis: the factors'
+    basis elements, stacked in order, are the product's basis elements
+    position[0], position[1], ...  Returns the product and each factor's
+    slots, the product indices of its basis in the factor's own order."""
+    n = sum(F.dim for F in factors)
+    c = np.zeros((n, n, n), dtype=complex)
+    unit = np.zeros(n, dtype=complex)
+    weights = np.zeros(n)
+    slots, start = [], 0
+    for F in factors:
+        idx = np.asarray(position[start : start + F.dim])
+        start += F.dim
+        c[np.ix_(idx, idx, idx)] = F.structure
+        unit[idx], weights[idx] = F.unit, F.weights
+        slots.append(idx)
+    return sh.AlgebraSpec(n, c, unit, weights, "product"), slots

@@ -1,5 +1,7 @@
 """Structure-constant algebras: products, norms, validation, inversion."""
 
+import importlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shilov as sh
-from conftest import PRESET_NAMES
+from conftest import PRESET_NAMES, conjugated_algebra, direct_product
 
 
 def test_dual_numbers_nilpotent():
@@ -91,6 +93,169 @@ def test_validate_dim_64_in_bounded_memory():
         tracemalloc.stop()
     assert report.passed, str(report)
     assert peak < 64 * 2**20
+
+
+def test_validate_dense_dim_64_in_bounded_memory():
+    # Z_64 is one dense block, so its n^5 scan runs on all 64 dimensions
+    E = sh.cyclic_group_algebra(64)
+    assert [block.dim for block, _ in sh.algebra._distinct_blocks(E)] == [64]
+    tracemalloc.start()
+    try:
+        report = sh.validate_algebra(E)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed, str(report)
+    assert peak < 64 * 2**20
+
+
+def _dense_validation(E: sh.AlgebraSpec) -> dict:
+    """Oracle for validate_algebra: every identity on the whole n^4 tensor,
+    the first worst entry in C order."""
+    c, n, tol = E.structure, E.dim, sh.algebra.STRUCTURE_TOL
+
+    def worst(residuals):
+        flat = int(np.argmax(residuals))
+        return float(residuals.flat[flat]), np.unravel_index(flat, residuals.shape)
+
+    checks = []
+    value, (i, j, _) = worst(np.abs(c - c.transpose(1, 0, 2)))
+    checks.append(("commutativity", value, f"e_{i}*e_{j}"))
+    left = np.einsum("ijm,mkl->ijkl", c, c)
+    right = np.einsum("jkm,iml->ijkl", c, c)
+    value, (i, j, k, _) = worst(np.abs(left - right))
+    checks.append(("associativity", value, f"(e_{i} e_{j}) e_{k}"))
+    unit_res = np.abs(np.einsum("j,jik->ik", E.unit, c) - np.eye(n))
+    value, (i, _) = worst(unit_res)
+    checks.append(("unit_law", value, f"unit*e_{i} != e_{i}"))
+    norms = np.einsum("k,ijk->ij", E.weights, np.abs(c))
+    bound = np.outer(E.weights, E.weights)
+    value, (i, j) = worst(norms - bound)
+    checks.append((
+        "submultiplicativity", max(value, 0.0),
+        f"||e_{i} e_{j}|| = {norms[i, j]:.6g} > {bound[i, j]:.6g}",
+    ))
+    return {
+        name: (value <= tol, value, detail if value > tol else "")
+        for name, value, detail in checks
+    }
+
+
+def _report(E: sh.AlgebraSpec) -> dict:
+    return {c.name: (c.passed, c.residual, c.detail) for c in sh.validate_algebra(E).checks}
+
+
+def _same_report(found: dict, expected: dict) -> bool:
+    """Equal verdicts and details; residuals equal up to the roundoff of
+    another summation order."""
+    return found.keys() == expected.keys() and all(
+        found[name][::2] == expected[name][::2]
+        and found[name][1] == pytest.approx(expected[name][1], rel=1e-9, abs=1e-13)
+        for name in found
+    )
+
+
+def _presets_product(rng, extra=()):
+    factors = [sh.preset_algebra(name) for name in (
+        "dual_numbers", "cyclic_group_3", "truncated_poly_3", "pointwise_2", "cyclic_group_3",
+    )] + [conjugated_algebra(rng, sh.preset_algebra("cyclic_group_3")), *extra]
+    n = sum(F.dim for F in factors)
+    return factors, *direct_product(factors, rng.permutation(n))
+
+
+def _stacked_characters(factors, slots, n):
+    """M(F_1 x F_2 x ...): each factor's characters extended by zero."""
+    rows = []
+    for F, idx in zip(factors, slots):
+        for chi in sh.characters(F):
+            row = np.zeros(n, dtype=complex)
+            row[idx] = chi.values
+            rows.append(row)
+
+    def key(row):  # the character order: rounded (re, im) values, then raw
+        raw = tuple(x for z in row for x in (z.real, z.imag))
+        return tuple(round(x, 9) + 0.0 for x in raw), raw
+
+    return sorted(rows, key=key)
+
+
+def test_permuted_product_of_presets_splits_into_its_factors():
+    rng = np.random.default_rng(70)
+    for _ in range(3):
+        factors, E, slots = _presets_product(rng)
+        blocks = sh.algebra._distinct_blocks(E)
+        assert sorted(idx.size for _, copies in blocks for idx in copies) == sorted(
+            [2, 3, 3, 1, 1, 3, 3]
+        )
+        assert _same_report(_report(E), _dense_validation(E))
+        assert sh.validate_algebra(E).passed
+        chars = sh.characters(E)
+        expected = _stacked_characters(factors, slots, E.dim)
+        assert len(chars) == len(expected) == 1 + 3 + 1 + 2 + 3 + 3
+        for chi, row in zip(chars, expected):
+            assert np.abs(chi.values - row).max() <= 1e-12
+        assert [chi.label for chi in chars] == [f"chi{k}" for k in range(len(chars))]
+
+
+def test_block_defect_is_named_by_global_indices():
+    # the non-associative algebra of the test above as one factor
+    c = np.zeros((4, 4, 4), dtype=complex)
+    for i in range(4):
+        c[0, i, i] = c[i, 0, i] = 1.0
+    c[1, 1, 2] = 1.0
+    c[2, 2, 3] = 1.0
+    c[2, 3, 2] = c[3, 2, 2] = 2.0
+    bad = sh.AlgebraSpec(4, c, [1, 0, 0, 0], [1, 1, 1, 1], "nonassociative")
+    rng = np.random.default_rng(71)
+    for _ in range(4):
+        _, E, slots = _presets_product(rng, extra=[bad])
+        report = _report(E)
+        assert _same_report(report, _dense_validation(E))
+        passed, residual, detail = report["associativity"]
+        assert not passed and residual == sh.validate_algebra(bad).check("associativity").residual
+        worst = [int(i) for i in re.findall(r"\d+", detail)]
+        assert set(worst) <= set(slots[-1].tolist())
+
+        # a commutativity defect in another block, with that block's residual
+        c2 = E.structure.copy()
+        a, b = slots[1][1], slots[1][2]  # g and g^2 of a cyclic_group_3 copy
+        c2[a, b, slots[1][0]] += 0.5
+        E2 = sh.AlgebraSpec(E.dim, c2, E.unit, E.weights, "defect")
+        report = _report(E2)
+        assert _same_report(report, _dense_validation(E2))
+        assert report["commutativity"] == (False, 0.5, f"e_{min(a, b)}*e_{max(a, b)}")
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_non_finite_entry_fails_validation(value):
+    rng = np.random.default_rng(72)
+    _, E, slots = _presets_product(rng)
+    c = E.structure.copy()
+    i = slots[2][1]
+    c[i, i, slots[2][2]] = value
+    E = sh.AlgebraSpec(E.dim, c, E.unit, E.weights, "non-finite")
+    with np.errstate(invalid="ignore"):
+        assert not sh.validate_algebra(E).passed
+        with pytest.raises(ValueError, match="fails validation"):
+            sh.characters(E)
+
+
+def test_cxe_algebra_triangularizes_one_block(monkeypatch):
+    module = importlib.import_module("shilov.characters")
+    dims = []
+
+    def counting(E, rng):
+        dims.append(E.dim)
+        return tuple_search(E, rng)
+
+    tuple_search = module._candidate_tuples
+    monkeypatch.setattr(module, "_candidate_tuples", counting)
+    X = sh.FiniteSpace(tuple(f"p{i}" for i in range(6)))
+    for name, dim in (("pointwise_3", 1), ("cyclic_group_3", 3)):
+        dims.clear()
+        A = sh.as_algebra(sh.make_CXE(X, sh.preset_algebra(name)))
+        assert len(sh.characters(A)) == 18
+        assert dims == [dim]
 
 
 def test_validate_catches_bad_weights():

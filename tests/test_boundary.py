@@ -829,3 +829,47 @@ def test_square_blocks_certify_with_one_solve(monkeypatch):
             assert cert.lp_lower == cert.lp_upper == 0.0
             assert cert.refined < 1e-12
             assert sh.reverify_certificate(W, cert)
+
+
+def test_sweep_skips_the_rank_check_of_its_blocks(monkeypatch):
+    rng = np.random.default_rng(43)
+    V = np.zeros((9, 5), dtype=complex)
+    for rows, cols in (([0, 2, 4, 6, 8], [0, 3]), ([1, 3, 5, 7], [1, 2, 4])):
+        V[np.ix_(rows, cols)] = rng.standard_normal((len(rows), len(cols)))
+    W = sh.WitnessFamily(tuple(f"p{i}" for i in range(9)), V)
+    calls = []
+    span_of = sh.Span.of.__func__
+
+    def counting(cls, vectors):
+        calls.append(np.shape(vectors))
+        return span_of(cls, vectors)
+
+    monkeypatch.setattr(sh.Span, "of", classmethod(counting))
+    part = sh.shilov_estimate(W)
+    assert calls == []
+    assert all(sh.reverify_certificate(W, c) for c in part.certificates)
+    # a family built by hand is still checked
+    with pytest.raises(ValueError, match="dependent"):
+        sh.WitnessFamily(("a", "b", "c"), np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]]))
+    assert calls == [(2, 3)]
+
+
+def test_sweep_reads_the_family_scale_once(monkeypatch):
+    rng = np.random.default_rng(44)
+    V = rng.standard_normal((12, 4)) + 1j * rng.standard_normal((12, 4))
+    V[5] = 0.0
+    W = sh.WitnessFamily(tuple(f"p{i}" for i in range(12)), V)
+    scales = []
+    floor_of = sh.boundary._floor_of
+
+    def counting(values):
+        scales.append(values.shape)
+        return floor_of(values)
+
+    monkeypatch.setattr(sh.boundary, "_floor_of", counting)
+    part = sh.shilov_estimate(W)
+    # once for the swept block's certify_peak calls, once for its seeds
+    assert len(scales) == 2
+    assert part.status_of(5) == "certified_not_peak"
+    assert all(sh.reverify_certificate(W, c) for c in part.certificates)
+    assert len(scales) == 3  # and once for W itself

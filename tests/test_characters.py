@@ -5,6 +5,7 @@ import pytest
 
 import shilov as sh
 from conftest import PRESET_CHARACTER_COUNTS, PRESET_NAMES, conjugated_algebra
+from shilov.characters import DISTINCT_TOL, _first_distinct, _lexicographic_order
 
 
 def _values_multiset(chars):
@@ -179,3 +180,47 @@ def test_invalid_algebra_rejected():
     E = sh.AlgebraSpec(2, c, [1, 0], [1, 1], "broken")
     with pytest.raises(ValueError):
         sh.characters(E)
+
+
+def _tuple_key_order(rows):
+    """The character order as tuple keys: (re, im) values rounded to 9
+    decimals, then the raw values, in a stable sort."""
+    def key(i):
+        raw = tuple(x for z in rows[i] for x in (z.real, z.imag))
+        return tuple(round(x, 9) + 0.0 for x in raw), raw
+
+    return sorted(range(len(rows)), key=key)
+
+
+def test_character_order_matches_tuple_keys():
+    rng = np.random.default_rng(80)
+    levels = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 0.123456789, 1.0 / 3.0])
+    # 9-digit ties broken by the raw values, and one that rounds up
+    noise = np.array([0.0, 1e-12, -1e-12, 2e-10, 6e-10])
+    for _ in range(60):
+        t, n = int(rng.integers(1, 25)), int(rng.integers(1, 4))
+        parts = []
+        for _ in range(2):
+            base = rng.choice(levels, (t, n))
+            jitter = rng.choice(noise, (t, n))
+            parts.append(np.where(jitter == 0.0, base, base + jitter))  # keeps -0.0
+        rows = parts[0] + 1j * parts[1]
+        rows[rng.integers(0, t, t // 3)] = rows[0]  # exact duplicates keep input order
+        assert list(_lexicographic_order(rows)) == _tuple_key_order(rows)
+
+
+def test_first_distinct_matches_the_greedy_scan():
+    rng = np.random.default_rng(81)
+    tol = DISTINCT_TOL
+    for _ in range(40):
+        t, n = int(rng.integers(1, 30)), int(rng.integers(1, 5))
+        centers = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+        rows = centers[rng.integers(0, 4, t)]
+        # offsets of 0.6 tol chain rows that are 1.2 tol apart through a middle one
+        rows = rows + tol * rng.choice([0.0, 0.6, -0.6, 3.0], (t, n))
+        kept: list[np.ndarray] = []
+        for row in rows:
+            if all(np.max(np.abs(row - u)) >= tol for u in kept):
+                kept.append(row)
+        found = _first_distinct(rows)
+        assert np.array_equal(found, np.array(kept).reshape(-1, n))
