@@ -108,6 +108,12 @@ class AlgebraSpec:
 
         return tuple(characters(self))
 
+    @cached_property
+    def distinct_blocks(self) -> tuple:
+        """_distinct_blocks(self), computed once: validate_algebra and
+        characters both read this one split."""
+        return tuple(_distinct_blocks(self))
+
     def element(self, coords) -> "Element":
         return Element(np.asarray(coords, dtype=complex), self)
 
@@ -312,7 +318,7 @@ def validate_algebra(E: AlgebraSpec) -> ValidationReport:
     Failures are reported with the offending basis indices and residual
     magnitude; they are data, not exceptions.
 
-    E is checked as the product of its blocks (_distinct_blocks), once per
+    E is checked as the product of its blocks (E.distinct_blocks), once per
     bitwise-distinct block.  Every entry between two blocks is an exact
     zero on both sides of each identity (a sum of products with a zero
     factor), and a block's unit law needs only its own unit coordinates; so
@@ -324,7 +330,7 @@ def validate_algebra(E: AlgebraSpec) -> ValidationReport:
     """
     report = ValidationReport(subject=E.label or "algebra")
     copies_found: dict[str, list] = {}
-    for block, copies in _distinct_blocks(E):
+    for block, copies in E.distinct_blocks:
         for name, residual, worst, detail in _block_residuals(block):
             copies_found.setdefault(name, []).extend(
                 (residual, tuple(int(idx[w]) for w in worst), detail) for idx in copies

@@ -8,8 +8,9 @@ the convex minimax program
 has optimum provably below 1 - tol: a strict-max witness rescales to a
 peaking function.  Each modulus is sandwiched between the max over m polygon
 directions and sec(pi/m) times it, so one linear program yields a certified
-bracket [lp_lower, lp_upper] around the optimum; a smoothed first-order
-descent warm-started at the LP solution then tightens the feasible value.
+bracket [lp_lower, lp_upper] around the optimum.  On a small family a
+smoothed first-order descent warm-started at the LP solution then tightens
+the feasible value; a larger family keeps the LP point itself.
 Every LP takes one path: an active set of polygon constraints, seeded by
 Lawson's reweighting iteration (run for a whole block of targets at once)
 and grown on incremental HiGHS inside a box that holds every LP optimum.
@@ -379,17 +380,14 @@ def _max_modulus(V_off: np.ndarray, c: np.ndarray) -> float:
 
 
 def _refine_first_order(
-    V_off: np.ndarray,
-    v_t: np.ndarray,
-    c_start: np.ndarray,
-    stages: list[float],
-    maxiter: int,
+    V_off: np.ndarray, v_t: np.ndarray, c_start: np.ndarray
 ) -> np.ndarray:
     """Descend the smoothed max-modulus over the affine slice (Vc)(target)=1.
 
     Parametrize c = c_start + N y with N an orthonormal null-space basis of
     the normalization row, so the constraint holds exactly; minimize the
-    softmax smoothing mu*log(sum exp(|w|/mu)) with L-BFGS, shrinking mu.
+    softmax smoothing mu*log(sum exp(|w|/mu)) with L-BFGS, shrinking mu
+    over five stages of 200 iterations.
     """
     N = scipy.linalg.null_space(v_t[None, :])
     if N.size == 0:
@@ -416,7 +414,7 @@ def _refine_first_order(
     u = np.zeros(2 * dim)
     best_u = u
     best_val = _max_modulus(V_off, c_start)
-    for rel in stages:
+    for rel in (3e-2, 3e-3, 3e-4, 3e-5, 1e-5):
         mu = max(rel * max(best_val, 1e-3), 1e-12)
         res = scipy.optimize.minimize(
             objective,
@@ -424,7 +422,7 @@ def _refine_first_order(
             args=(mu,),
             jac=True,
             method="L-BFGS-B",
-            options={"maxiter": maxiter, "ftol": 1e-15, "gtol": 1e-12},
+            options={"maxiter": 200, "ftol": 1e-15, "gtol": 1e-12},
         )
         y = res.x[:dim] + 1j * res.x[dim:]
         val = _max_modulus(V_off, c_start + N @ y)
@@ -454,7 +452,7 @@ def _seeds(V: np.ndarray, targets) -> np.ndarray:
     needs.  A row returned is the best iterate by the true off-target max;
     an unseen target's row is zero.  A square V is invertible, and its
     rows are V^-1 e_t, the exact optimum.  Targets run in chunks of
-    _SEED_CHUNK, so memory stays O(chunk * (n + k^2) + n * k).
+    _SEED_CHUNK, so memory stays O(chunk * n * k) (k <= n).
     """
     targets = np.asarray(targets, dtype=int).reshape(-1)
     seeds = np.zeros((targets.size, V.shape[1]), dtype=complex)
@@ -481,7 +479,7 @@ def _lawson(V: np.ndarray, targets: np.ndarray) -> np.ndarray:
     best = np.full(targets.size, np.inf)
     best_c = np.zeros_like(a)
     for _ in range(_SEED_ITERS):
-        M = np.stack([(V_H * weights) @ V for weights in d])
+        M = (V_H[None] * d[:, None, :]) @ V  # (T, k, k): V^H diag(d) V per target
         # a tiny ridge keeps M invertible when fewer than k rows carry weight
         ridge = 1e-14 * (1.0 + np.trace(M, axis1=1, axis2=2).real)
         M += ridge[:, None, None] * np.eye(k)
@@ -511,22 +509,25 @@ class _Scaled:
 
     Column j is divided by scale[j], the power of two nearest its max
     modulus, so every column's max modulus lies within sqrt(2) of 1 and the
-    map back (c = c_scaled / scale) is exact in floating point.  sigma_min
-    is the scaled matrix's smallest singular value (the LP box's radius
-    divides by it).  seeds holds _seeds rows by target, filled by a sweep.
+    map back (c = c_scaled / scale) is exact in floating point.  seeds
+    holds _seeds rows by target, filled by a sweep.
     """
 
     values: np.ndarray
     scale: np.ndarray
-    sigma_min: float
     seeds: dict[int, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def of(cls, V: np.ndarray) -> "_Scaled":
         exponents = np.round(np.log2(np.abs(V).max(axis=0))).astype(int)
         scale = np.ldexp(1.0, exponents)
-        values = V / scale
-        return cls(values, scale, float(np.linalg.svd(values, compute_uv=False)[-1]))
+        return cls(V / scale, scale)
+
+    @functools.cached_property
+    def sigma_min(self) -> float:
+        """The scaled matrix's smallest singular value, which the LP box's
+        radius divides by; a square family runs no LP and no SVD."""
+        return float(np.linalg.svd(self.values, compute_uv=False)[-1])
 
 
 @single_threaded()
@@ -554,10 +555,10 @@ def certify_peak(
     family's smallest singular value: every LP optimum lies inside, so
     lp_lower stays sound, and no reduced LP is unbounded.  The LP runs on
     incremental HiGHS with 1e-9 feasibility tolerances (a failed run is
-    retried once from a cleared solver with presolve on).  L-BFGS
-    refinement then tightens the LP point: five smoothing stages of 200
-    iterations when n * k <= 80 (n candidates, k witnesses), one stage of
-    40 otherwise.
+    retried once from a cleared solver with presolve on).  When
+    n * k <= 80 (n candidates, k witnesses), five smoothing stages of 200
+    L-BFGS iterations then tighten the LP point; a larger family is
+    certified on the LP point itself.
     """
     n, k = W.values.shape
     if m < 8:
@@ -571,14 +572,19 @@ def certify_peak(
 
     scaled = W._scaled
     v_t = scaled.values[target]
-    V_off = np.delete(scaled.values, target, axis=0)
     seed = scaled.seeds.get(target)
     if seed is None:
         [seed] = _seeds(scaled.values, [target])
+    # power-of-two scaling commutes with rounding: the scaled values of
+    # best_c below equal W.values @ (best_c / scale) bit for bit
     if n == k:  # the optimum is 0, attained by the seed
         best_c = seed / np.dot(v_t, seed)
         lp_lower = lp_upper = 0.0
+        w = np.abs(scaled.values @ best_c)
+        w[target] = 0.0
+        refined = float(w.max())
     else:
+        V_off = np.delete(scaled.values, target, axis=0)
         c_lp, p = _solve_polygon_lp(
             V_off, v_t, m, seed, scaled.sigma_min, stop_lower=1.0 - tol * 1e-2 + _LP_PAD
         )
@@ -587,18 +593,13 @@ def certify_peak(
         lp_lower = p - _LP_PAD
         lp_upper = p * sec + _LP_PAD
 
-        if n * k <= 80:
-            stages, iters = [3e-2, 3e-3, 3e-4, 3e-5, 1e-5], 200
-        else:
-            stages, iters = [1e-2], 40
-        c_ref = _refine_first_order(V_off, v_t, c_lp, stages, iters)
-        c_ref = c_ref / np.dot(v_t, c_ref)
         best_c = c_lp
-        if _max_modulus(V_off, c_ref) < _max_modulus(V_off, c_lp):
-            best_c = c_ref
-    # power-of-two scaling commutes with rounding: V_off c here equals the
-    # off-target values of W.values @ (best_c / scale) bit for bit
-    refined = _max_modulus(V_off, best_c)
+        if n * k <= 80:  # small families only: larger ones keep the LP point
+            c_ref = _refine_first_order(V_off, v_t, c_lp)
+            c_ref = c_ref / np.dot(v_t, c_ref)
+            if _max_modulus(V_off, c_ref) < _max_modulus(V_off, c_lp):
+                best_c = c_ref
+        refined = _max_modulus(V_off, best_c)
 
     if refined < 1.0 - tol:
         status = "certified_peak"

@@ -27,7 +27,6 @@ import scipy.linalg
 from .algebra import (
     AlgebraSpec,
     Element,
-    _distinct_blocks,
     basis_multiplication_matrices,
     multiply,
     norm,
@@ -228,7 +227,7 @@ def _lexicographic_order(rows: np.ndarray) -> np.ndarray:
 def characters(E: AlgebraSpec, seed: int = 0) -> list[Character]:
     """All characters of E, deduplicated and lexicographically ordered.
 
-    E is searched as the product of its blocks (algebra._distinct_blocks),
+    E is searched as the product of its blocks (E.distinct_blocks),
     once per bitwise-distinct block, each with a fresh default_rng(seed):
     M(E1 x E2) is M(E1) and M(E2) side by side, each character extended by
     zero.  In a block the radical is split off first (trace form),
@@ -245,7 +244,7 @@ def characters(E: AlgebraSpec, seed: int = 0) -> list[Character]:
         raise ValueError(f"algebra {E.label!r} fails validation: {bad}")
 
     found = []
-    for block, copies in _distinct_blocks(E):
+    for block, copies in E.distinct_blocks:
         values = _block_characters(block, seed)
         for idx in copies:
             extended = np.zeros((len(values), E.dim), dtype=complex)

@@ -221,6 +221,10 @@ CONFIG_SCHEMA = {
     },
 }
 
+# built once, without re-checking CONFIG_SCHEMA against its metaschema on
+# every call (a test checks the schema itself)
+_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
 
 class ConfigError(ValueError):
     pass
@@ -360,11 +364,10 @@ def validate_config(path) -> dict:
         raise ConfigError(
             f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path_str = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config schema violation at {path_str}: {exc.message}") from None
+    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(config))
+    if error is not None:
+        path_str = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"config schema violation at {path_str}: {error.message}")
     _check_references(config)
     return config
 

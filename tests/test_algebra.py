@@ -197,6 +197,22 @@ def test_permuted_product_of_presets_splits_into_its_factors():
         assert [chi.label for chi in chars] == [f"chi{k}" for k in range(len(chars))]
 
 
+def test_block_split_is_computed_once_per_algebra(monkeypatch):
+    split = sh.algebra._distinct_blocks
+    calls = []
+
+    def counting(E):
+        calls.append(E.dim)
+        return split(E)
+
+    monkeypatch.setattr(sh.algebra, "_distinct_blocks", counting)
+    _, E, _ = _presets_product(np.random.default_rng(71))
+    assert sh.validate_algebra(E).passed
+    assert len(sh.characters(E)) == 1 + 3 + 1 + 2 + 3 + 3
+    assert E.validation.passed and E.characters
+    assert calls == [E.dim]
+
+
 def test_block_defect_is_named_by_global_indices():
     # the non-associative algebra of the test above as one factor
     c = np.zeros((4, 4, 4), dtype=complex)

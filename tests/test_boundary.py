@@ -569,10 +569,10 @@ def test_product_sweep_certifies_each_block_once(annulus_product_run):
     # E = C^2 splits into two equal 1 x 1 blocks, certified once by one
     # solve; B's 50 points are one block, and B~'s two blocks are B's family
     assert len(calls) == 1 + Q.space.size == 51
-    # L-BFGS runs only in the final refinement of a non-square block
+    # L-BFGS refines only families with n * k <= 80; B's block is 50 x 21
     assert calls[0] == ((1, 1), 0)
-    assert all(count == 1 for (n, k), count in calls[1:])
-    assert minimized == 50 * 1 == 50
+    assert all(count == 0 for (n, k), count in calls[1:])
+    assert minimized == 0
     assert report.passed and report.certificates_reverified
     family = report.base.bt_partition.family
     blocks = _blocks(family)
@@ -591,6 +591,88 @@ def test_split_partition_matches_unsplit_sweep(annulus_product_run):
     assert [c.status for c in part.certificates] == reference
     assert [c.target for c in part.certificates] == list(range(W.candidate_count))
     assert all(sh.reverify_certificate(W, c) for c in part.certificates)
+
+
+def test_large_family_runs_no_refinement(monkeypatch):
+    refine = sh.boundary._refine_first_order
+    refined = []
+
+    def small_only(V_off, v_t, *args):
+        n, k = V_off.shape[0] + 1, v_t.size
+        if n * k > 80:
+            raise AssertionError(f"a {n} x {k} family needs no refinement")
+        refined.append((n, k))
+        return refine(V_off, v_t, *args)
+
+    monkeypatch.setattr(sh.boundary, "_refine_first_order", small_only)
+    rng = np.random.default_rng(45)
+    B = sh.make_rational(annulus_sample_50(), sh.complex_field(), 10, [0])
+    families = [sh.witnesses_from_system(B)] + [
+        sh.WitnessFamily(
+            tuple(f"p{i}" for i in range(n)),
+            rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)),
+        )
+        for n, k in ((30, 5), (17, 6), (9, 4))
+    ]
+    statuses = set()
+    for W in families:
+        part = sh.shilov_estimate(W)
+        alone = [sh.certify_peak(W, i) for i in range(0, W.candidate_count, 7)]
+        for cert in part.certificates + alone:
+            assert sh.reverify_certificate(W, cert)
+            assert cert.lp_lower <= cert.refined <= cert.lp_upper
+            statuses.add(cert.status)
+    assert {"certified_peak", "certified_not_peak"} <= statuses
+    assert refined and set(refined) == {(9, 4)}
+
+
+def _lawson_per_target(V, targets):
+    """Reference _lawson: V^H diag(d) V built by one product per target."""
+    n, k = V.shape
+    a = V[targets]
+    rows = np.arange(targets.size)
+    V_H = V.conj().T
+    d = np.ones((targets.size, n))
+    d[rows, targets] = 0.0
+    d /= n - 1
+    best = np.full(targets.size, np.inf)
+    best_c = np.zeros_like(a)
+    for _ in range(sh.boundary._SEED_ITERS):
+        M = np.stack([(V_H * weights) @ V for weights in d])
+        ridge = 1e-14 * (1.0 + np.trace(M, axis1=1, axis2=2).real)
+        M += ridge[:, None, None] * np.eye(k)
+        x = np.linalg.solve(M, a.conj()[:, :, None])[:, :, 0]
+        a_x = (a * x).sum(axis=1)
+        c = x / a_x[:, None]
+        r = np.abs(c @ V.T)
+        r[rows, targets] = 0.0
+        top = r.max(axis=1)
+        better = top < best
+        best = np.where(better, top, best)
+        best_c[better] = c[better]
+        if np.all(best - 1.0 / np.sqrt(np.abs(a_x)) <= sh.boundary._SEED_RTOL * best):
+            break
+        weighted = d * r
+        total = weighted.sum(axis=1)
+        np.divide(weighted, total[:, None], out=d, where=total[:, None] > 0)
+    return best_c
+
+
+def test_batched_lawson_matches_a_per_target_loop(monkeypatch):
+    rng = np.random.default_rng(46)
+    families = [
+        rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        for n, k in ((12, 5), (30, 7), (91, 11))  # 91 rows: two seeding chunks
+    ]
+    unseen = rng.standard_normal((10, 3)) + 1j * rng.standard_normal((10, 3))
+    unseen[4] = 0.0
+    families.append(unseen)
+    batched = [_seeds(V, range(V.shape[0])) for V in families]
+    monkeypatch.setattr(sh.boundary, "_lawson", _lawson_per_target)
+    for V, seeds in zip(families, batched):
+        reference = _seeds(V, range(V.shape[0]))
+        assert np.allclose(seeds, reference, rtol=1e-12, atol=1e-14)
+    assert not np.any(batched[-1][4])
 
 
 def _cold_seeds(V, targets):
@@ -829,6 +911,7 @@ def test_square_blocks_certify_with_one_solve(monkeypatch):
             assert cert.lp_lower == cert.lp_upper == 0.0
             assert cert.refined < 1e-12
             assert sh.reverify_certificate(W, cert)
+        assert "sigma_min" not in vars(W._scaled)  # the LP box's SVD never ran
 
 
 def test_sweep_skips_the_rank_check_of_its_blocks(monkeypatch):

@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -35,6 +36,28 @@ def test_shipped_demo_configs_validate():
     for name in ("exact_demo.json", "annulus_demo.json"):
         config = validate_config(DEMO_DIR / name)
         assert config["run"]
+
+
+def test_config_schema_passes_its_metaschema():
+    # validate_config builds its validator once and skips this check
+    jsonschema.validators.validator_for(cli.CONFIG_SCHEMA).check_schema(cli.CONFIG_SCHEMA)
+
+
+def test_schema_messages_match_jsonschema_validate(tmp_path):
+    bad = [
+        minimal_config(seed="seven"),
+        minimal_config(run="all"),
+        minimal_config(run=[{"command": "nope", "target": "D", "name": "x"}]),
+        minimal_config(algebras={"D": 3}, extra=1),
+    ]
+    for config in bad:
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(config, cli.CONFIG_SCHEMA)
+        error = expected.value
+        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        with pytest.raises(ConfigError) as raised:
+            validate_config(write_config(tmp_path, config))
+        assert str(raised.value) == f"config schema violation at {where}: {error.message}"
 
 
 def test_dangling_reference_caught(tmp_path):
