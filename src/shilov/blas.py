@@ -10,12 +10,20 @@ pins the OpenBLAS copies bundled with numpy and scipy to one thread and
 restores their previous counts on exit.  Where no such copy is found
 (another BLAS, another wheel layout) it does nothing.  The shipped demo
 configs and that annulus check give byte-identical outputs at either count.
+
+The thread counts are process-wide, so the pin is too, and it is reentrant
+across threads: one depth count under a lock covers every caller, the first
+entry saves the counts and pins them, and the last exit restores them.  A
+sweep that certifies candidates on several threads therefore stays pinned
+until its last certificate is done, however the entries and exits
+interleave.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -50,15 +58,33 @@ def _openblas_controls() -> tuple[tuple[object, object], ...]:
     return tuple(controls)
 
 
+class _Pin:
+    """The depth count of single_threaded across all threads."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.depth = 0
+        self.saved: list[int] = []
+
+
+_PIN = _Pin()
+
+
 @contextmanager
 def single_threaded():
     """Run the enclosed block with every bundled OpenBLAS at one thread."""
     controls = _openblas_controls()
-    previous = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(1)
+    with _PIN.lock:
+        if _PIN.depth == 0:
+            _PIN.saved = [get() for get, _ in controls]
+            for _, set_ in controls:
+                set_(1)
+        _PIN.depth += 1
     try:
         yield
     finally:
-        for (_, set_), count in zip(controls, previous):
-            set_(count)
+        with _PIN.lock:
+            _PIN.depth -= 1
+            if _PIN.depth == 0:
+                for (_, set_), count in zip(controls, _PIN.saved):
+                    set_(count)

@@ -25,7 +25,10 @@ Sweeps read the product structure g = v f of the paper off the witness
 values: two rows share a block when nonzero witness columns join them, so
 the blocks are the connected components of the row-column support graph.
 Each distinct block is certified once; zero-padded, its certificates
-certify the same rows of the whole family.
+certify the same rows of the whole family.  A block's candidates are
+certified concurrently, one thread per CPU: each candidate is its own LP on
+its own HiGHS model, which releases the interpreter lock while it runs, and
+every certificate is bit-identical to a sequential run's.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -559,6 +564,12 @@ def certify_peak(
     n * k <= 80 (n candidates, k witnesses), five smoothing stages of 200
     L-BFGS iterations then tighten the LP point; a larger family is
     certified on the LP point itself.
+
+    Apart from W's cached scale and unseen floor, which a sweep fills
+    before it fans out, a call writes nothing shared: a sweep certifies
+    many targets of one family at once, on several threads
+    (_certify_block), and each certificate is bit-identical to a lone
+    call's with the same seed.
     """
     n, k = W.values.shape
     if m < 8:
@@ -706,39 +717,92 @@ def shilov_estimate(
     a lone certify_peak call seeds its target alone.  The seeds differ only
     in roundoff and only shorten the LP's active-set search: the verdicts
     are the same, and LP values agree up to the solver's 1e-9 tolerances.
+    The block's candidates are then certified concurrently, one thread per
+    CPU; each certificate is bit-identical to a sequential certify_peak
+    call on the same block and seeds.
     """
     return _estimate_families([W], tol, m)[0]
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: the sweep's worker count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _estimate_families(
     families: list[WitnessFamily], tol: float, m: int
 ) -> list[BoundaryPartition]:
     """shilov_estimate of each family, with one table of swept blocks shared
-    by all of them: a block seen before reuses its certificates.  A block
-    is swept in order, every candidate seeded by one pass of _seeds."""
+    by all of them: a block seen before reuses its certificates.  A block's
+    candidates are seeded by one pass of _seeds, then certified by
+    _cpu_count() workers at once (_certify_block): the calling thread and a
+    pool that lives for this call, under one BLAS pin.  Certificates are
+    collected in candidate order and equal a sequential sweep's bit for
+    bit."""
     swept: dict[tuple, list[PeakCertificate]] = {}
     partitions = []
-    for W in families:
-        k = W.values.shape[1]
-        certs: dict[int, PeakCertificate] = {}
-        for rows, cols in _blocks(W):
-            if not cols.size:  # no witness sees these rows
-                certs.update((int(r), _unseen(int(r), k)) for r in rows)
-                continue
-            block = W.values[np.ix_(rows, cols)]
-            key = (block.shape, block.tobytes())
-            if key not in swept:
-                A = _Block(tuple(W.labels[r] for r in rows), block)
-                A._scaled.seeds.update(enumerate(_seeds(A._scaled.values, range(rows.size))))
-                swept[key] = [certify_peak(A, i, tol=tol, m=m) for i in range(rows.size)]
-            for cert in swept[key]:
-                coefficients = np.zeros(k, dtype=complex)
-                coefficients[cols] = cert.coefficients
-                target = int(rows[cert.target])
-                certs[target] = replace(cert, target=target, coefficients=coefficients)
-        ordered = [certs[r] for r in range(W.candidate_count)]
-        partitions.append(BoundaryPartition(W, ordered, tol, m))
+    workers = _cpu_count()
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool, single_threaded():
+        for W in families:
+            k = W.values.shape[1]
+            certs: dict[int, PeakCertificate] = {}
+            for rows, cols in _blocks(W):
+                if not cols.size:  # no witness sees these rows
+                    certs.update((int(r), _unseen(int(r), k)) for r in rows)
+                    continue
+                block = W.values[np.ix_(rows, cols)]
+                key = (block.shape, block.tobytes())
+                if key not in swept:
+                    A = _Block(tuple(W.labels[r] for r in rows), block)
+                    A._scaled.seeds.update(enumerate(_seeds(A._scaled.values, range(rows.size))))
+                    swept[key] = _certify_block(A, tol, m, pool, workers)
+                for cert in swept[key]:
+                    coefficients = np.zeros(k, dtype=complex)
+                    coefficients[cols] = cert.coefficients
+                    target = int(rows[cert.target])
+                    certs[target] = replace(cert, target=target, coefficients=coefficients)
+            ordered = [certs[r] for r in range(W.candidate_count)]
+            partitions.append(BoundaryPartition(W, ordered, tol, m))
     return partitions
+
+
+def _certify_block(
+    A: _Block, tol: float, m: int, pool: ThreadPoolExecutor, workers: int
+) -> list[PeakCertificate]:
+    """certify_peak for every candidate of a seeded block, in candidate
+    order, on up to ``workers`` threads: the caller and helpers from
+    ``pool``, each taking the next candidate until none is left.  A failure
+    stops the others after their current candidate and is raised once
+    every helper is done."""
+    n = A.candidate_count
+    # A's cached properties are filled here, not by racing workers: from
+    # Python 3.12 on a cached_property takes no lock, and two workers could
+    # each run the SVD
+    _ = A._unseen_floor
+    if n > A.values.shape[1]:
+        _ = A._scaled.sigma_min
+    certs: list[PeakCertificate | None] = [None] * n
+    todo = iter(range(n))  # shared; next() on it is one atomic C call
+
+    def work():
+        try:
+            for i in todo:
+                certs[i] = certify_peak(A, i, tol=tol, m=m)
+        finally:
+            for _ in todo:  # after a failure, leave nothing for the others
+                pass
+
+    helpers = [pool.submit(work) for _ in range(min(workers, n) - 1)]
+    try:
+        work()
+    finally:
+        wait(helpers)
+    for helper in helpers:
+        helper.result()  # raises a helper's failure
+    return certs
 
 
 def _blocks(W: WitnessFamily) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -75,6 +75,9 @@ from .spaces import (
 # pixels a side at _MAX_RESOLUTION; a sampling strategy yields at most about
 # _MAX_POINTS points (an interior grid 2**7 a side at _MIN_STEP); the LP's
 # points x sides and a system's points x (degree + 1) tables cap m and degree.
+# Products of values meet the same budget before they are formed: the
+# product table of a closed system, m^2 products of its m basis functions,
+# and of the closure a system's "close" asks for (_check_products).
 _MAX_ENTRIES, _MAX_POINTS, _MAX_COORD = 2**24, 2**14, 4
 _MAX_RESOLUTION = (2**12 - 3) // (4 * _MAX_COORD)
 _MIN_STEP = 4 * _MAX_COORD / 2**7
@@ -319,6 +322,8 @@ class _Workspace:
                     space, E, int(spec.get("degree", 1)), poles, label=name
                 )
             if spec.get("close") and not system.closed:
+                # the closure has at most |X| dim E basis functions
+                _check_products(name, space.size * E.dim, space, E)
                 system = close_under_products(system)
             self._systems[name] = system
         return self._systems[name]
@@ -459,8 +464,10 @@ def _run_entry(ws: _Workspace, entry: dict, seed: int, out_dir: Path, stem: str,
         if isinstance(obj, AlgebraSpec):
             payload = obj.validation.to_dict()
         elif isinstance(obj, FunctionSystem):
+            _check_closed(obj)
             payload = validate_system(obj).to_dict()
         elif isinstance(obj, Quadruple):
+            _check_closed(obj.scalar_system)  # condition (3) reads its algebra
             payload = check_admissible(obj).to_dict()
         elif isinstance(obj, FiniteSpace):
             payload = validate_metric(obj).to_dict()
@@ -502,6 +509,8 @@ def _run_entry(ws: _Workspace, entry: dict, seed: int, out_dir: Path, stem: str,
     elif command in ("verify-product", "verify-peaks"):
         quadruple = ws.quadruple(target)
         regime = entry.get("regime", "exact")
+        if regime == "exact":  # admissibility and naturality
+            _check_closed(quadruple.scalar_system, quadruple.vector_system)
         if command == "verify-product":
             payload = verify_product_theorem(quadruple, regime=regime, tol=tol, m=m).to_dict()
         else:
@@ -554,6 +563,26 @@ def _run_entry(ws: _Workspace, entry: dict, seed: int, out_dir: Path, stem: str,
         "payload": payload,
     }
     return report, extras
+
+
+def _check_products(name: str, m: int, X: FiniteSpace, E: AlgebraSpec) -> None:
+    """Reject a system of m basis functions on X with values in E whose
+    product table, m^2 products of |X| dim E entries each, exceeds the
+    _MAX_ENTRIES budget."""
+    entries = m * m * X.size * E.dim
+    if entries > _MAX_ENTRIES:
+        raise ConfigError(
+            f"system {name!r}: product table of {m}^2 x {X.size} x {E.dim} = "
+            f"{entries} entries exceeds the cap of {_MAX_ENTRIES}"
+        )
+
+
+def _check_closed(*systems: FunctionSystem) -> None:
+    """_check_products for each closed system: validate_system and
+    as_algebra form a closed system's whole product table."""
+    for S in systems:
+        if S.closed:
+            _check_products(S.label, S.dim, S.space, S.scalars)
 
 
 def _algebra_peaker(E: AlgebraSpec, char_index: int) -> np.ndarray:

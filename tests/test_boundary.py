@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import threading
 import warnings
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ import pytest
 import scipy.optimize
 
 import shilov as sh
+from shilov import blas
 from shilov.boundary import _blocks, _independent_columns, _seeds
 from conftest import (
     PRESET_NAMES,
@@ -956,3 +958,93 @@ def test_sweep_reads_the_family_scale_once(monkeypatch):
     assert part.status_of(5) == "certified_not_peak"
     assert all(sh.reverify_certificate(W, c) for c in part.certificates)
     assert len(scales) == 3  # and once for W itself
+
+
+# --- concurrent certification of a swept block --------------------------------------
+
+
+def _fan_out_families():
+    """One-block families whose candidates run LPs: on the 50-point annulus
+    sample the annulus_product B family (50 x 21) and degree-4 polynomials
+    (50 x 5), both certified on the LP point, and a random 16 x 4 family,
+    small enough for the L-BFGS refinement."""
+    rng = np.random.default_rng(47)
+    X = annulus_sample_50()
+    B = sh.make_rational(X, sh.complex_field(), 10, [0])
+    small = rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))
+    return [
+        sh.witnesses_from_system(B),
+        sh.witnesses_from_system(sh.make_poly(X, sh.complex_field(), 4)),
+        sh.WitnessFamily(tuple(f"p{i}" for i in range(16)), small),
+    ]
+
+
+def _sequential_sweep(W):
+    """The sweep of a one-block family on one thread: the same block and
+    seeds, then certify_peak candidate after candidate."""
+    A = sh.boundary._Block(W.labels, W.values)
+    A._scaled.seeds.update(enumerate(_seeds(A._scaled.values, range(W.candidate_count))))
+    return [sh.certify_peak(A, i) for i in range(W.candidate_count)]
+
+
+@pytest.mark.parametrize("workers", [None, 1, 5])
+def test_fan_out_changes_no_certificate(monkeypatch, workers):
+    if workers is not None:
+        monkeypatch.setattr(sh.boundary, "_cpu_count", lambda: workers)
+    threads = set()
+    certify = sh.boundary.certify_peak
+
+    def recording(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(sh.boundary, "certify_peak", recording)
+    statuses = set()
+    for W in _fan_out_families():
+        assert len(_blocks(W)) == 1
+        swept = sh.shilov_estimate(W).certificates
+        for a, b in zip(swept, _sequential_sweep(W), strict=True):
+            assert (a.target, a.status, a.lp_lower, a.lp_upper, a.refined) == (
+                b.target, b.status, b.lp_lower, b.lp_upper, b.refined
+            )
+            assert a.coefficients.tobytes() == b.coefficients.tobytes()
+            statuses.add(a.status)
+    assert statuses == {"certified_peak", "certified_not_peak", "undecided"}
+    if workers == 1:
+        assert threads == {threading.get_ident()}
+    if workers == 5:
+        assert len(threads) > 1
+
+
+@pytest.mark.parametrize("bad", [0, 49])
+def test_fan_out_raises_a_failure_and_leaves_no_thread(monkeypatch, bad):
+    monkeypatch.setattr(sh.boundary, "_cpu_count", lambda: 3)
+    controls = blas._openblas_controls()
+    W = _fan_out_families()[0]
+    bad_row = W._scaled.values[bad]  # the swept block's row, bit for bit
+    solve = sh.boundary._solve_polygon_lp
+
+    def failing(V_off, v_t, *args, **kwargs):
+        if np.array_equal(v_t, bad_row):
+            raise sh.CertificationError("injected failure")
+        return solve(V_off, v_t, *args, **kwargs)
+
+    def state():
+        return threading.active_count(), [get() for get, _ in controls], blas._PIN.depth
+
+    previous = [get() for get, _ in controls]
+    try:
+        for _, set_ in controls:
+            set_(2)
+        before = state()
+        sh.shilov_estimate(W)
+        after_success = state()
+        monkeypatch.setattr(sh.boundary, "_solve_polygon_lp", failing)
+        with pytest.raises(sh.CertificationError, match="injected failure"):
+            sh.shilov_estimate(W)
+        after_failure = state()
+    finally:
+        for (_, set_), count in zip(controls, previous):
+            set_(count)
+    assert before == after_success == after_failure
+    assert before[1:] == ([2] * len(controls), 0)

@@ -394,6 +394,83 @@ def test_schema_caps_config_sizes(tmp_path, capsys, path, cap, over):
     assert not (tmp_path / "out").exists()
 
 
+def product_config(entry):
+    """C(X) on a 300-point explicit space: m = |X| = 300 basis functions,
+    so the product table holds 300^2 x 300 entries, over the 2^24 cap."""
+    angles = np.linspace(0.0, 2.0 * np.pi, 300, endpoint=False)
+    return {
+        "spaces": {
+            "X": {
+                "points": [f"p{i}" for i in range(300)],
+                "coords": [[math.cos(t), math.sin(t)] for t in angles],
+            }
+        },
+        "systems": {
+            "B": {"kind": "cxe", "space": "X", "algebra": "complex"},
+            "P": {"kind": "poly", "space": "X", "algebra": "complex", "degree": 2, "close": True},
+        },
+        "quadruples": {
+            "Q": {"space": "X", "algebra": "complex", "scalar_system": "B", "vector_system": "B"}
+        },
+        "run": [entry],
+    }
+
+
+@pytest.mark.parametrize(
+    "entry, name",
+    [
+        ({"command": "validate", "target": "B"}, "B"),
+        ({"command": "validate", "target": "Q"}, "B"),
+        ({"command": "verify-product", "target": "Q"}, "B"),
+        ({"command": "verify-peaks", "target": "Q", "regime": "exact"}, "B"),
+        ({"command": "shilov", "target": "P"}, "P"),  # the closure of P
+    ],
+)
+def test_product_tables_are_capped(tmp_path, capsys, monkeypatch, entry, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a product was formed before the size check")
+
+    monkeypatch.setattr(sh.function_algebras, "_basis_products", refuse)
+    monkeypatch.setattr(cli, "close_under_products", refuse)
+    path = write_config(tmp_path, product_config(entry))
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--output-dir", str(out), "--quiet"]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "config"
+    assert f"system {name!r}" in error["message"]
+    assert "300^2 x 300 x 1 = 27000000 entries" in error["message"]
+    assert not list(out.glob("*"))
+
+
+def test_product_table_cap_is_the_entry_budget():
+    C = sh.complex_field()
+    X = sh.FiniteSpace(tuple(f"p{i}" for i in range(256)))
+    cli._check_products("B", 256, X, C)  # 256^3 = 2^24 entries, at the cap
+    with pytest.raises(ConfigError, match="257\\^2 x 256 x 1"):
+        cli._check_products("B", 257, X, C)
+
+
+def test_estimation_product_check_is_not_capped(tmp_path, monkeypatch):
+    # the estimation regime reads witness values only and forms no product
+    # table, so its closed 300-point systems pass (the check itself is
+    # stubbed: its 600 certificates of 300 coefficients take seconds)
+    regimes = []
+
+    class Report:
+        def to_dict(self):
+            return {}
+
+    def stub(quadruple, regime, tol, m):
+        regimes.append(regime)
+        return Report()
+
+    monkeypatch.setattr(cli, "verify_product_theorem", stub)
+    entry = {"command": "verify-product", "target": "Q", "regime": "estimation"}
+    path = write_config(tmp_path, product_config(entry))
+    assert main(["--config", str(path), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 0
+    assert regimes == ["estimation"]
+
+
 def test_peaker_unknown_point_is_a_config_error(tmp_path, capsys):
     config = json.loads((DEMO_DIR / "exact_demo.json").read_text())
     config["run"] = [{"command": "peaker", "target": "cxe_demo", "point": "nowhere"}]
