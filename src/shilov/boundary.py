@@ -37,7 +37,7 @@ import functools
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -775,8 +775,7 @@ def _certify_block(
     """certify_peak for every candidate of a seeded block, in candidate
     order, on up to ``workers`` threads: the caller and helpers from
     ``pool``, each taking the next candidate until none is left.  A failure
-    stops the others after their current candidate and is raised once
-    every helper is done."""
+    stops the others after their current candidate and is raised."""
     n = A.candidate_count
     # A's cached properties are filled here, not by racing workers: from
     # Python 3.12 on a cached_property takes no lock, and two workers could
@@ -796,12 +795,9 @@ def _certify_block(
                 pass
 
     helpers = [pool.submit(work) for _ in range(min(workers, n) - 1)]
-    try:
-        work()
-    finally:
-        wait(helpers)
+    work()  # on a failure here, the pool's shutdown waits for the helpers
     for helper in helpers:
-        helper.result()  # raises a helper's failure
+        helper.result()  # waits, and raises a helper's failure
     return certs
 
 
