@@ -1,15 +1,16 @@
 """One BLAS thread for the peak sweep's many small solves.
 
-OpenBLAS threads even the tiny products and factorizations that L-BFGS-B,
-the polygon LPs and the max-modulus evaluations issue thousands of times per
-sweep.  There the worker threads cost more than they save: on 2 vCPUs the
-50-point annulus product check of ``perfbench`` took a median 19.0 s wall
-and 34.9 s CPU at the default two threads, 10.0 s and 10.0 s at one, and at
-two threads its wall time follows the machine's load.  ``single_threaded``
-pins the OpenBLAS copies bundled with numpy and scipy to one thread and
-restores their previous counts on exit.  Where no such copy is found
-(another BLAS, another wheel layout) it does nothing.  The shipped demo
-configs and that annulus check give byte-identical outputs at either count.
+OpenBLAS may thread even the tiny products and factorizations that
+Lawson's seeding, the polygon LPs and the max-modulus evaluations issue
+thousands of times per sweep, and a sweep that certifies candidates on
+several threads of its own would then start BLAS workers from each of them.
+``single_threaded`` pins the OpenBLAS copies bundled with numpy and scipy to
+one thread and restores their previous counts on exit.  Where no such copy
+is found (another BLAS, another wheel layout) it does nothing.  On 2 vCPUs
+the 50-point annulus product check of ``perfbench`` takes about 0.3 s wall
+at one thread and at the default two (in-process, four runs of each, apart
+by less than the machine's run-to-run spread).  The shipped demo configs
+and that annulus check give byte-identical outputs at either count.
 
 The thread counts are process-wide, so the pin is too, and it is reentrant
 across threads: one depth count under a lock covers every caller, the first

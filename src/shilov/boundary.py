@@ -8,9 +8,10 @@ the convex minimax program
 has optimum provably below 1 - tol: a strict-max witness rescales to a
 peaking function.  Each modulus is sandwiched between the max over m polygon
 directions and sec(pi/m) times it, so one linear program yields a certified
-bracket [lp_lower, lp_upper] around the optimum.  On a small family a
-smoothed first-order descent warm-started at the LP solution then tightens
-the feasible value; a larger family keeps the LP point itself.
+bracket [lp_lower, lp_upper] around the optimum.  The certificate is the
+LP point or the seed that started the LP, whichever is smaller off the
+target: a feasible value no larger than the LP point's, so inside the
+bracket.
 Every LP takes one path: an active set of polygon constraints, seeded by
 Lawson's reweighting iteration (run for a whole block of targets at once)
 and grown on incremental HiGHS inside a box that holds every LP optimum.
@@ -41,10 +42,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
+import scipy.optimize._highspy._core  # binds scipy, which perfbench's tracer wraps
 
-from scipy.optimize._highspy import _core as _highs_core  # incremental HiGHS
+_highs_core = scipy.optimize._highspy._core  # incremental HiGHS
 
 from .algebra import AlgebraSpec, Element, support_components
 from .blas import single_threaded
@@ -63,7 +63,8 @@ from .spaces import RasterRegion, pgm_text
 
 DEFAULT_TOL = 1e-4
 DEFAULT_SIDES = 32
-BOUNDARY_SEED = 1729  # default seed for is_boundary's random witnesses
+BOUNDARY_SEED = 1729  # seed of is_boundary's random witnesses
+BOUNDARY_SAMPLES = 1000  # how many random witnesses is_boundary draws
 CERT_REVERIFY_TOL = 1e-9
 
 # Reported LP bounds carry a tiny pad for roundoff at the 1e-9 feasibility
@@ -135,9 +136,10 @@ class WitnessFamily:
 
 
 class _Block(WitnessFamily):
-    """A block of a witness family: rows and columns cut out of a checked
-    family.  Its columns are independent because the family's are (they
-    vanish on every other row), so the rank check is not run again."""
+    """A family whose columns are independent by construction, so the rank
+    check is not run again: a block of rows and columns cut out of a checked
+    family (its columns are independent because the family's are, and they
+    vanish on every other row), or a builder's _independent_columns."""
 
     @staticmethod
     def _check_columns(values: np.ndarray) -> None:
@@ -163,7 +165,7 @@ def _independent_columns(matrix: np.ndarray) -> np.ndarray:
 
 def witnesses_from_algebra(E: AlgebraSpec, label: str = "") -> WitnessFamily:
     """Candidates = E.characters, witnesses = transforms of the basis."""
-    return WitnessFamily(
+    return _Block(
         tuple(chi.label for chi in E.characters),
         _independent_columns(character_matrix(E)),
         label=label or f"M({E.label})",
@@ -184,7 +186,7 @@ def witnesses_from_system(S: FunctionSystem, label: str = "") -> WitnessFamily:
     labels = X.points if S.scalars.dim == 1 else tuple(
         f"{psi.label}|{point}" for psi in psis for point in X.points
     )
-    return WitnessFamily(
+    return _Block(
         labels,
         _independent_columns(pi_matrix(S)),
         coords=None if X.coords is None else np.tile(X.coords, len(psis)),
@@ -384,59 +386,6 @@ def _max_modulus(V_off: np.ndarray, c: np.ndarray) -> float:
     return float(np.abs(V_off @ c).max(initial=0.0))
 
 
-def _refine_first_order(
-    V_off: np.ndarray, v_t: np.ndarray, c_start: np.ndarray
-) -> np.ndarray:
-    """Descend the smoothed max-modulus over the affine slice (Vc)(target)=1.
-
-    Parametrize c = c_start + N y with N an orthonormal null-space basis of
-    the normalization row, so the constraint holds exactly; minimize the
-    softmax smoothing mu*log(sum exp(|w|/mu)) with L-BFGS, shrinking mu
-    over five stages of 200 iterations.
-    """
-    N = scipy.linalg.null_space(v_t[None, :])
-    if N.size == 0:
-        return c_start
-    A = V_off @ N
-    w0 = V_off @ c_start
-    dim = N.shape[1]
-
-    def objective(u: np.ndarray, mu: float):
-        y = u[:dim] + 1j * u[dim:]
-        w = w0 + A @ y
-        r = np.abs(w)
-        rmax = r.max(initial=0.0)
-        ex = np.exp((r - rmax) / mu)
-        total = ex.sum()
-        value = rmax + mu * math.log(total)
-        s = ex / total
-        phase = np.zeros_like(w)
-        nz = r > 1e-300
-        phase[nz] = np.conj(w[nz]) / r[nz]
-        g = A.T @ (s * phase)
-        return value, np.concatenate([g.real, -g.imag])
-
-    u = np.zeros(2 * dim)
-    best_u = u
-    best_val = _max_modulus(V_off, c_start)
-    for rel in (3e-2, 3e-3, 3e-4, 3e-5, 1e-5):
-        mu = max(rel * max(best_val, 1e-3), 1e-12)
-        res = scipy.optimize.minimize(
-            objective,
-            best_u,
-            args=(mu,),
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 200, "ftol": 1e-15, "gtol": 1e-12},
-        )
-        y = res.x[:dim] + 1j * res.x[dim:]
-        val = _max_modulus(V_off, c_start + N @ y)
-        if val < best_val:
-            best_val, best_u = val, res.x
-    y = best_u[:dim] + 1j * best_u[dim:]
-    return c_start + N @ y
-
-
 # Targets per vectorized seeding pass: _seeds' work arrays are (chunk, n)
 # and (chunk, k, k) for n candidates and k witnesses.
 _SEED_CHUNK = 64
@@ -560,10 +509,9 @@ def certify_peak(
     family's smallest singular value: every LP optimum lies inside, so
     lp_lower stays sound, and no reduced LP is unbounded.  The LP runs on
     incremental HiGHS with 1e-9 feasibility tolerances (a failed run is
-    retried once from a cleared solver with presolve on).  When
-    n * k <= 80 (n candidates, k witnesses), five smoothing stages of 200
-    L-BFGS iterations then tighten the LP point; a larger family is
-    certified on the LP point itself.
+    retried once from a cleared solver with presolve on).  The certificate
+    is the LP point or the seed, each normalized at the target, whichever
+    has the smaller off-target max (the LP point on a tie).
 
     Apart from W's cached scale and unseen floor, which a sweep fills
     before it fans out, a call writes nothing shared: a sweep certifies
@@ -603,13 +551,9 @@ def certify_peak(
         sec = 1.0 / math.cos(math.pi / m)
         lp_lower = p - _LP_PAD
         lp_upper = p * sec + _LP_PAD
-
-        best_c = c_lp
-        if n * k <= 80:  # small families only: larger ones keep the LP point
-            c_ref = _refine_first_order(V_off, v_t, c_lp)
-            c_ref = c_ref / np.dot(v_t, c_ref)
-            if _max_modulus(V_off, c_ref) < _max_modulus(V_off, c_lp):
-                best_c = c_ref
+        # the LP point, or the seed where it is smaller off the target
+        c_seed = seed / np.dot(v_t, seed)
+        best_c = min((c_lp, c_seed), key=lambda c: _max_modulus(V_off, c))
         refined = _max_modulus(V_off, best_c)
 
     if refined < 1.0 - tol:
@@ -809,16 +753,12 @@ def _blocks(W: WitnessFamily) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(np.flatnonzero(rows == b), np.flatnonzero(cols == b)) for b in np.unique(rows)]
 
 
-def is_boundary(
-    subset: list[int],
-    W: WitnessFamily,
-    samples: int = 1000,
-    seed: int = BOUNDARY_SEED,
-):
+def is_boundary(subset: list[int], W: WitnessFamily):
     """Does every witness attain its max modulus (up to 1e-9) on the subset?
 
-    Checks each witness column and ``samples`` random coefficient vectors
-    drawn with the given seed; returns (True, None) or (False, violating c).
+    Checks each witness column and BOUNDARY_SAMPLES random coefficient
+    vectors drawn with BOUNDARY_SEED; returns (True, None) or (False,
+    violating c).
     """
     subset = sorted(set(int(i) for i in subset))
     if not subset:
@@ -827,9 +767,10 @@ def is_boundary(
     n, k = V.shape
     if subset[0] < 0 or subset[-1] >= n:
         raise ValueError(f"boundary subset indices must lie in [0, {n})")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(BOUNDARY_SEED)
+    draws = (BOUNDARY_SAMPLES, k)
     coeff_sets = np.vstack(
-        [np.eye(k, dtype=complex), rng.standard_normal((samples, k)) + 1j * rng.standard_normal((samples, k))]
+        [np.eye(k, dtype=complex), rng.standard_normal(draws) + 1j * rng.standard_normal(draws)]
     )
     values = np.abs(coeff_sets @ V.T)  # (draws, candidates)
     max_all = values.max(axis=1)

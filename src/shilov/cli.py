@@ -72,17 +72,25 @@ from .spaces import (
 # Size caps from one memory budget: no array that one config value sizes
 # holds more than about _MAX_ENTRIES complex entries (256 MiB).  Centres and
 # radii within _MAX_COORD keep a raster within 4 _MAX_COORD units, 2**12
-# pixels a side at _MAX_RESOLUTION; a sampling strategy yields at most about
-# _MAX_POINTS points (an interior grid 2**7 a side at _MIN_STEP); the LP's
-# points x sides and a system's points x (degree + 1) tables cap m and degree.
-# Products of values meet the same budget before they are formed: the
-# product table of a closed system, m^2 products of its m basis functions,
-# and of the closure a system's "close" asks for (_check_products).
+# pixels a side at _MAX_RESOLUTION.  A sampling strategy yields at most about
+# _MAX_POINTS points (an interior grid 2**7 a side at _MIN_STEP), and a
+# sampled space at most _MAX_POINTS in all: it is sampled strategy by
+# strategy, at most _MAX_STRATEGIES of them, and rejected once it passes the
+# cap.  On such a space the LP's points x sides and a system's
+# points x functions tables cap m and a system's scalar basis functions
+# (_MAX_FUNCTIONS): 1, z, ..., z^degree, and for a rational system also
+# (z - c)^-k, k <= degree, per pole c (_check_rational).  Products of values
+# meet the same budget before they are formed: the product table of a closed
+# system, m^2 products of its m basis functions, and of the closure a
+# system's "close" asks for (_check_products).
 _MAX_ENTRIES, _MAX_POINTS, _MAX_COORD = 2**24, 2**14, 4
 _MAX_RESOLUTION = (2**12 - 3) // (4 * _MAX_COORD)
 _MIN_STEP = 4 * _MAX_COORD / 2**7
 _MAX_SIDES = _MAX_ENTRIES // _MAX_POINTS
-_MAX_DEGREE = _MAX_ENTRIES // _MAX_POINTS - 1
+_MAX_FUNCTIONS = _MAX_ENTRIES // _MAX_POINTS
+_MAX_DEGREE = _MAX_FUNCTIONS - 1
+_MAX_POLES = _MAX_FUNCTIONS - 2  # 1, z and one function per pole at degree 1
+_MAX_STRATEGIES = _MAX_ENTRIES // _MAX_POINTS
 
 _PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
 _COORD = {"type": "number", "minimum": -_MAX_COORD, "maximum": _MAX_COORD}
@@ -147,6 +155,7 @@ CONFIG_SCHEMA = {
                     "sample_of": {"type": "string"},
                     "strategies": {
                         "type": "array",
+                        "maxItems": _MAX_STRATEGIES,
                         "items": {
                             "type": "object",
                             "required": ["kind"],
@@ -175,7 +184,7 @@ CONFIG_SCHEMA = {
                     "algebra": {"type": "string"},
                     "alpha": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
                     "degree": {"type": "integer", "minimum": 0, "maximum": _MAX_DEGREE},
-                    "poles": {"type": "array", "items": _PAIR},
+                    "poles": {"type": "array", "items": _PAIR, "maxItems": _MAX_POLES},
                     "close": {"type": "boolean"},
                 },
             },
@@ -263,10 +272,10 @@ class _Workspace:
             table = self.config.get("spaces", {})
             if name not in table:
                 raise ConfigError(f"unknown space reference {name!r}")
-            self._spaces[name] = self._build_space(table[name])
+            self._spaces[name] = self._build_space(name, table[name])
         return self._spaces[name]
 
-    def _build_space(self, spec: dict):
+    def _build_space(self, name: str, spec: dict):
         if "points" in spec:
             coords = None
             if spec.get("coords") is not None:
@@ -286,7 +295,7 @@ class _Workspace:
             base = self.space(spec["sample_of"])
             if not isinstance(base, RasterRegion):
                 raise ConfigError(f"{spec['sample_of']!r} is not a raster region")
-            parts = []
+            parts, points = [], 0
             for st in spec["strategies"]:
                 if st["kind"] == "circle":
                     centre = pair_to_complex(st.get("center", [0.0, 0.0]))
@@ -296,6 +305,11 @@ class _Workspace:
                 else:
                     strategy = BoundaryUniform(int(st["count"]))
                 parts.append(sample_raster(base, strategy))
+                points += parts[-1].size
+                if points > _MAX_POINTS:
+                    raise ConfigError(
+                        f"space {name!r}: its strategies sample over {_MAX_POINTS} points"
+                    )
             return parts[0] if len(parts) == 1 else combine_spaces(*parts)
         raise ConfigError("space spec must give points, shape, or sample_of")
 
@@ -374,6 +388,7 @@ def validate_config(path) -> dict:
         path_str = "/".join(str(p) for p in error.absolute_path) or "<root>"
         raise ConfigError(f"config schema violation at {path_str}: {error.message}")
     _check_references(config)
+    _check_rational(config)
     return config
 
 
@@ -421,6 +436,22 @@ def _check_references(config: dict) -> None:
                 preset_algebra(target)
             except Exception:
                 raise ConfigError(f"run[{k}]: unresolved target {target!r}") from None
+
+
+def _check_rational(config: dict) -> None:
+    """Reject a rational system with more scalar basis functions than the
+    degree cap allows a polynomial one: degree + 1 powers of z and degree
+    powers of 1 / (z - c) per pole c."""
+    for name, spec in config.get("systems", {}).items():
+        if spec["kind"] != "rational":
+            continue
+        degree, poles = int(spec.get("degree", 1)), len(spec.get("poles", []))
+        functions = degree + 1 + poles * degree
+        if functions > _MAX_FUNCTIONS:
+            raise ConfigError(
+                f"system {name!r}: degree {degree} with {poles} poles gives "
+                f"{functions} basis functions, over the cap of {_MAX_FUNCTIONS}"
+            )
 
 
 def _atomic_write(path: Path, text: str) -> None:

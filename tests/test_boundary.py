@@ -571,7 +571,7 @@ def test_product_sweep_certifies_each_block_once(annulus_product_run):
     # E = C^2 splits into two equal 1 x 1 blocks, certified once by one
     # solve; B's 50 points are one block, and B~'s two blocks are B's family
     assert len(calls) == 1 + Q.space.size == 51
-    # L-BFGS refines only families with n * k <= 80; B's block is 50 x 21
+    # certify_peak runs no first-order refinement on any family
     assert calls[0] == ((1, 1), 0)
     assert all(count == 0 for (n, k), count in calls[1:])
     assert minimized == 0
@@ -595,18 +595,25 @@ def test_split_partition_matches_unsplit_sweep(annulus_product_run):
     assert all(sh.reverify_certificate(W, c) for c in part.certificates)
 
 
-def test_large_family_runs_no_refinement(monkeypatch):
-    refine = sh.boundary._refine_first_order
-    refined = []
+def _off_target_max(V_off, v_t, c):
+    """A certify_peak candidate point's off-target max, normalized at the target."""
+    return float(np.abs(V_off @ (c / np.dot(v_t, c))).max())
 
-    def small_only(V_off, v_t, *args):
-        n, k = V_off.shape[0] + 1, v_t.size
-        if n * k > 80:
-            raise AssertionError(f"a {n} x {k} family needs no refinement")
-        refined.append((n, k))
-        return refine(V_off, v_t, *args)
 
-    monkeypatch.setattr(sh.boundary, "_refine_first_order", small_only)
+def test_certificates_take_the_better_of_the_lp_point_and_the_seed(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify_peak needs no first-order refinement")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", refuse)
+    solve = sh.boundary._solve_polygon_lp
+    points = {}  # the scaled target row -> (V_off, v_t, LP point, seed)
+
+    def recording(V_off, v_t, m, seed, *args, **kwargs):
+        c, p = solve(V_off, v_t, m, seed, *args, **kwargs)
+        points[v_t.tobytes()] = (V_off, v_t, c, seed)
+        return c, p
+
+    monkeypatch.setattr(sh.boundary, "_solve_polygon_lp", recording)
     rng = np.random.default_rng(45)
     B = sh.make_rational(annulus_sample_50(), sh.complex_field(), 10, [0])
     families = [sh.witnesses_from_system(B)] + [
@@ -618,14 +625,21 @@ def test_large_family_runs_no_refinement(monkeypatch):
     ]
     statuses = set()
     for W in families:
-        part = sh.shilov_estimate(W)
-        alone = [sh.certify_peak(W, i) for i in range(0, W.candidate_count, 7)]
-        for cert in part.certificates + alone:
-            assert sh.reverify_certificate(W, cert)
-            assert cert.lp_lower <= cert.refined <= cert.lp_upper
-            statuses.add(cert.status)
+        assert len(_blocks(W)) == 1  # swept rows are W's scaled rows, bit for bit
+        rows = W._scaled.values
+        for certify in (
+            lambda: sh.shilov_estimate(W).certificates,
+            lambda: [sh.certify_peak(W, i) for i in range(0, W.candidate_count, 7)],
+        ):
+            points.clear()
+            for cert in certify():
+                assert sh.reverify_certificate(W, cert)
+                assert cert.lp_lower <= cert.refined <= cert.lp_upper
+                statuses.add(cert.status)
+                V_off, v_t, c_lp, seed = points[rows[cert.target].tobytes()]
+                assert cert.refined <= _off_target_max(V_off, v_t, c_lp)
+                assert cert.refined <= _off_target_max(V_off, v_t, seed)
     assert {"certified_peak", "certified_not_peak"} <= statuses
-    assert refined and set(refined) == {(9, 4)}
 
 
 def _lawson_per_target(V, targets):
@@ -900,10 +914,9 @@ def _square_families():
 
 def test_square_blocks_certify_with_one_solve(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a square block needs no LP and no refinement")
+        raise AssertionError("a square block needs no LP")
 
     monkeypatch.setattr(sh.boundary, "_HighsRounds", refuse)
-    monkeypatch.setattr(sh.boundary, "_refine_first_order", refuse)
     for W in _square_families():
         n = W.candidate_count
         swept = sh.shilov_estimate(W).certificates
@@ -939,6 +952,33 @@ def test_sweep_skips_the_rank_check_of_its_blocks(monkeypatch):
     assert calls == [(2, 3)]
 
 
+def test_builders_skip_the_second_rank_check(monkeypatch):
+    # _independent_columns already keeps only independent columns
+    X = annulus_sample_50()
+    E = sh.preset_algebra("dual_numbers")
+    systems = [
+        sh.make_rational(X, sh.complex_field(), 10, [0]),
+        sh.make_poly(X, E, 3),
+        sh.make_CXE(random_space(np.random.default_rng(48), 4), sh.preset_algebra("pointwise_3")),
+    ]
+    for S in systems:
+        _ = S.scalars.characters  # the character search runs before counting
+    calls = []
+    span_of = sh.Span.of.__func__
+
+    def counting(cls, vectors):
+        calls.append(np.shape(vectors))
+        return span_of(cls, vectors)
+
+    monkeypatch.setattr(sh.Span, "of", classmethod(counting))
+    families = [sh.witnesses_from_system(S) for S in systems]
+    families += [sh.witnesses_from_algebra(S.scalars) for S in systems]
+    assert calls == []
+    for W in families:
+        rank = np.linalg.matrix_rank(W.values)
+        assert rank == W.values.shape[1]
+
+
 def test_sweep_reads_the_family_scale_once(monkeypatch):
     rng = np.random.default_rng(44)
     V = rng.standard_normal((12, 4)) + 1j * rng.standard_normal((12, 4))
@@ -966,8 +1006,7 @@ def test_sweep_reads_the_family_scale_once(monkeypatch):
 def _fan_out_families():
     """One-block families whose candidates run LPs: on the 50-point annulus
     sample the annulus_product B family (50 x 21) and degree-4 polynomials
-    (50 x 5), both certified on the LP point, and a random 16 x 4 family,
-    small enough for the L-BFGS refinement."""
+    (50 x 5), and a random 16 x 4 family."""
     rng = np.random.default_rng(47)
     X = annulus_sample_50()
     B = sh.make_rational(X, sh.complex_field(), 10, [0])

@@ -38,6 +38,50 @@ def test_shipped_demo_configs_validate():
         assert config["run"]
 
 
+def _rest(n, *taken):
+    """The indices below n outside the given lists."""
+    return sorted(set(range(n)).difference(*taken))
+
+
+_POLY_PEAK = [*range(24), 48, 54, 64, 87]
+_RATIONAL_PEAK = [*range(49), 54, 62, 64, 77, 87]
+_RATIONAL_NOT_PEAK = [50, 55, 63, 65, 66, 78, 81, 82]
+
+# (config, report, boundary field or None for the payload itself) ->
+# (certified_peak, certified_not_peak, undecided) of the shipped demos
+DEMO_VERDICTS = {
+    ("annulus_demo", "shilov-poly", None): (_POLY_PEAK, _rest(91, _POLY_PEAK), []),
+    ("annulus_demo", "shilov-rational", None): (
+        _RATIONAL_PEAK,
+        _RATIONAL_NOT_PEAK,
+        _rest(91, _RATIONAL_PEAK, _RATIONAL_NOT_PEAK),
+    ),
+    ("exact_demo", "product-cxe", "algebra_boundary"): ([0, 1], [], []),
+    ("exact_demo", "product-cxe", "scalar_boundary"): ([0, 1, 2], [], []),
+    ("exact_demo", "product-cxe", "vector_boundary"): ([*range(6)], [], []),
+    ("exact_demo", "peaks-lip", "algebra_boundary"): ([0], [], []),
+    ("exact_demo", "peaks-lip", "scalar_boundary"): ([0, 1, 2], [], []),
+    ("exact_demo", "peaks-lip", "vector_boundary"): ([0, 1, 2], [], []),
+}
+
+
+def test_shipped_demo_verdicts_are_pinned(tmp_path):
+    for config in ("annulus_demo", "exact_demo"):
+        out = tmp_path / config
+        argv = ["--config", str(DEMO_DIR / f"{config}.json"), "--output-dir", str(out)]
+        assert main([*argv, "--quiet"]) == 0
+        for (name, report, field), verdicts in DEMO_VERDICTS.items():
+            if name != config:
+                continue
+            payload = json.loads((out / f"{report}.report.json").read_text())["payload"]
+            partition = payload if field is None else payload[field]
+            assert (
+                partition["certified_peak"],
+                partition["certified_not_peak"],
+                partition["undecided"],
+            ) == verdicts, (report, field)
+
+
 def test_config_schema_passes_its_metaschema():
     # validate_config builds its validator once and skips this check
     jsonschema.validators.validator_for(cli.CONFIG_SCHEMA).check_schema(cli.CONFIG_SCHEMA)
@@ -357,8 +401,16 @@ def sized_config():
     config["systems"]["poly"] = {
         "kind": "poly", "space": "samples", "algebra": "complex", "degree": 4
     }
+    config["systems"]["rational"] = {
+        "kind": "rational", "space": "samples", "algebra": "complex", "degree": 1,
+        "poles": [[2, 0]],
+    }
     config["run"][0]["m"] = 32
     return config
+
+
+_POLE = [2, 0]
+_CIRCLE = {"kind": "circle", "center": [0, 0], "radius": 1.0, "count": 4}
 
 
 @pytest.mark.parametrize(
@@ -374,6 +426,12 @@ def sized_config():
         (("spaces", "ring", "shape", 0, "outer"), cli._MAX_COORD, 2 * cli._MAX_COORD),
         (("spaces", "disk", "shape", 0, "center", 0), cli._MAX_COORD, cli._MAX_COORD + 1),
         (("spaces", "samples", "strategies", 0, "center", 1), -cli._MAX_COORD, -cli._MAX_COORD - 1),
+        (("systems", "rational", "poles"), [_POLE] * cli._MAX_POLES, [_POLE] * (cli._MAX_POLES + 1)),
+        (
+            ("spaces", "samples", "strategies"),
+            [_CIRCLE] * cli._MAX_STRATEGIES,
+            [_CIRCLE] * (cli._MAX_STRATEGIES + 1),
+        ),
     ],
 )
 def test_schema_caps_config_sizes(tmp_path, capsys, path, cap, over):
@@ -392,6 +450,52 @@ def test_schema_caps_config_sizes(tmp_path, capsys, path, cap, over):
     assert main(["--config", str(config_path), "--output-dir", str(tmp_path / "out")]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "degree, poles",
+    [(3, 340), (31, 32), (cli._MAX_DEGREE, 0)],
+)
+def test_rational_basis_is_capped(tmp_path, capsys, degree, poles):
+    # degree + 1 powers of z and degree powers of 1 / (z - c) per pole c
+    assert degree + 1 + poles * degree == cli._MAX_FUNCTIONS
+    config = sized_config()
+    rational = config["systems"]["rational"]
+    rational.update(degree=degree, poles=[[2.0 + k, 0.0] for k in range(poles)])
+    validate_config(write_config(tmp_path, config))
+    rational["poles"].append([1.5, 1.5])
+    config_path = write_config(tmp_path, config)
+    with pytest.raises(ConfigError, match="basis functions, over the cap"):
+        validate_config(config_path)
+    assert main(["--config", str(config_path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not (tmp_path / "out").exists()
+
+
+def test_sampled_space_points_are_capped(tmp_path, capsys, monkeypatch):
+    # a space is sampled strategy by strategy and stops at the point cap
+    # (lowered here: circles of 2^14 points take a second to sample)
+    monkeypatch.setattr(cli, "_MAX_POINTS", 12)
+    sampled = []
+    sample_raster = cli.sample_raster
+
+    def counting(region, strategy):
+        sampled.append(strategy.count)
+        return sample_raster(region, strategy)
+
+    monkeypatch.setattr(cli, "sample_raster", counting)
+    config = bounded_config()
+    strategies = [{**_CIRCLE, "count": 8}, {**_CIRCLE, "radius": 0.5}]
+    config["spaces"]["samples"]["strategies"] = strategies
+    assert cli._Workspace(config).space("samples").size == 12
+    strategies[1]["count"] = 5
+    strategies.append(_CIRCLE)
+    out = tmp_path / "out"
+    assert main(["--config", str(write_config(tmp_path, config)), "--output-dir", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "config" and "over 12 points" in error["message"]
+    assert sampled == [8, 4, 8, 5]  # the third strategy is never sampled
+    assert not list(out.glob("*.report.json"))
 
 
 def product_config(entry):
