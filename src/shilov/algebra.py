@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 from .reports import (
     ValidationReport,
@@ -223,22 +225,19 @@ def basis_multiplication_matrices(E: AlgebraSpec) -> list[np.ndarray]:
 
 def support_components(support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Connected components of the bipartite graph that joins row r to
-    column j when support[r, j]: one label per row and one per column, each
-    component labelled by its first row (min-label hooking with pointer
-    jumping).  A row without support is a component alone; a column without
-    support is labelled n, the row count."""
-    n = support.shape[0]
-    rows = np.arange(n)
-    while True:
-        cols = np.where(support, rows[:, None], n).min(axis=0)
-        low = np.where(support, cols, n).min(axis=1)
-        joined = np.minimum(rows, low)
-        np.minimum.at(joined, rows, low)
-        while not np.array_equal(joined, joined[joined]):
-            joined = joined[joined]
-        if np.array_equal(joined, rows):
-            return rows, cols
-        rows = joined
+    column j when support[r, j] (scipy's connected_components over the
+    rows, then the columns, as nodes): one label per row and one per column,
+    each component labelled by its first row.  A row without support is a
+    component alone; a column without support is labelled n, the row
+    count."""
+    n, k = support.shape
+    r, j = np.nonzero(support)
+    graph = coo_array((np.ones(r.size, dtype=bool), (r, n + j)), shape=(n + k, n + k))
+    count, labels = connected_components(graph, directed=False)
+    first = np.full(count, n)
+    components, first_rows = np.unique(labels[:n], return_index=True)
+    first[components] = first_rows
+    return first[labels[:n]], first[labels[n:]]
 
 
 def _distinct_blocks(E: AlgebraSpec) -> list[tuple[AlgebraSpec, list[np.ndarray]]]:

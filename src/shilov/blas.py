@@ -6,11 +6,12 @@ thousands of times per sweep, and a sweep that certifies candidates on
 several threads of its own would then start BLAS workers from each of them.
 ``single_threaded`` pins the OpenBLAS copies bundled with numpy and scipy to
 one thread and restores their previous counts on exit.  Where no such copy
-is found (another BLAS, another wheel layout) it does nothing.  On 2 vCPUs
-the 50-point annulus product check of ``perfbench`` takes about 0.3 s wall
-at one thread and at the default two (in-process, four runs of each, apart
-by less than the machine's run-to-run spread).  The shipped demo configs
-and that annulus check give byte-identical outputs at either count.
+is found (another BLAS, another wheel layout) it does nothing.  The pin
+pays in the exact regime: on 2 vCPUs, ``perfbench/run.py --seconds 15``
+reads a median 0.27-0.35 s wall and 0.51-0.62 s cpu on ``exact_growth``
+with it, against 0.50-0.53 s wall and 0.98-1.03 s cpu with every pin
+removed (two runs of each).  On ``annulus_product`` both read about 0.36 s
+wall.  The shipped demo configs give byte-identical outputs either way.
 
 The thread counts are process-wide, so the pin is too, and it is reentrant
 across threads: one depth count under a lock covers every caller, the first

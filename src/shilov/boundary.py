@@ -26,10 +26,12 @@ Sweeps read the product structure g = v f of the paper off the witness
 values: two rows share a block when nonzero witness columns join them, so
 the blocks are the connected components of the row-column support graph.
 Each distinct block is certified once; zero-padded, its certificates
-certify the same rows of the whole family.  A block's candidates are
-certified concurrently, one thread per CPU: each candidate is its own LP on
-its own HiGHS model, which releases the interpreter lock while it runs, and
-every certificate is bit-identical to a sequential run's.
+certify the same rows of the whole family.  A block's solver state (scaled
+values, unseen rows, seeds, smallest singular value) is computed once, and
+then its candidates are mapped over a thread pool with one thread per CPU:
+each candidate is its own LP on its own HiGHS model, which releases the
+interpreter lock while it runs, and every certificate is bit-identical to a
+sequential run's.
 """
 
 from __future__ import annotations
@@ -128,11 +130,6 @@ class WitnessFamily:
     @functools.cached_property
     def _scaled(self) -> "_Scaled":
         return _Scaled.of(self.values)
-
-    @functools.cached_property
-    def _unseen_floor(self) -> float:
-        """The row max modulus at or below which no witness sees a candidate."""
-        return _floor_of(self.values)
 
 
 class _Block(WitnessFamily):
@@ -394,7 +391,7 @@ _SEED_RTOL = 1e-3  # relative gap to Lawson's lower bound that ends the rounds
 
 
 @single_threaded()
-def _seeds(V: np.ndarray, targets) -> np.ndarray:
+def _seeds(scaled: "_Scaled", targets) -> np.ndarray:
     """Near-optimal coefficients (v_t c = 1) for each target, one row each.
 
     Lawson's iteration for the minimax problem, run for every target at
@@ -403,17 +400,18 @@ def _seeds(V: np.ndarray, targets) -> np.ndarray:
     c = x / (v_t x) with M x = conj(v_t), M = V^H diag(d) V; then
     d_r <- d_r |(Vc)_r|, normalized.  The weights concentrate on the rows
     that bind at the optimum, and those rows are what the LP's active set
-    needs.  A row returned is the best iterate by the true off-target max;
-    an unseen target's row is zero.  A square V is invertible, and its
-    rows are V^-1 e_t, the exact optimum.  Targets run in chunks of
-    _SEED_CHUNK, so memory stays O(chunk * n * k) (k <= n).
+    needs.  V is the scaled family's values.  A row returned is the best
+    iterate by the true off-target max; a target the family marks unseen
+    gets a zero row.  A square V is invertible, and its rows are V^-1 e_t,
+    the exact optimum.  Targets run in chunks of _SEED_CHUNK, so memory
+    stays O(chunk * n * k) (k <= n).
     """
+    V = scaled.values
     targets = np.asarray(targets, dtype=int).reshape(-1)
     seeds = np.zeros((targets.size, V.shape[1]), dtype=complex)
-    floor = _floor_of(V)
     for start in range(0, targets.size, _SEED_CHUNK):
         chunk = targets[start : start + _SEED_CHUNK]
-        seen = ~_unseen_row(V, chunk, floor)
+        seen = ~scaled.unseen[chunk]
         if seen.any():
             seeds[start : start + chunk.size][seen] = _lawson(V, chunk[seen])
     return seeds
@@ -463,19 +461,25 @@ class _Scaled:
 
     Column j is divided by scale[j], the power of two nearest its max
     modulus, so every column's max modulus lies within sqrt(2) of 1 and the
-    map back (c = c_scaled / scale) is exact in floating point.  seeds
-    holds _seeds rows by target, filled by a sweep.
+    map back (c = c_scaled / scale) is exact in floating point.  unseen[r]
+    marks a row no witness sees: its scaled max modulus is at most 1e-13
+    max(1, max |values|); it is the one such rule of seeding, certification
+    and re-verification.  seeds holds _seeds rows by target, filled by a
+    sweep.
     """
 
     values: np.ndarray
     scale: np.ndarray
+    unseen: np.ndarray
     seeds: dict[int, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def of(cls, V: np.ndarray) -> "_Scaled":
         exponents = np.round(np.log2(np.abs(V).max(axis=0))).astype(int)
         scale = np.ldexp(1.0, exponents)
-        return cls(V / scale, scale)
+        values = V / scale
+        row_max = np.abs(values).max(axis=1)
+        return cls(values, scale, row_max <= 1e-13 * max(1.0, float(row_max.max())))
 
     @functools.cached_property
     def sigma_min(self) -> float:
@@ -500,24 +504,24 @@ def certify_peak(
 
     W's columns are first rescaled by powers of two to max modulus near 1;
     coefficients map back exactly, so every number of the certificate is
-    read off W itself.  Every target is seeded by _seeds (a sweep computes
-    the seeds of a whole block in one pass).  A square W is invertible: its
-    seed V^-1 e_t is the certificate, with bounds 0, and no LP runs.
-    Otherwise the seed starts the LP's active set, whose variables are
-    boxed by |Re c_j|, |Im c_j| <= 2 sqrt(1 + (n - 1) (T sec(pi/m))^2) /
-    sigma_min, with T the seed's off-target max and sigma_min the scaled
-    family's smallest singular value: every LP optimum lies inside, so
-    lp_lower stays sound, and no reduced LP is unbounded.  The LP runs on
+    read off W itself.  A row the scaled family marks unseen is not a peak,
+    with lp_lower = inf.  Every other target is seeded by _seeds (a sweep
+    computes the seeds of a whole block in one pass).  A square W is
+    invertible: its seed V^-1 e_t is the certificate, with bounds 0, and no
+    LP runs.  Otherwise the seed starts the LP's active set, whose
+    variables are boxed by |Re c_j|, |Im c_j| <= 2 sqrt(1 + (n - 1)
+    (T sec(pi/m))^2) / sigma_min, with T the seed's off-target max and
+    sigma_min the scaled family's smallest singular value: every LP optimum
+    lies inside, so lp_lower stays sound, and no reduced LP is unbounded.  The LP runs on
     incremental HiGHS with 1e-9 feasibility tolerances (a failed run is
     retried once from a cleared solver with presolve on).  The certificate
     is the LP point or the seed, each normalized at the target, whichever
     has the smaller off-target max (the LP point on a tie).
 
-    Apart from W's cached scale and unseen floor, which a sweep fills
-    before it fans out, a call writes nothing shared: a sweep certifies
-    many targets of one family at once, on several threads
-    (_certify_block), and each certificate is bit-identical to a lone
-    call's with the same seed.
+    Apart from W's cached scaled state, which a sweep fills before it fans
+    out, a call writes nothing shared: a sweep maps it over the targets of
+    one block on a thread pool (_estimate_families), and each certificate
+    is bit-identical to a lone call's with the same seed.
     """
     n, k = W.values.shape
     if m < 8:
@@ -526,14 +530,13 @@ def certify_peak(
         raise CertificationError(f"tol must lie in (0, 1), got {tol}")
     if not 0 <= target < n:
         raise IndexError(f"target {target} out of range")
-    if _unseen_row(W.values, target, W._unseen_floor):
-        return _unseen(target, k)
-
     scaled = W._scaled
+    if scaled.unseen[target]:
+        return _unseen(target, k)
     v_t = scaled.values[target]
     seed = scaled.seeds.get(target)
     if seed is None:
-        [seed] = _seeds(scaled.values, [target])
+        [seed] = _seeds(scaled, [target])
     # power-of-two scaling commutes with rounding: the scaled values of
     # best_c below equal W.values @ (best_c / scale) bit for bit
     if n == k:  # the optimum is 0, attained by the seed
@@ -566,18 +569,6 @@ def certify_peak(
     return PeakCertificate(target, status, coefficients, lp_lower, lp_upper, refined)
 
 
-def _floor_of(V: np.ndarray) -> float:
-    """Rows of V whose max modulus is at most this are zero relative to V's
-    scale."""
-    return 1e-13 * max(1.0, float(np.abs(V).max()))
-
-
-def _unseen_row(V: np.ndarray, target: int | np.ndarray, floor: float):
-    """No witness sees the target: its row is at most ``floor`` (_floor_of
-    V).  ``target`` may be an index array, giving one flag per index."""
-    return np.abs(V[target]).max(axis=-1) <= floor
-
-
 def _unseen(target: int, k: int) -> PeakCertificate:
     """No witness sees the target: it can never peak."""
     zeros = np.zeros(k, dtype=complex)
@@ -588,7 +579,8 @@ def _unseen(target: int, k: int) -> PeakCertificate:
 def reverify_certificate(W: WitnessFamily, cert: PeakCertificate) -> bool:
     """Re-derive a verdict from W and the certificate: a peak's coefficients
     evaluate to 1 at the target and at most refined < 1 off it; an unseen
-    target (lp_lower = inf) has a zero row.  LP lower bounds are trusted."""
+    target (lp_lower = inf) is a row W's scaled values mark unseen.  LP
+    lower bounds are trusted."""
     if cert.status == "certified_peak":
         w = W.values @ cert.coefficients
         off = np.delete(np.abs(w), cert.target)
@@ -598,7 +590,7 @@ def reverify_certificate(W: WitnessFamily, cert: PeakCertificate) -> bool:
             and bool(np.all(off <= cert.refined + CERT_REVERIFY_TOL))
         )
     if cert.status == "certified_not_peak" and cert.lp_lower == math.inf:
-        return bool(_unseen_row(W.values, cert.target, W._unseen_floor))
+        return bool(W._scaled.unseen[cert.target])
     return True
 
 
@@ -661,8 +653,8 @@ def shilov_estimate(
     a lone certify_peak call seeds its target alone.  The seeds differ only
     in roundoff and only shorten the LP's active-set search: the verdicts
     are the same, and LP values agree up to the solver's 1e-9 tolerances.
-    The block's candidates are then certified concurrently, one thread per
-    CPU; each certificate is bit-identical to a sequential certify_peak
+    The block's candidates are then certified concurrently, one pool thread
+    per CPU; each certificate is bit-identical to a sequential certify_peak
     call on the same block and seeds.
     """
     return _estimate_families([W], tol, m)[0]
@@ -681,15 +673,15 @@ def _estimate_families(
 ) -> list[BoundaryPartition]:
     """shilov_estimate of each family, with one table of swept blocks shared
     by all of them: a block seen before reuses its certificates.  A block's
-    candidates are seeded by one pass of _seeds, then certified by
-    _cpu_count() workers at once (_certify_block): the calling thread and a
-    pool that lives for this call, under one BLAS pin.  Certificates are
-    collected in candidate order and equal a sequential sweep's bit for
-    bit."""
+    solver state (_Scaled.of, one pass of _seeds, sigma_min when an LP will
+    run) is computed before the fan-out, so no worker fills a cache.  Then
+    certify_peak is mapped over its candidates on a pool of _cpu_count()
+    threads, under one BLAS pin: certificates come back in candidate order,
+    bit-identical to a sequential sweep's, and a failure is raised after
+    the pool cancels what has not started and waits for what has."""
     swept: dict[tuple, list[PeakCertificate]] = {}
     partitions = []
-    workers = _cpu_count()
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool, single_threaded():
+    with ThreadPoolExecutor(_cpu_count()) as pool, single_threaded():
         for W in families:
             k = W.values.shape[1]
             certs: dict[int, PeakCertificate] = {}
@@ -701,8 +693,12 @@ def _estimate_families(
                 key = (block.shape, block.tobytes())
                 if key not in swept:
                     A = _Block(tuple(W.labels[r] for r in rows), block)
-                    A._scaled.seeds.update(enumerate(_seeds(A._scaled.values, range(rows.size))))
-                    swept[key] = _certify_block(A, tol, m, pool, workers)
+                    scaled = A._scaled
+                    scaled.seeds.update(enumerate(_seeds(scaled, range(rows.size))))
+                    if rows.size > cols.size:
+                        _ = scaled.sigma_min
+                    certify = functools.partial(certify_peak, A, tol=tol, m=m)
+                    swept[key] = list(pool.map(certify, range(rows.size)))
                 for cert in swept[key]:
                     coefficients = np.zeros(k, dtype=complex)
                     coefficients[cols] = cert.coefficients
@@ -711,38 +707,6 @@ def _estimate_families(
             ordered = [certs[r] for r in range(W.candidate_count)]
             partitions.append(BoundaryPartition(W, ordered, tol, m))
     return partitions
-
-
-def _certify_block(
-    A: _Block, tol: float, m: int, pool: ThreadPoolExecutor, workers: int
-) -> list[PeakCertificate]:
-    """certify_peak for every candidate of a seeded block, in candidate
-    order, on up to ``workers`` threads: the caller and helpers from
-    ``pool``, each taking the next candidate until none is left.  A failure
-    stops the others after their current candidate and is raised."""
-    n = A.candidate_count
-    # A's cached properties are filled here, not by racing workers: from
-    # Python 3.12 on a cached_property takes no lock, and two workers could
-    # each run the SVD
-    _ = A._unseen_floor
-    if n > A.values.shape[1]:
-        _ = A._scaled.sigma_min
-    certs: list[PeakCertificate | None] = [None] * n
-    todo = iter(range(n))  # shared; next() on it is one atomic C call
-
-    def work():
-        try:
-            for i in todo:
-                certs[i] = certify_peak(A, i, tol=tol, m=m)
-        finally:
-            for _ in todo:  # after a failure, leave nothing for the others
-                pass
-
-    helpers = [pool.submit(work) for _ in range(min(workers, n) - 1)]
-    work()  # on a failure here, the pool's shutdown waits for the helpers
-    for helper in helpers:
-        helper.result()  # waits, and raises a helper's failure
-    return certs
 
 
 def _blocks(W: WitnessFamily) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -180,16 +180,16 @@ def _block_characters(E: AlgebraSpec, seed: int) -> np.ndarray:
     )
 
 
-def close_rows(P: np.ndarray):
+def close_rows(P: np.ndarray, tol: float = DISTINCT_TOL):
     """Yield arrays (a, b, dist) of pairs of rows of P with their sup-norm
-    distances, one offset at a time; every pair at distance <= DISTINCT_TOL
-    is among them, once.  Rows that close have projections on a
-    unit-modulus u within m DISTINCT_TOL (m columns), so only rows that
-    near in the sorted projections are compared, in O(n m) memory."""
+    distances, one offset at a time; every pair at distance <= tol is among
+    them, once.  Rows that close have projections on a unit-modulus u
+    within m tol (m columns), so only rows that near in the sorted
+    projections are compared, in O(n m) memory."""
     m = P.shape[1]
     proj = (P @ np.exp(1j * np.arange(m))).real
     # widened by a bound on the roundoff of two computed projections
-    window = m * (DISTINCT_TOL + 4.0 * np.finfo(float).eps * np.abs(P).sum(axis=1).max())
+    window = m * (tol + 4.0 * np.finfo(float).eps * np.abs(P).sum(axis=1).max())
     order = np.argsort(proj, kind="stable")
     proj = proj[order]
     for offset in range(1, len(P)):

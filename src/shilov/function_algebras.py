@@ -188,11 +188,16 @@ def span_membership(S: FunctionSystem, table: np.ndarray):
 
 
 def separation_check(S: FunctionSystem) -> bool:
-    """True iff for each pair x != y some basis function differs at x and y."""
-    n = S.space.size
-    for x, y in itertools.combinations(range(n), 2):
-        diff = np.abs(S.basis[:, x, :] - S.basis[:, y, :]) @ S.scalars.weights
-        if diff.max() <= SEPARATION_TOL:
+    """True iff for each pair x != y some basis function differs at x and y
+    by more than SEPARATION_TOL in E's weighted norm.  A pair that fails is
+    within SEPARATION_TOL in every entry of the rows (w_p f_m(x)_p)_(m, p),
+    so only the pairs close_rows yields on them are tested."""
+    basis = S.basis
+    weights = S.scalars.weights
+    rows = (basis * weights).transpose(1, 0, 2).reshape(S.space.size, -1)
+    for a, b, _ in close_rows(rows, tol=SEPARATION_TOL):
+        diff = np.abs(basis[:, a, :] - basis[:, b, :]) @ weights  # (m, pairs)
+        if np.any(diff.max(axis=0) <= SEPARATION_TOL):
             return False
     return True
 
@@ -267,11 +272,15 @@ class Span:
             V = V - (V @ self._q.conj().T) @ self._q
         return V
 
+    def _residuals(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows v - P v of V, and ||v - P v|| / max(||v||, 1) for each."""
+        R = self._project_out(V)
+        scale = np.maximum(np.linalg.norm(V, axis=1), 1.0)
+        return R, np.linalg.norm(R, axis=1) / scale
+
     def residuals(self, V) -> np.ndarray:
         """||v - P v|| / max(||v||, 1) for each flattened row v of V."""
-        V = self._rows(V)
-        scale = np.maximum(np.linalg.norm(V, axis=1), 1.0)
-        return np.linalg.norm(self._project_out(V), axis=1) / scale
+        return self._residuals(self._rows(V))[1]
 
     def contains(self, V) -> np.ndarray:
         """Span membership of each flattened row of V."""
@@ -281,9 +290,9 @@ class Span:
         """Keep v unless it lies in the span; returns True if kept."""
         v = self._rows(v)
         self._count += 1
-        if self.contains(v)[0]:
+        [r], [residual] = self._residuals(v)  # one projection decides and extends
+        if residual <= SPAN_TOL:
             return False
-        r = self._project_out(v)[0]
         self._q = np.vstack([self._q, r / np.linalg.norm(r)])
         self.index.append(self._count - 1)
         self.kept.append(v[0])

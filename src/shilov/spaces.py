@@ -214,7 +214,10 @@ class RasterRegion:
 
     def pixel_centers(self) -> np.ndarray:
         rows, cols = self.grid.shape
-        cc, rr = np.meshgrid(np.arange(cols), np.arange(rows))
+        return self._centers(*np.mgrid[:rows, :cols])
+
+    def _centers(self, rr: np.ndarray, cc: np.ndarray) -> np.ndarray:
+        """Centers of the pixels (rr, cc), integer arrays that broadcast."""
         return self.origin + (cc + 0.5 + 1j * (rr + 0.5)) * self.pixel_size
 
     def set_pixel_centers(self) -> np.ndarray:
@@ -233,6 +236,25 @@ class RasterRegion:
         """
         dist = np.abs(self.set_pixel_centers() - complex(z))
         return bool(dist.min() <= 2.0 * self.pixel_size)
+
+    def near_points(self, points) -> np.ndarray:
+        """near_region of each point, in one pass over all of them.
+
+        Only the set pixels within two rows and two columns of a point's own
+        pixel are tested: a pixel center farther off lies more than 2.5
+        pixel sizes away.  Centers and distances are computed as
+        near_region computes them, so the decisions are the same.
+        """
+        points = np.asarray(points, dtype=complex).reshape(-1, 1, 1)
+        w = (points - self.origin) / self.pixel_size
+        offsets = np.arange(-2, 3)
+        rr = np.floor(w.imag).astype(int) + offsets[:, None]  # (points, 5, 1)
+        cc = np.floor(w.real).astype(int) + offsets  # (points, 1, 5)
+        rows, cols = self.grid.shape
+        # an index off the grid is clipped to the empty margin ring
+        is_set = self.grid[rr.clip(0, rows - 1), cc.clip(0, cols - 1)]
+        dist = np.abs(self._centers(rr, cc) - points)
+        return (is_set & (dist <= 2.0 * self.pixel_size)).any(axis=(1, 2))
 
 
 def raster_from_shape(shapes, resolution: int) -> RasterRegion:
@@ -353,11 +375,12 @@ def sample_raster(R: RasterRegion, strategy) -> FiniteSpace:
             raise EmptySampleError("circle sample needs count >= 1")
         angles = 2.0 * np.pi * np.arange(strategy.count) / strategy.count
         pts = strategy.center + strategy.radius * np.exp(1j * angles)
-        for z in pts:
-            if not R.near_region(z):
-                raise EmptySampleError(
-                    f"circle point {z:.4g} does not lie in the raster region"
-                )
+        near = R.near_points(pts)
+        if not near.all():
+            z = pts[np.argmin(near)]  # the first point off the region
+            raise EmptySampleError(
+                f"circle point {z:.4g} does not lie in the raster region"
+            )
         labels = tuple(f"c{k}" for k in range(strategy.count))
         return FiniteSpace(labels, pts)
 

@@ -12,7 +12,8 @@ import scipy.optimize
 
 import shilov as sh
 from shilov import blas
-from shilov.boundary import _blocks, _independent_columns, _seeds
+from shilov.algebra import support_components
+from shilov.boundary import _Scaled, _blocks, _independent_columns, _seeds
 from conftest import (
     PRESET_NAMES,
     assert_peak_sets_reverify,
@@ -73,6 +74,22 @@ def test_reverify_checks_the_unseen_row():
     assert sh.reverify_certificate(unseen, cert)
     seen = sh.WitnessFamily(("a", "b", "c"), np.array([[1.0], [0.25], [0.5]]))
     assert not sh.reverify_certificate(seen, cert)
+
+
+def test_one_unseen_rule_for_seeds_and_certificates():
+    # row 3 reads 1.6e-13 on W, whose largest entry is 1.5; column 1 is
+    # scaled by 1/2, so the row reads 0.8e-13 on the scaled values, whose
+    # largest entry is 1: unseen there, and so for seeding, certification
+    # and re-verification alike
+    V = np.array([[1.0, 0.3], [0.2, 1.5], [0.5, 0.5], [0.0, 1.6e-13]])
+    W = sh.WitnessFamily(("a", "b", "c", "d"), V)
+    assert W._scaled.unseen.tolist() == [False, False, False, True]
+    alone = sh.certify_peak(W, 3)
+    swept = sh.shilov_estimate(W).certificates
+    for cert in (alone, swept[3]):
+        assert cert.status == "certified_not_peak"
+        assert cert.lp_lower == math.inf
+    assert all(sh.reverify_certificate(W, c) for c in [alone, *swept])
 
 
 def test_reverify_rederives_the_peak_verdict():
@@ -683,16 +700,17 @@ def test_batched_lawson_matches_a_per_target_loop(monkeypatch):
     unseen = rng.standard_normal((10, 3)) + 1j * rng.standard_normal((10, 3))
     unseen[4] = 0.0
     families.append(unseen)
-    batched = [_seeds(V, range(V.shape[0])) for V in families]
+    scaled = [_Scaled.of(V) for V in families]
+    batched = [_seeds(S, range(S.values.shape[0])) for S in scaled]
     monkeypatch.setattr(sh.boundary, "_lawson", _lawson_per_target)
-    for V, seeds in zip(families, batched):
-        reference = _seeds(V, range(V.shape[0]))
+    for S, seeds in zip(scaled, batched):
+        reference = _seeds(S, range(S.values.shape[0]))
         assert np.allclose(seeds, reference, rtol=1e-12, atol=1e-14)
     assert not np.any(batched[-1][4])
 
 
-def _cold_seeds(V, targets):
-    rows = V[np.asarray(list(targets))]
+def _cold_seeds(scaled, targets):
+    rows = scaled.values[np.asarray(list(targets))]
     return rows.conj() / (np.abs(rows) ** 2).sum(axis=1, keepdims=True)
 
 
@@ -733,7 +751,7 @@ def test_seed_only_shortens_the_path(monkeypatch):
         warnings.simplefilter("error")
         for W, _, _ in cases:
             values = W._scaled.values
-            seeds = _seeds(values, range(W.candidate_count))
+            seeds = _seeds(W._scaled, range(W.candidate_count))
             assert np.isfinite(seeds).all()
             for row, seed in zip(values, seeds):
                 if np.any(row):
@@ -828,9 +846,10 @@ def test_certify_peak_runs_blas_single_threaded(monkeypatch):
 
         return spy
 
-    for name in ("_max_modulus", "_unseen_row"):
-        monkeypatch.setattr(sh.boundary, name, spying(getattr(sh.boundary, name)))
-    unseen = sh.WitnessFamily(("a", "b"), np.array([[1.0], [0.0]]))
+    monkeypatch.setattr(sh.boundary, "_max_modulus", spying(sh.boundary._max_modulus))
+    monkeypatch.setattr(_Scaled, "of", classmethod(spying(_Scaled.of.__func__)))
+    unseen_values = np.array([[1.0], [0.0]])
+    unseen = sh.WitnessFamily(("a", "b"), unseen_values)
     previous = [get() for get, _ in controls]
     try:
         for _, set_ in controls:
@@ -838,8 +857,9 @@ def test_certify_peak_runs_blas_single_threaded(monkeypatch):
         sh.certify_peak(affine_family(), 0)
         cert = sh.certify_peak(unseen, 1)
         before = len(counts_inside)
-        # reverify_certificate reads an unseen row through _unseen_row
-        assert sh.reverify_certificate(unseen, cert)
+        # reverify_certificate reads an unseen row off the scaled family,
+        # built here for a fresh copy of the family
+        assert sh.reverify_certificate(sh.WitnessFamily(("a", "b"), unseen_values), cert)
         reverify_calls = len(counts_inside) - before
         after = [get() for get, _ in controls]
     finally:
@@ -870,6 +890,24 @@ def _support_components(support):
         for members in components.values()
     ]
     return sorted(blocks)
+
+
+def test_support_components_match_union_find():
+    rng = np.random.default_rng(49)
+    for _ in range(300):
+        n, k = (int(size) for size in rng.integers(1, 16, size=2))
+        support = rng.random((n, k)) < rng.choice([0.05, 0.2, 0.5])
+        support[rng.integers(0, n)] = False  # an empty row
+        support[:, rng.integers(0, k)] = False  # an empty column
+        rows, cols = support_components(support)
+        labels = np.unique(rows)
+        assert all(label == np.flatnonzero(rows == label)[0] for label in labels)
+        blocks = [
+            (np.flatnonzero(rows == label).tolist(), np.flatnonzero(cols == label).tolist())
+            for label in labels
+        ]
+        blocks += [([], [j]) for j in np.flatnonzero(cols == n).tolist()]
+        assert sorted(blocks) == _support_components(support)
 
 
 def test_blocks_are_the_support_components():
@@ -985,19 +1023,19 @@ def test_sweep_reads_the_family_scale_once(monkeypatch):
     V[5] = 0.0
     W = sh.WitnessFamily(tuple(f"p{i}" for i in range(12)), V)
     scales = []
-    floor_of = sh.boundary._floor_of
+    scaled_of = _Scaled.of.__func__
 
-    def counting(values):
+    def counting(cls, values):
         scales.append(values.shape)
-        return floor_of(values)
+        return scaled_of(cls, values)
 
-    monkeypatch.setattr(sh.boundary, "_floor_of", counting)
+    monkeypatch.setattr(_Scaled, "of", classmethod(counting))
     part = sh.shilov_estimate(W)
-    # once for the swept block's certify_peak calls, once for its seeds
-    assert len(scales) == 2
+    # once for the one swept block (row 5 is a block alone, with no columns)
+    assert scales == [(11, 4)]
     assert part.status_of(5) == "certified_not_peak"
     assert all(sh.reverify_certificate(W, c) for c in part.certificates)
-    assert len(scales) == 3  # and once for W itself
+    assert scales == [(11, 4), (12, 4)]  # and once for W itself
 
 
 # --- concurrent certification of a swept block --------------------------------------
@@ -1022,7 +1060,7 @@ def _sequential_sweep(W):
     """The sweep of a one-block family on one thread: the same block and
     seeds, then certify_peak candidate after candidate."""
     A = sh.boundary._Block(W.labels, W.values)
-    A._scaled.seeds.update(enumerate(_seeds(A._scaled.values, range(W.candidate_count))))
+    A._scaled.seeds.update(enumerate(_seeds(A._scaled, range(W.candidate_count))))
     return [sh.certify_peak(A, i) for i in range(W.candidate_count)]
 
 
@@ -1049,8 +1087,8 @@ def test_fan_out_changes_no_certificate(monkeypatch, workers):
             assert a.coefficients.tobytes() == b.coefficients.tobytes()
             statuses.add(a.status)
     assert statuses == {"certified_peak", "certified_not_peak", "undecided"}
-    if workers == 1:
-        assert threads == {threading.get_ident()}
+    if workers == 1:  # one pool thread, not the caller
+        assert len(threads) == 1 and threading.get_ident() not in threads
     if workers == 5:
         assert len(threads) > 1
 

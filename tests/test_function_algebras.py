@@ -1,10 +1,14 @@
 """Function systems, norms, closure, constructors, quadruples and pi."""
 
+import itertools
+import time
+
 import numpy as np
 import pytest
 
 import shilov as sh
 from shilov.characters import DISTINCT_TOL
+from shilov.function_algebras import SEPARATION_TOL
 from conftest import PRESET_CHARACTER_COUNTS, PRESET_NAMES, random_space
 
 
@@ -263,6 +267,54 @@ def test_separation_check():
     )
     assert not sh.separation_check(constants)
     assert sh.separation_check(scalar_system(X.coords, [np.ones(3), X.coords]))
+
+
+def _separation_oracle(S):
+    """separation_check as a loop over every pair of points."""
+    for x, y in itertools.combinations(range(S.space.size), 2):
+        diff = np.abs(S.basis[:, x, :] - S.basis[:, y, :]) @ S.scalars.weights
+        if diff.max() <= SEPARATION_TOL:
+            return False
+    return True
+
+
+def _separation_cases():
+    """Random systems over C, dual_numbers and pointwise_2: as drawn, with a
+    duplicated point, with a point moved by 1e-10 (not separated) and with
+    a point moved by 1e-8 (separated)."""
+    rng = np.random.default_rng(51)
+    algebras = [sh.complex_field(), sh.dual_numbers(), sh.preset_algebra("pointwise_2")]
+    for case in range(48):
+        E = algebras[case % 3]
+        n = int(rng.integers(2, 14))
+        m = int(rng.integers(1, 4))
+        X = random_space(rng, n)
+        shape = (m, n, E.dim)
+        basis = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        x, y = (int(i) for i in rng.choice(n, size=2, replace=False))
+        move = (case // 3) % 4
+        if move:
+            shift = rng.standard_normal((m, E.dim)) + 1j * rng.standard_normal((m, E.dim))
+            basis[:, y] = basis[:, x] + (0.0, 1e-10, 1e-8)[move - 1] * shift
+        yield sh.FunctionSystem(X, E, basis)
+
+
+def test_separation_check_matches_the_pair_loop():
+    verdicts = []
+    for S in _separation_cases():
+        verdicts.append(sh.separation_check(S))
+        assert verdicts[-1] == _separation_oracle(S)
+    assert True in verdicts and False in verdicts
+
+
+def test_separation_check_is_fast_on_many_points():
+    rng = np.random.default_rng(52)
+    coords = rng.uniform(-1, 1, 2000) + 1j * rng.uniform(-1, 1, 2000)
+    X = sh.FiniteSpace(tuple(f"p{k}" for k in range(2000)), coords)
+    S = sh.make_poly(X, sh.dual_numbers(), 2)
+    start = time.perf_counter()
+    assert sh.separation_check(S)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_embedding_constant():

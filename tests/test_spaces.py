@@ -164,6 +164,25 @@ def test_circle_sample_outside_fails():
         sh.sample_raster(disk, sh.CircleSample(0, 2.0, 4))
 
 
+def test_near_points_match_near_region():
+    rng = np.random.default_rng(53)
+    R = sh.raster_from_shape(sh.Annulus(0, 0.5, 1.0), 16)
+    size = R.pixel_size
+    centers = R.set_pixel_centers()
+    # points on and off the grid, and points near the 2-pixel radius of a
+    # set pixel's center
+    spread = rng.uniform(-1.6, 1.6, 400) + 1j * rng.uniform(-1.6, 1.6, 400)
+    angles = np.exp(2j * np.pi * rng.random(400))
+    radii = 2.0 * size * (1.0 + rng.uniform(-1e-9, 1e-9, 400))
+    rim = rng.choice(centers, 400) + radii * angles
+    exact = centers[:20] + 2.0 * size  # at the radius exactly
+    far = np.array([5.0 + 5.0j, -40.0, 1e3j])
+    points = np.concatenate([spread, rim, exact, far, centers[:20]])
+    near = R.near_points(points)
+    assert near.tolist() == [R.near_region(z) for z in points]
+    assert near.any() and not near.all()
+
+
 def test_interior_grid_excludes_hole_and_rim():
     ann = sh.raster_from_shape(sh.Annulus(0, 0.5, 1), 16)
     X = sh.sample_raster(ann, sh.InteriorGrid(0.15))
