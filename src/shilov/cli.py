@@ -80,9 +80,11 @@ from .spaces import (
 # points x functions tables cap m and a system's scalar basis functions
 # (_MAX_FUNCTIONS): 1, z, ..., z^degree, and for a rational system also
 # (z - c)^-k, k <= degree, per pole c (_check_rational).  Products of values
-# meet the same budget before they are formed: the product table of a closed
-# system, m^2 products of its m basis functions, and of the closure a
-# system's "close" asks for (_check_products).
+# meet the same budget before they are formed: a closed system of m basis
+# functions, and the closure a system's "close" asks for, may count at most
+# m^2 |X| dim E entries (_check_products).  That count bounds as_algebra's
+# dense m^3 structure tensor, as an independent basis has m <= |X| dim E, and
+# the products of the basis pairs whose supports meet, at most m^2 of them.
 _MAX_ENTRIES, _MAX_POINTS, _MAX_COORD = 2**24, 2**14, 4
 _MAX_RESOLUTION = (2**12 - 3) // (4 * _MAX_COORD)
 _MIN_STEP = 4 * _MAX_COORD / 2**7
@@ -598,8 +600,9 @@ def _run_entry(ws: _Workspace, entry: dict, seed: int, out_dir: Path, stem: str,
 
 def _check_products(name: str, m: int, X: FiniteSpace, E: AlgebraSpec) -> None:
     """Reject a system of m basis functions on X with values in E whose
-    product table, m^2 products of |X| dim E entries each, exceeds the
-    _MAX_ENTRIES budget."""
+    m^2 |X| dim E entries exceed the _MAX_ENTRIES budget: they bound its
+    m^3 structure tensor (m <= |X| dim E for an independent basis) and its
+    at most m^2 basis products of |X| dim E entries each."""
     entries = m * m * X.size * E.dim
     if entries > _MAX_ENTRIES:
         raise ConfigError(
@@ -609,8 +612,9 @@ def _check_products(name: str, m: int, X: FiniteSpace, E: AlgebraSpec) -> None:
 
 
 def _check_closed(*systems: FunctionSystem) -> None:
-    """_check_products for each closed system: validate_system and
-    as_algebra form a closed system's whole product table."""
+    """_check_products for each closed system: validate_system forms the
+    products of its basis pairs whose supports meet, and as_algebra those
+    and its dense m^3 structure tensor."""
     for S in systems:
         if S.closed:
             _check_products(S.label, S.dim, S.space, S.scalars)

@@ -217,8 +217,8 @@ def validate_system(S: FunctionSystem) -> ValidationReport:
 
     report.add("contains_unit", bool(span.contains(S.unit_table())[0]))
 
-    if S.closed:
-        ok = bool(span.contains(_basis_products(S)).all())
+    if S.closed:  # every product missing from _basis_products is zero
+        ok = bool(span.contains(_basis_products(S)[2]).all())
         report.add("product_closed", ok, 0.0 if ok else 1.0)
 
     if S.norm_tag == "lipschitz":
@@ -226,10 +226,20 @@ def validate_system(S: FunctionSystem) -> ValidationReport:
     return report
 
 
-def _basis_products(S: FunctionSystem) -> np.ndarray:
-    """(m * m, |X| * dim E): the flattened products of all basis pairs."""
-    products = np.einsum("ixp,jxq,pqk->ijxk", S.basis, S.basis, S.scalars.structure)
-    return products.reshape(S.dim * S.dim, -1)
+def _basis_products(S: FunctionSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, products): the ordered basis pairs (i, j) whose point supports
+    meet, in C order, and their flattened products, (pairs, |X| * dim E).
+
+    The product is pointwise, so the product of two basis functions with
+    disjoint supports is exactly zero; on C(X, E)'s indicator basis only
+    |X| (dim E)^2 of the m^2 pairs meet.  The pair set is symmetric.  The
+    unoptimized einsum keeps the all-pairs contraction's arithmetic, so each
+    product is bit-equal to it.
+    """
+    support = np.any(S.basis != 0, axis=2).astype(float)  # (m, |X|)
+    i, j = np.nonzero(support @ support.T)  # shared-point counts, by BLAS
+    products = np.einsum("ixp,ixq,pqk->ixk", S.basis[i], S.basis[j], S.scalars.structure)
+    return i, j, products.reshape(i.size, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +253,14 @@ class Span:
     ``add`` keeps a vector only when it is not yet contained, so ``kept`` is
     the first maximal independent subset in input order.  Projections run
     classical Gram-Schmidt twice as matrix products (Golub & Van Loan, ch. 5).
+    The orthonormal rows Q and their conjugates live in two buffers that
+    double when full: every projection reads Q and Q^H as views, and ``add``
+    writes one row of each.
     """
 
     def __init__(self, width: int):
-        self._q = np.zeros((0, width), dtype=complex)  # orthonormal rows
+        self._q_rows = np.empty((1, width), dtype=complex)  # Q in the first rank rows
+        self._q_conj = np.empty((1, width), dtype=complex)  # conj(Q), likewise
         self._count = 0  # vectors offered to add, kept or not
         self.index: list[int] = []  # input positions of the kept vectors
         self.kept: list[np.ndarray] = []
@@ -262,14 +276,25 @@ class Span:
 
     @property
     def rank(self) -> int:
-        return self._q.shape[0]
+        return len(self.index)
+
+    @property
+    def _q(self) -> np.ndarray:
+        """The orthonormal rows, (rank, width)."""
+        return self._q_rows[: self.rank]
+
+    @property
+    def _qh(self) -> np.ndarray:
+        """Their conjugate transpose, (width, rank)."""
+        return self._q_conj[: self.rank].T
 
     def _rows(self, V) -> np.ndarray:
-        return np.asarray(V, dtype=complex).reshape(-1, self._q.shape[1])
+        return np.asarray(V, dtype=complex).reshape(-1, self._q_rows.shape[1])
 
     def _project_out(self, V: np.ndarray) -> np.ndarray:
+        q, qh = self._q, self._qh
         for _ in range(2):
-            V = V - (V @ self._q.conj().T) @ self._q
+            V = V - (V @ qh) @ q
         return V
 
     def _residuals(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -293,7 +318,12 @@ class Span:
         [r], [residual] = self._residuals(v)  # one projection decides and extends
         if residual <= SPAN_TOL:
             return False
-        self._q = np.vstack([self._q, r / np.linalg.norm(r)])
+        rank = self.rank
+        if rank == self._q_rows.shape[0]:
+            self._q_rows = np.concatenate([self._q_rows, np.empty_like(self._q_rows)])
+            self._q_conj = np.concatenate([self._q_conj, np.empty_like(self._q_conj)])
+        self._q_rows[rank] = r / np.linalg.norm(r)
+        np.conj(self._q_rows[rank], out=self._q_conj[rank])
         self.index.append(self._count - 1)
         self.kept.append(v[0])
         return True
@@ -304,11 +334,11 @@ class Span:
         V = self._rows(V)
         out = np.zeros((V.shape[0], self._count), dtype=complex)
         if self.rank:
-            R = np.array(self.kept) @ self._q.conj().T  # kept = R @ Q, lower triangular
+            R = np.array(self.kept) @ self._qh  # kept = R @ Q, lower triangular
             # one small solve for R^-1, then a product: a triangular solve
             # against every row of V touches several MB of BLAS buffer
             R_inv = scipy.linalg.solve_triangular(R, np.eye(self.rank), lower=True)
-            out[:, self.index] = (V @ self._q.conj().T) @ R_inv
+            out[:, self.index] = (V @ self._qh) @ R_inv
         return out
 
 
@@ -483,30 +513,35 @@ def embedding_constant(S: FunctionSystem, samples: int = 10_000, seed: int = 0) 
 # Closed systems as abstract algebras
 
 
-@single_threaded()  # threaded m*m-row products cost CPU here and save no wall time
+@single_threaded()  # threaded products of the meeting pairs cost CPU and save no wall time
 def as_algebra(S: FunctionSystem, label: str = "") -> AlgebraSpec:
     """Structure constants of a closed system in its own basis.
 
-    Products of basis tables are expressed in the basis through S.span, with
-    validate_system's closure verdict; the uniform weight is scaled so the
-    submultiplicativity certificate holds.
+    Only the basis pairs whose supports meet (_basis_products) are expressed
+    in the basis through S.span, with validate_system's closure verdict; every
+    other product is zero.  Each pair's row is symmetrized against its
+    swapped partner's, and the uniform weight, the largest l1 norm of a row
+    (at least 1), makes the submultiplicativity certificate hold.  The dense
+    m^3 tensor is written once, from those rows.
     """
     if not S.closed:
         raise ValueError("as_algebra needs a multiplicatively closed system")
     m = S.dim
     span = S.span
-    products = _basis_products(S)
+    i, j, products = _basis_products(S)
     if not span.contains(products).all():
         err = float(span.residuals(products).max())
         raise ValueError(
             f"system {S.label!r} is not closed: product residual {err:.3g}"
         )
-    coeffs = span.coefficients(products).reshape(m, m, m)
-    # exact symmetry (products are symmetric tables)
-    coeffs = 0.5 * (coeffs + coeffs.transpose(1, 0, 2))
+    rows = span.coefficients(products)
+    swap = np.searchsorted(i * m + j, j * m + i)  # the row of (j, i)
+    rows = 0.5 * (rows + rows[swap])  # exact symmetry (products are symmetric tables)
+    coeffs = np.zeros((m, m, m), dtype=complex)
+    coeffs[i, j] = rows
 
     unit = span.coefficients(S.unit_table())[0]
-    weight = max(1.0, float(np.abs(coeffs).sum(axis=2).max()))
+    weight = float(np.abs(rows).sum(axis=1).max(initial=1.0))
     return AlgebraSpec(
         m,
         coeffs,

@@ -2,14 +2,18 @@
 
 import itertools
 import time
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import shilov as sh
+from shilov.blas import single_threaded
 from shilov.characters import DISTINCT_TOL
-from shilov.function_algebras import SEPARATION_TOL
-from conftest import PRESET_CHARACTER_COUNTS, PRESET_NAMES, random_space
+from shilov.function_algebras import SEPARATION_TOL, SPAN_TOL
+from conftest import PRESET_CHARACTER_COUNTS, PRESET_NAMES, conjugated_algebra, random_space
 
 
 def scalar_system(coords, tables, **kw):
@@ -205,6 +209,99 @@ def test_batched_membership_matches_per_table():
             np.testing.assert_allclose(c[[0, 2]], reference, atol=1e-12)
 
 
+class _StackedSpan:
+    """Oracle for Span: the same rule with Q re-stacked by np.vstack on every
+    add and conj(Q) copied on every projection, as Span was before it kept
+    both in buffers."""
+
+    def __init__(self, width):
+        self._q = np.zeros((0, width), dtype=complex)
+        self._count = 0
+        self.index = []
+        self.kept = []
+
+    def _rows(self, V):
+        return np.asarray(V, dtype=complex).reshape(-1, self._q.shape[1])
+
+    def _project_out(self, V):
+        for _ in range(2):
+            V = V - (V @ self._q.conj().T) @ self._q
+        return V
+
+    def _residuals(self, V):
+        R = self._project_out(V)
+        scale = np.maximum(np.linalg.norm(V, axis=1), 1.0)
+        return R, np.linalg.norm(R, axis=1) / scale
+
+    def residuals(self, V):
+        return self._residuals(self._rows(V))[1]
+
+    def add(self, v):
+        v = self._rows(v)
+        self._count += 1
+        [r], [residual] = self._residuals(v)
+        if residual <= SPAN_TOL:
+            return False
+        self._q = np.vstack([self._q, r / np.linalg.norm(r)])
+        self.index.append(self._count - 1)
+        self.kept.append(v[0])
+        return True
+
+    def coefficients(self, V):
+        V = self._rows(V)
+        out = np.zeros((V.shape[0], self._count), dtype=complex)
+        if self._q.shape[0]:
+            R = np.array(self.kept) @ self._q.conj().T
+            R_inv = scipy.linalg.solve_triangular(R, np.eye(len(self.kept)), lower=True)
+            out[:, self.index] = (V @ self._q.conj().T) @ R_inv
+        return out
+
+
+def _complex_normal(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _near_dependent_rows(rng, count=40, width=48):
+    """Six random rows, then rows that leave the span of those before them
+    by a relative 1e-9 to 1e-7: each add decides within 10x of SPAN_TOL."""
+    rows = list(_complex_normal(rng, 6, width))
+    for _ in range(count - 6):
+        inside = _complex_normal(rng, len(rows)) @ np.array(rows) / len(rows)
+        noise = _complex_normal(rng, width)
+        scale = 10 ** rng.uniform(-9, -7) * np.linalg.norm(inside) / np.linalg.norm(noise)
+        rows.append(inside + scale * noise)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("kind", ["random", "rank_deficient", "near_dependent"])
+def test_span_buffers_match_the_stacked_oracle(kind):
+    rng = np.random.default_rng(31)
+    if kind == "random":
+        rows = _complex_normal(rng, 40, 36)  # rank 36: five buffer doublings
+    elif kind == "rank_deficient":
+        rows = _complex_normal(rng, 40, 20) @ _complex_normal(rng, 20, 30)
+        rows[[3, 17]] = 0.0
+        rows[25] = 2 * rows[9]
+    else:
+        rows = _near_dependent_rows(rng)
+    span, oracle = sh.Span(rows.shape[1]), _StackedSpan(rows.shape[1])
+    decisions = []
+    for row in rows:
+        decisions.append(oracle.residuals(row)[0])
+        assert span.add(row) == oracle.add(row)
+    if kind == "near_dependent":
+        near = np.array(decisions[6:])
+        assert np.all((near > SPAN_TOL / 10) & (near < 10 * SPAN_TOL))
+        assert 6 < span.rank < len(rows)  # some kept, some dropped
+    assert span.rank == oracle._q.shape[0] > 8  # Q's buffers doubled 4+ times
+    assert np.array_equal(span._q, oracle._q)
+    assert span.index == oracle.index
+    assert np.array_equal(np.array(span.kept), np.array(oracle.kept))
+    probes = np.concatenate([rows, _complex_normal(rng, 5, rows.shape[1])])
+    assert np.array_equal(span.coefficients(probes), oracle.coefficients(probes))
+    assert np.array_equal(span.residuals(probes), oracle.residuals(probes))
+
+
 # --- constructors ----------------------------------------------------------------
 
 
@@ -371,6 +468,94 @@ def test_as_algebra_requires_closed():
         sh.as_algebra(P)
     with pytest.raises(ValueError, match="closed"):
         sh.check_pi_injective(sh.scalar_quadruple(P))
+
+
+def _all_pairs_products(S):
+    """Oracle for _basis_products: the flattened products of all m^2 pairs."""
+    products = np.einsum("ixp,jxq,pqk->ijxk", S.basis, S.basis, S.scalars.structure)
+    return products.reshape(S.dim * S.dim, -1)
+
+
+def _dense_as_algebra(S):
+    """Oracle for as_algebra on _all_pairs_products: (structure, unit,
+    weights) from every pair's row, symmetrized as one m^3 tensor."""
+    m, span = S.dim, S.span
+    with single_threaded():  # as as_algebra runs
+        products = _all_pairs_products(S)
+        if not span.contains(products).all():
+            raise ValueError("not closed")
+        coeffs = span.coefficients(products).reshape(m, m, m)
+        coeffs = 0.5 * (coeffs + coeffs.transpose(1, 0, 2))
+        unit = span.coefficients(S.unit_table())[0]
+    weight = max(1.0, float(np.abs(coeffs).sum(axis=2).max()))
+    return coeffs, unit, np.full(m, weight)
+
+
+PRODUCT_PRESETS = ["pointwise_3", "truncated_poly_3", "dual_numbers", "cyclic_group_3"]
+
+
+def _product_case(case, name, n):
+    rng = np.random.default_rng(n)
+    X = random_space(rng, n)
+    if case == "cxe" and name == "conjugated":  # c[p, q] != c[q, p] by roundoff
+        return sh.make_CXE(X, conjugated_algebra(rng, sh.preset_algebra("cyclic_group_3")))
+    if case == "cxe":
+        return sh.make_CXE(X, sh.preset_algebra(name))
+    if case == "lip":
+        return sh.make_lip(X, sh.preset_algebra(name), 0.5)
+    E = sh.complex_field() if name == "C" else sh.preset_algebra(name)
+    if case == "poly":
+        return sh.make_poly(X, E, n - 1)  # full rank: closed, every pair meets
+    return sh.close_under_products(sh.make_poly(X, E, 1))
+
+
+@pytest.mark.parametrize(
+    "case, name, n",
+    [(case, name, n) for case in ("cxe", "lip") for name in PRODUCT_PRESETS for n in (8, 24)]
+    + [("cxe", "conjugated", 6), ("poly", "C", 7), ("poly", "pointwise_3", 5),
+       ("closure", "C", 8)],
+)
+def test_as_algebra_matches_the_all_pairs_oracle(case, name, n):
+    S = _product_case(case, name, n)
+    assert S.closed
+    i, j, products = sh.function_algebras._basis_products(S)
+    d = S.scalars.dim
+    assert i.size == (S.dim**2 if case in ("poly", "closure") else n * d * d)
+    np.testing.assert_array_equal(products, _all_pairs_products(S)[i * S.dim + j])
+    A = sh.as_algebra(S)
+    structure, unit, weights = _dense_as_algebra(S)
+    # bit-equal, the closure's dense basis included: only the zero products
+    # of disjoint supports are skipped, every other entry's arithmetic is kept
+    assert np.array_equal(A.structure, structure)
+    assert np.array_equal(A.unit, unit)
+    assert np.array_equal(A.weights, weights)
+
+
+def test_unclosed_span_flagged_closed_is_caught():
+    X = random_space(np.random.default_rng(12), 3)
+    S = replace(sh.make_poly(X, sh.complex_field(), 1), closed=True)  # {1, z}: z^2 is missing
+    assert not sh.validate_system(S).check("product_closed").passed
+    with pytest.raises(ValueError, match="not closed"):
+        _dense_as_algebra(S)
+    with pytest.raises(ValueError, match="not closed"):
+        sh.as_algebra(S)
+
+
+def test_as_algebra_and_naturality_of_CXE_in_bounded_memory():
+    # C(X, C^3) at |X| = 48: m = 144, one m^3 tensor is 48 MB; the all-pairs
+    # path peaked at 229 MB here, 4.8 m^3 complex entries
+    X = random_space(np.random.default_rng(0), 48)
+    S = sh.make_CXE(X, sh.preset_algebra("pointwise_3"))
+    m = S.dim
+    tracemalloc.start()
+    try:
+        A = sh.as_algebra(S)
+        natural = sh.function_algebras._naturality(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert A.dim == m == 144 and natural[0]
+    assert peak < 3 * m**3 * 16
 
 
 def test_check_admissible_full_case():
