@@ -277,7 +277,7 @@ def _near_dependent_rows(rng, count=40, width=48):
 def test_span_buffers_match_the_stacked_oracle(kind):
     rng = np.random.default_rng(31)
     if kind == "random":
-        rows = _complex_normal(rng, 40, 36)  # rank 36: five buffer doublings
+        rows = _complex_normal(rng, 40, 36)  # rank 36: six buffer doublings
     elif kind == "rank_deficient":
         rows = _complex_normal(rng, 40, 20) @ _complex_normal(rng, 20, 30)
         rows[[3, 17]] = 0.0
