@@ -49,8 +49,7 @@ def main():
 
     # a failing quadruple: constants never separate points
     constants = sh.FunctionSystem(
-        X, scalars, np.ones((1, X.size, 1), dtype=complex), closed=True,
-        label="constants",
+        X, scalars, np.ones((1, X.size, 1), dtype=complex), label="constants"
     )
     Q_bad = sh.Quadruple(X, sh.preset_algebra("pointwise_2"), constants,
                          sh.make_CXE(X, sh.preset_algebra("pointwise_2")))

@@ -86,11 +86,12 @@ class WitnessFamily:
     """Witness transforms evaluated at candidate characters.
 
     values[r, j] is the j-th witness evaluated at candidate r.  Columns are
-    linearly independent (builders drop dependent witnesses: only the column
-    space matters to the minimax programs), so a family has at most as many
-    columns as rows, and a square family is invertible.  coords, when
-    present, give a planar location per candidate for geometry exports.
-    shilov_estimate reads the family's blocks off the zero pattern of values.
+    linearly independent by _independent_columns' rule (builders drop
+    dependent witnesses: only the column space matters to the minimax
+    programs), so a family has at most as many columns as rows, and a square
+    family is invertible.  coords, when present, give a planar location per
+    candidate for geometry exports.  shilov_estimate reads the family's
+    blocks off the zero pattern of values.
     """
 
     labels: tuple[str, ...]
@@ -117,7 +118,7 @@ class WitnessFamily:
 
     @staticmethod
     def _check_columns(values: np.ndarray) -> None:
-        rank = Span.of(values.T).rank
+        rank = _independent_columns(values).shape[1]
         if rank < values.shape[1]:
             raise ValueError(
                 f"witness columns dependent: rank {rank} < {values.shape[1]}"
@@ -151,10 +152,11 @@ def _independent_columns(matrix: np.ndarray) -> np.ndarray:
     wreck the conditioning of every downstream solve.
     """
     span = Span(matrix.shape[0])
-    for col in matrix.T.astype(complex):
-        peak = float(np.abs(col).max())
-        if peak > 0.0:
-            span.add(col / peak)
+    with single_threaded():  # one pin for every add
+        for col in matrix.T.astype(complex):
+            peak = float(np.abs(col).max())
+            if peak > 0.0:
+                span.add(col / peak)
     if not span.rank:
         raise ValueError("witness family has no nonzero column")
     return np.column_stack(span.kept)
@@ -390,7 +392,6 @@ _SEED_ITERS = 60  # Lawson rounds at most
 _SEED_RTOL = 1e-3  # relative gap to Lawson's lower bound that ends the rounds
 
 
-@single_threaded()
 def _seeds(scaled: "_Scaled", targets) -> np.ndarray:
     """Near-optimal coefficients (v_t c = 1) for each target, one row each.
 

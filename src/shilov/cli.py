@@ -76,16 +76,20 @@ from .spaces import (
 # _MAX_POINTS points (an interior grid 2**7 a side at _MIN_STEP), and a
 # sampled space at most _MAX_POINTS in all: it is sampled strategy by
 # strategy, at most _MAX_STRATEGIES of them, and rejected once it passes the
-# cap.  On such a space the LP's points x sides and a system's
+# cap.  An explicit space lists at most _MAX_POINTS points and coordinates,
+# and a metric at most _MAX_METRIC rows of at most _MAX_METRIC entries:
+# validate_metric's triangle check stays cubic in them (3.4 s at 2**10
+# points on 2 vCPUs).  On such a space the LP's points x sides and a system's
 # points x functions tables cap m and a system's scalar basis functions
 # (_MAX_FUNCTIONS): 1, z, ..., z^degree, and for a rational system also
 # (z - c)^-k, k <= degree, per pole c (_check_rational).  Products of values
-# meet the same budget before they are formed: a closed system of m basis
-# functions, and the closure a system's "close" asks for, may count at most
-# m^2 |X| dim E entries (_check_products).  That count bounds as_algebra's
-# dense m^3 structure tensor, as an independent basis has m <= |X| dim E, and
-# the products of the basis pairs whose supports meet, at most m^2 of them.
+# meet the same budget before they are formed: a system of m basis functions
+# whose closure is read, and the closure "close" asks for, may count at most
+# m^2 |X| dim E entries (_check_products).  That count bounds the products
+# that FunctionSystem.closed and as_algebra form, and as_algebra's dense m^3
+# structure tensor, as an independent basis has m <= |X| dim E.
 _MAX_ENTRIES, _MAX_POINTS, _MAX_COORD = 2**24, 2**14, 4
+_MAX_METRIC = 2**10
 _MAX_RESOLUTION = (2**12 - 3) // (4 * _MAX_COORD)
 _MIN_STEP = 4 * _MAX_COORD / 2**7
 _MAX_SIDES = _MAX_ENTRIES // _MAX_POINTS
@@ -136,9 +140,15 @@ CONFIG_SCHEMA = {
                     {"required": ["sample_of", "strategies"]},
                 ],
                 "properties": {
-                    "points": {"type": "array", "items": {"type": "string"}},
-                    "coords": {"type": "array", "items": _PAIR},
-                    "metric": {"type": "array"},
+                    "points": {
+                        "type": "array", "items": {"type": "string"}, "maxItems": _MAX_POINTS
+                    },
+                    "coords": {"type": "array", "items": _PAIR, "maxItems": _MAX_POINTS},
+                    "metric": {
+                        "type": "array",
+                        "items": {"type": "array", "maxItems": _MAX_METRIC},
+                        "maxItems": _MAX_METRIC,
+                    },
                     "shape": {
                         "type": "array",
                         "items": {
@@ -337,10 +347,9 @@ class _Workspace:
                 system = make_rational(
                     space, E, int(spec.get("degree", 1)), poles, label=name
                 )
-            if spec.get("close") and not system.closed:
-                # the closure has at most |X| dim E basis functions
+            if spec.get("close"):  # the closure has at most |X| dim E basis functions
                 _check_products(name, space.size * E.dim, space, E)
-                system = close_under_products(system)
+                system = system if system.closed else close_under_products(system)
             self._systems[name] = system
         return self._systems[name]
 
@@ -612,12 +621,11 @@ def _check_products(name: str, m: int, X: FiniteSpace, E: AlgebraSpec) -> None:
 
 
 def _check_closed(*systems: FunctionSystem) -> None:
-    """_check_products for each closed system: validate_system forms the
-    products of its basis pairs whose supports meet, and as_algebra those
-    and its dense m^3 structure tensor."""
+    """_check_products for each system whose closure is read: the verdict
+    (FunctionSystem.closed) forms the products of the basis pairs whose
+    supports meet, and as_algebra those and its dense m^3 structure tensor."""
     for S in systems:
-        if S.closed:
-            _check_products(S.label, S.dim, S.space, S.scalars)
+        _check_products(S.label, S.dim, S.space, S.scalars)
 
 
 def _algebra_peaker(E: AlgebraSpec, char_index: int) -> np.ndarray:

@@ -18,7 +18,8 @@ for check_natural and, with E = C, for condition (3) of check_admissible.
 Every rank and span-membership decision here and in the witness builders
 follows one rule, kept in the Span class: a flattened value table v lies in
 a span iff ||v - P v|| <= SPAN_TOL * max(||v||, 1), P the orthogonal
-projection onto the span.  Bases keep the first independent inputs in order.
+projection onto the span.  Bases keep the first independent inputs in order,
+and a system is closed when its unit and basis products pass the rule.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ class FunctionSystem:
     """A span of E-valued functions on a finite space.
 
     basis has shape (m, |X|, dim E): basis[k][x] are the E-coordinates of the
-    k-th function at point x.  ``closed`` asserts the span is multiplicatively
-    closed and unital; constructors only set it when that is known.
+    k-th function at point x.  ``closed`` tells whether the span is a unital
+    algebra; the system decides it from its basis, once, on first use.
     """
 
     space: FiniteSpace
@@ -58,7 +59,6 @@ class FunctionSystem:
     basis: np.ndarray
     norm_tag: str = "sup"
     alpha: float | None = None
-    closed: bool = False
     label: str = ""
 
     def __post_init__(self):
@@ -87,6 +87,19 @@ class FunctionSystem:
         """The span of the basis tables, flattened in basis order."""
         return Span.of(self.basis.reshape(self.dim, -1))
 
+    @cached_property
+    def closure_residual(self) -> float:
+        """The largest Span.residuals of the unit and of the basis products
+        whose supports meet (_basis_products; all others are zero)."""
+        with single_threaded():
+            tables = np.concatenate([self.unit_table().reshape(1, -1), _basis_products(self)[2]])
+            return float(self.span.residuals(tables).max())
+
+    @property
+    def closed(self) -> bool:
+        """True iff the span is a unital algebra, by the one span rule."""
+        return self.closure_residual <= SPAN_TOL
+
     def table(self, coeffs) -> np.ndarray:
         """Value table of sum_k coeffs[k] * basis[k]."""
         coeffs = np.asarray(coeffs, dtype=complex).reshape(self.dim)
@@ -109,7 +122,6 @@ class FunctionSystem:
             "algebra": algebra,
             "basis": complex_array_to_pairs(self.basis),
             "norm": "sup" if self.norm_tag == "sup" else {"lipschitz": self.alpha},
-            "closed": self.closed,
             "label": self.label,
         }
 
@@ -134,7 +146,6 @@ class FunctionSystem:
             pairs_to_complex_array(data["basis"]),
             norm_tag=tag,
             alpha=alpha,
-            closed=bool(data.get("closed", False)),
             label=str(data.get("label", "")),
         )
 
@@ -203,7 +214,7 @@ def separation_check(S: FunctionSystem) -> bool:
 
 
 def validate_system(S: FunctionSystem) -> ValidationReport:
-    """Basis independence, unit membership, and (if flagged) product closure."""
+    """Basis independence, unit membership, and closure (FunctionSystem.closed)."""
     report = ValidationReport(subject=S.label or "function system")
     span = S.span
     independent = span.rank == S.dim
@@ -217,9 +228,7 @@ def validate_system(S: FunctionSystem) -> ValidationReport:
 
     report.add("contains_unit", bool(span.contains(S.unit_table())[0]))
 
-    if S.closed:  # every product missing from _basis_products is zero
-        ok = bool(span.contains(_basis_products(S)[2]).all())
-        report.add("product_closed", ok, 0.0 if ok else 1.0)
+    report.add("product_closed", S.closed, 0.0 if S.closed else 1.0)
 
     if S.norm_tag == "lipschitz":
         report.add("metric_available", True)
@@ -255,7 +264,8 @@ class Span:
     classical Gram-Schmidt twice as matrix products (Golub & Van Loan, ch. 5).
     The orthonormal rows Q and their conjugates live in two buffers that
     double when full: every projection reads Q and Q^H as views, and ``add``
-    writes one row of each.
+    writes one row of each.  Projections run on one BLAS thread
+    (blas.single_threaded), and ``of`` holds one pin for all its rows.
     """
 
     def __init__(self, width: int):
@@ -270,8 +280,9 @@ class Span:
         """The span of the rows of a 2-d array, added in row order."""
         vectors = np.asarray(vectors, dtype=complex)
         span = cls(vectors.shape[1])
-        for v in vectors:
-            span.add(v)
+        with single_threaded():
+            for v in vectors:
+                span.add(v)
         return span
 
     @property
@@ -291,6 +302,7 @@ class Span:
     def _rows(self, V) -> np.ndarray:
         return np.asarray(V, dtype=complex).reshape(-1, self._q_rows.shape[1])
 
+    @single_threaded()
     def _project_out(self, V: np.ndarray) -> np.ndarray:
         q, qh = self._q, self._qh
         for _ in range(2):
@@ -328,6 +340,7 @@ class Span:
         self.kept.append(v[0])
         return True
 
+    @single_threaded()
     def coefficients(self, V) -> np.ndarray:
         """Coefficients over all offered vectors (0 on dropped ones) whose
         combination is the projection of each flattened row of V."""
@@ -356,25 +369,25 @@ def close_under_products(S: FunctionSystem) -> FunctionSystem:
     """
     span = Span(S.space.size * S.scalars.dim)
     unit = S.unit_table()
-    if not S.span.contains(unit)[0]:
-        span.add(unit)
-    for t in S.basis:
-        span.add(t)
+    with single_threaded():  # one pin for every add
+        if not S.span.contains(unit)[0]:
+            span.add(unit)
+        for t in S.basis:
+            span.add(t)
 
-    while True:
-        added = False
-        snapshot = [t.reshape(S.space.size, S.scalars.dim) for t in span.kept]
-        for i in range(len(snapshot)):
-            for j in range(i, len(snapshot)):
-                prod = pointwise_product(S, snapshot[i], snapshot[j])
-                added |= span.add(prod)
-        if not added:
-            break
+        while True:
+            added = False
+            snapshot = [t.reshape(S.space.size, S.scalars.dim) for t in span.kept]
+            for i in range(len(snapshot)):
+                for j in range(i, len(snapshot)):
+                    prod = pointwise_product(S, snapshot[i], snapshot[j])
+                    added |= span.add(prod)
+            if not added:
+                break
 
     return replace(
         S,
         basis=_kept_tables(span, S.space, S.scalars),
-        closed=True,
         label=S.label and f"closure({S.label})",
     )
 
@@ -386,9 +399,7 @@ def make_CXE(X: FiniteSpace, E: AlgebraSpec, label: str = "") -> FunctionSystem:
     for x in range(n):
         for j in range(d):
             basis[x * d + j, x, j] = 1.0
-    return FunctionSystem(
-        X, E, basis, norm_tag="sup", closed=True, label=label or f"C(X,{E.label})"
-    )
+    return FunctionSystem(X, E, basis, norm_tag="sup", label=label or f"C(X,{E.label})")
 
 
 def make_lip(X: FiniteSpace, E: AlgebraSpec, alpha: float, label: str = "") -> FunctionSystem:
@@ -417,21 +428,22 @@ def _times_units(fs, E: AlgebraSpec) -> np.ndarray:
     return tables.reshape(fs.shape[0] * E.dim, -1)
 
 
-def make_poly(X: FiniteSpace, E: AlgebraSpec, degree: int, label: str = "") -> FunctionSystem:
-    """Span of z^k e_j for 0 <= k <= degree, deduplicated by rank.
-
-    ``closed`` is set only in the trivially verified full-dimension case;
-    run close_under_products to upgrade otherwise.
-    """
-    z = _coordinate_values(X)
+def _powers(z: np.ndarray, degree: int) -> list[np.ndarray]:
+    """The scalar functions 1, z, ..., z^degree."""
     powers = [np.ones_like(z)]
     for _ in range(degree):
         powers.append(powers[-1] * z)
-    span = Span.of(_times_units(powers, E))
-    closed = span.rank == X.size * E.dim
-    return FunctionSystem(
-        X, E, _kept_tables(span, X, E), closed=closed, label=label or f"P_{degree}(X,{E.label})"
-    )
+    return powers
+
+
+def make_poly(X: FiniteSpace, E: AlgebraSpec, degree: int, label: str = "") -> FunctionSystem:
+    """Span of z^k e_j for 0 <= k <= degree, deduplicated by rank.
+
+    The span is closed when it has full dimension |X| dim E or the points
+    make it so; close_under_products gives the smallest closed span over it.
+    """
+    span = Span.of(_times_units(_powers(_coordinate_values(X), degree), E))
+    return FunctionSystem(X, E, _kept_tables(span, X, E), label=label or f"P_{degree}(X,{E.label})")
 
 
 def make_rational(
@@ -441,24 +453,20 @@ def make_rational(
     poles: list[complex],
     label: str = "",
 ) -> FunctionSystem:
-    """Polynomial span plus (z - c)^(-k) e_j, 1 <= k <= degree, per pole c."""
+    """Polynomial span plus (z - c)^(-k) e_j, 1 <= k <= degree, per pole c:
+    one Span over the tables of 1, z, ..., z^degree, then the pole powers."""
     z = _coordinate_values(X)
     for c in poles:
         if np.min(np.abs(z - complex(c))) < 1e-9:
             raise ValueError(f"pole {c} collides with a sample point")
-    poly = make_poly(X, E, degree)
-    powers = []
+    powers = _powers(z, degree)
     for c in poles:
         inv = power = 1.0 / (z - complex(c))
         for _ in range(degree):
             powers.append(power)
             power = power * inv
-    pole_tables = _times_units(np.reshape(powers, (-1, X.size)), E)
-    span = Span.of(np.concatenate([poly.basis.reshape(poly.dim, -1), pole_tables]))
-    closed = span.rank == X.size * E.dim
-    return FunctionSystem(
-        X, E, _kept_tables(span, X, E), closed=closed, label=label or f"R_{degree}(X,{E.label})"
-    )
+    span = Span.of(_times_units(powers, E))
+    return FunctionSystem(X, E, _kept_tables(span, X, E), label=label or f"R_{degree}(X,{E.label})")
 
 
 def span_BE(B: FunctionSystem, E: AlgebraSpec, label: str = "") -> FunctionSystem:
@@ -470,7 +478,6 @@ def span_BE(B: FunctionSystem, E: AlgebraSpec, label: str = "") -> FunctionSyste
         B.space,
         E,
         _kept_tables(span, B.space, E),
-        closed=B.closed,
         label=label or f"span({B.label or 'B'}*{E.label})",
     )
 
@@ -515,25 +522,20 @@ def embedding_constant(S: FunctionSystem, samples: int = 10_000, seed: int = 0) 
 
 @single_threaded()  # threaded products of the meeting pairs cost CPU and save no wall time
 def as_algebra(S: FunctionSystem, label: str = "") -> AlgebraSpec:
-    """Structure constants of a closed system in its own basis.
+    """Structure constants of a closed system (S.closed) in its own basis.
 
     Only the basis pairs whose supports meet (_basis_products) are expressed
-    in the basis through S.span, with validate_system's closure verdict; every
-    other product is zero.  Each pair's row is symmetrized against its
-    swapped partner's, and the uniform weight, the largest l1 norm of a row
-    (at least 1), makes the submultiplicativity certificate hold.  The dense
-    m^3 tensor is written once, from those rows.
+    in the basis through S.span; every other product is zero.  Each pair's
+    row is symmetrized against its swapped partner's, and the uniform
+    weight, the largest l1 norm of a row (at least 1), makes the
+    submultiplicativity certificate hold.  The dense m^3 tensor is written
+    once, from those rows.
     """
     if not S.closed:
-        raise ValueError("as_algebra needs a multiplicatively closed system")
+        raise ValueError(f"system {S.label!r} is not closed: residual {S.closure_residual:.3g}")
     m = S.dim
     span = S.span
     i, j, products = _basis_products(S)
-    if not span.contains(products).all():
-        err = float(span.residuals(products).max())
-        raise ValueError(
-            f"system {S.label!r} is not closed: product residual {err:.3g}"
-        )
     rows = span.coefficients(products)
     swap = np.searchsorted(i * m + j, j * m + i)  # the row of (j, i)
     rows = 0.5 * (rows + rows[swap])  # exact symmetry (products are symmetric tables)

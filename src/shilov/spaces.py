@@ -118,13 +118,18 @@ def validate_metric(X: FiniteSpace) -> ValidationReport:
         "" if min_off > 0 else f"d({X.points[bad[0]]},{X.points[bad[1]]}) <= 0",
     )
 
-    # d(a,c) <= d(a,b) + d(b,c) for every triple
-    via = d[:, :, None] + d[None, :, :]  # via[a,b,c] = d(a,b)+d(b,c)
-    slack = d[:, None, :] - via  # positive entries violate
-    worst = float(slack.max())
+    # d(a,c) <= d(a,b) + d(b,c) for every triple, one first index a at a
+    # time in O(n^2) memory; the first worst triple in (a, b, c) order
+    worst_of, where = np.empty(n), np.empty(n, dtype=int)
+    for a in range(n):
+        slack = d[a] - (d[a][:, None] + d)  # slack[b,c] = d(a,c) - (d(a,b)+d(b,c))
+        where[a] = np.argmax(slack)  # positive entries violate
+        worst_of[a] = slack.flat[where[a]]
+    a = int(np.argmax(worst_of))
+    worst = float(worst_of[a])
     detail = ""
     if worst > METRIC_TOL:
-        a, b, c = np.unravel_index(np.argmax(slack), slack.shape)
+        b, c = divmod(int(where[a]), n)
         detail = f"({X.points[a]},{X.points[b]},{X.points[c]})"
     report.add("triangle", bool(worst <= METRIC_TOL), max(worst, 0.0), detail)
     return report

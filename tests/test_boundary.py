@@ -769,7 +769,7 @@ def test_seed_only_shortens_the_path(monkeypatch):
             assert sh.reverify_certificate(W, a) and sh.reverify_certificate(W, b)
 
 
-@pytest.mark.parametrize("factors", [(1e3,), (1e-3,), (1e3, 1e-3)])
+@pytest.mark.parametrize("factors", [(1e3,), (1e-3,), (1e3, 1e-3), (1e-9,)])
 def test_column_scale_leaves_the_verdicts(factors):
     rng = np.random.default_rng(37)
     for _ in range(10):
@@ -974,20 +974,30 @@ def test_sweep_skips_the_rank_check_of_its_blocks(monkeypatch):
         V[np.ix_(rows, cols)] = rng.standard_normal((len(rows), len(cols)))
     W = sh.WitnessFamily(tuple(f"p{i}" for i in range(9)), V)
     calls = []
-    span_of = sh.Span.of.__func__
+    independent_columns = sh.boundary._independent_columns
 
-    def counting(cls, vectors):
-        calls.append(np.shape(vectors))
-        return span_of(cls, vectors)
+    def counting(matrix):
+        calls.append(np.shape(matrix))
+        return independent_columns(matrix)
 
-    monkeypatch.setattr(sh.Span, "of", classmethod(counting))
+    monkeypatch.setattr(sh.boundary, "_independent_columns", counting)
     part = sh.shilov_estimate(W)
     assert calls == []
     assert all(sh.reverify_certificate(W, c) for c in part.certificates)
     # a family built by hand is still checked
     with pytest.raises(ValueError, match="dependent"):
         sh.WitnessFamily(("a", "b", "c"), np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]]))
-    assert calls == [(2, 3)]
+    assert calls == [(3, 2)]
+
+
+def test_hand_built_families_take_the_builders_column_rule():
+    # columns rescaled to unit max modulus, as _independent_columns does:
+    # a column of size 1e-9 is independent of the others
+    W = sh.WitnessFamily(("a", "b", "c"), [[1e-9, 1], [0, 1], [0, 0.5]])
+    assert W.values.shape == (3, 2)
+    np.testing.assert_allclose(_independent_columns(W.values), [[1, 1], [0, 1], [0, 0.5]])
+    with pytest.raises(ValueError, match="rank 1 < 2"):
+        sh.WitnessFamily(("a", "b", "c"), [[1e-9, 1], [0, 0], [0, 0]])
 
 
 def test_builders_skip_the_second_rank_check(monkeypatch):
@@ -1002,16 +1012,17 @@ def test_builders_skip_the_second_rank_check(monkeypatch):
     for S in systems:
         _ = S.scalars.characters  # the character search runs before counting
     calls = []
-    span_of = sh.Span.of.__func__
+    independent_columns = sh.boundary._independent_columns
 
-    def counting(cls, vectors):
-        calls.append(np.shape(vectors))
-        return span_of(cls, vectors)
+    def counting(matrix):
+        calls.append(np.shape(matrix))
+        return independent_columns(matrix)
 
-    monkeypatch.setattr(sh.Span, "of", classmethod(counting))
+    monkeypatch.setattr(sh.boundary, "_independent_columns", counting)
     families = [sh.witnesses_from_system(S) for S in systems]
     families += [sh.witnesses_from_algebra(S.scalars) for S in systems]
-    assert calls == []
+    # one rank pass per family, _independent_columns' own
+    assert len(calls) == len(families)
     for W in families:
         rank = np.linalg.matrix_rank(W.values)
         assert rank == W.values.shape[1]

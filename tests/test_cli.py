@@ -392,8 +392,14 @@ def test_schema_bounds_config_values(tmp_path, capsys, path, value):
 
 
 def sized_config():
-    """bounded_config plus an annulus, a poly system and polygon sides."""
+    """bounded_config plus an annulus, an explicit space with a metric, a
+    poly system and polygon sides."""
     config = bounded_config()
+    config["spaces"]["explicit"] = {
+        "points": ["a", "b", "c"],
+        "coords": [[0, 0], [1, 0], [0, 1]],
+        "metric": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+    }
     config["spaces"]["ring"] = {
         "shape": [{"kind": "annulus", "center": [0, 0], "inner": 0.5, "outer": 1.0}],
         "resolution": 16,
@@ -432,6 +438,15 @@ _CIRCLE = {"kind": "circle", "center": [0, 0], "radius": 1.0, "count": 4}
             [_CIRCLE] * cli._MAX_STRATEGIES,
             [_CIRCLE] * (cli._MAX_STRATEGIES + 1),
         ),
+        (
+            ("spaces", "explicit", "points"),
+            [f"p{i}" for i in range(cli._MAX_POINTS)],
+            [f"p{i}" for i in range(cli._MAX_POINTS + 1)],
+        ),
+        (("spaces", "explicit", "coords"), [[0, 0]] * cli._MAX_POINTS, [[0, 0]] * (cli._MAX_POINTS + 1)),
+        # the triangle check of a metric is cubic in its rows: 2^10 of them
+        (("spaces", "explicit", "metric"), [[0]] * 2**10, [[0]] * (2**10 + 1)),
+        (("spaces", "explicit", "metric", 0), [0] * 2**10, [0] * (2**10 + 1)),
     ],
 )
 def test_schema_caps_config_sizes(tmp_path, capsys, path, cap, over):
@@ -543,6 +558,37 @@ def test_product_tables_are_capped(tmp_path, capsys, monkeypatch, entry, name):
     assert error["error"] == "config"
     assert f"system {name!r}" in error["message"]
     assert "300^2 x 300 x 1 = 27000000 entries" in error["message"]
+    assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize(
+    "entry, name, spec, count",
+    [
+        # P_240 on 300 points is not closed: deciding so forms its products
+        ({"command": "validate", "target": "P"}, "P",
+         {"kind": "poly", "space": "X", "algebra": "complex", "degree": 240},
+         "241^2 x 300 x 1 = 17424300"),
+        # C(X) is closed: "close" is refused before its closure is read
+        ({"command": "shilov", "target": "P"}, "P",
+         {"kind": "cxe", "space": "X", "algebra": "complex", "close": True},
+         "300^2 x 300 x 1 = 27000000"),
+    ],
+)
+def test_product_tables_are_capped_closed_or_not(tmp_path, capsys, monkeypatch, entry, name,
+                                                 spec, count):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a product was formed before the size check")
+
+    monkeypatch.setattr(sh.function_algebras, "_basis_products", refuse)
+    monkeypatch.setattr(cli, "close_under_products", refuse)
+    config = product_config(entry)
+    config["systems"]["P"] = spec
+    out = tmp_path / "out"
+    assert main(["--config", str(write_config(tmp_path, config)), "--output-dir", str(out),
+                 "--quiet"]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "config"
+    assert f"system {name!r}" in error["message"] and count in error["message"]
     assert not list(out.glob("*"))
 
 

@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg
 
 import shilov as sh
+from shilov import blas
 from shilov.blas import single_threaded
 from shilov.characters import DISTINCT_TOL
 from shilov.function_algebras import SEPARATION_TOL, SPAN_TOL
@@ -170,7 +171,7 @@ def test_one_span_rule_for_near_dependent_tables(r, dependent):
 def test_closure_verdict_shared_by_validate_system_and_as_algebra(r, closed):
     # (f + eps h)^2 = (1 + eps^2) u + 2 eps g: its only off-span part is
     # 2 eps g, a relative residual of 2 eps against span{u, f + eps h}.
-    S = scalar_system(range(4), [U4, F4 + r / 2 * F4 * G4], closed=True)
+    S = scalar_system(range(4), [U4, F4 + r / 2 * F4 * G4])
     square = sh.pointwise_product(S, S.basis[1], S.basis[1])
     assert S.span.residuals(square)[0] == pytest.approx(r, rel=1e-6)
     check = sh.validate_system(S).check("product_closed")
@@ -181,6 +182,96 @@ def test_closure_verdict_shared_by_validate_system_and_as_algebra(r, closed):
     else:
         with pytest.raises(ValueError, match="not closed"):
             sh.as_algebra(S)
+
+
+def test_closed_is_computed_not_passed():
+    S = scalar_system(range(4), [U4, F4])
+    with pytest.raises(TypeError):
+        sh.FunctionSystem(S.space, S.scalars, S.basis, closed=True)
+    with pytest.raises(TypeError):
+        replace(S, closed=True)
+    assert "closed" not in S.to_dict()
+    assert S.closed  # f^2 = u
+    # closed under products but without the unit: not an algebra here
+    indicator = scalar_system(range(4), [[1, 0, 0, 0]])
+    assert not indicator.closed and indicator.closure_residual == pytest.approx(0.75**0.5)
+    assert not sh.validate_system(indicator).check("product_closed").passed
+
+
+def test_closure_of_one_and_z_squared_on_the_fourth_roots_of_unity():
+    # span{1, z^2} is closed there (z^4 = 1), and no constructor builds it
+    X = sh.FiniteSpace(("1", "i", "-1", "-i"), np.array([1, 1j, -1, -1j]))
+    S = scalar_system(X.coords, [U4, X.coords**2])
+    assert S.closed and S.closure_residual <= SPAN_TOL
+    assert sh.validate_system(S).passed
+    A = sh.as_algebra(S)
+    assert sh.validate_algebra(A).passed
+    assert len(sh.characters(A)) == 2  # z^2 = 1 and z^2 = -1
+    assert not sh.make_poly(X, sh.complex_field(), 2).closed  # z^3 is missing
+    assert sh.close_under_products(S).dim == 2
+
+
+def test_closure_is_decided_once_under_the_pin(monkeypatch):
+    X = random_space(np.random.default_rng(24), 4)
+    S = sh.make_CXE(X, sh.preset_algebra("dual_numbers"))
+    depths = []
+    basis_products = sh.function_algebras._basis_products
+
+    def counting(system):
+        depths.append(blas._PIN.depth)
+        return basis_products(system)
+
+    monkeypatch.setattr(sh.function_algebras, "_basis_products", counting)
+    for _ in range(3):
+        assert S.closed
+    assert sh.validate_system(S).passed
+    assert depths == [1]  # the verdict, pinned, once
+    sh.check_natural(sh.Quadruple(X, S.scalars, sh.make_CXE(X, sh.complex_field()), S))
+    sh.build_pi(sh.Quadruple(X, S.scalars, sh.make_CXE(X, sh.complex_field()), S))
+    # as_algebra forms the products it expresses; it reads S's verdict
+    assert depths == [1, 1, 1]
+    assert "closure_residual" in vars(S)
+
+
+class _CountingPin(blas._Pin):
+    """blas._Pin that counts how often the pin is taken from depth 0."""
+
+    def __init__(self):
+        self.entries = 0
+        super().__init__()
+        self.entries = 0
+
+    @property
+    def saved(self):
+        return self._saved
+
+    @saved.setter
+    def saved(self, counts):
+        self._saved = counts
+        self.entries += 1
+
+
+def test_span_projections_hold_one_pin(monkeypatch):
+    rng = np.random.default_rng(25)
+    rows = _complex_normal(rng, 30, 20)
+    pin = _CountingPin()
+    monkeypatch.setattr(blas, "_PIN", pin)
+
+    def entries(call):
+        before = pin.entries
+        call()
+        assert pin.depth == 0
+        return pin.entries - before
+
+    span = sh.Span(rows.shape[1])
+    assert entries(lambda: span.add(rows[0])) == 1  # one projection
+    assert entries(lambda: span.residuals(rows)) == 1
+    assert entries(lambda: span.coefficients(rows)) == 1
+    # a loop of adds holds one pin, not one per row
+    assert entries(lambda: sh.Span.of(rows)) == 1
+    assert entries(lambda: sh.boundary._independent_columns(rows)) == 1
+    P = sh.make_poly(random_space(rng, 5), sh.complex_field(), 1)
+    assert entries(lambda: sh.close_under_products(P)) == 1
 
 
 def test_batched_membership_matches_per_table():
@@ -337,6 +428,34 @@ def test_make_rational_pole_collision():
     X = sh.FiniteSpace(("a", "b"), np.array([0.5 + 0j, 1.0 + 0j]))
     with pytest.raises(ValueError):
         sh.make_rational(X, sh.complex_field(), 2, [0.5])
+
+
+def _two_pass_rational(X, E, degree, poles):
+    """Oracle for make_rational's basis: make_poly's kept tables, spanned
+    again followed by the pole tables, as make_rational was built before."""
+    z = X.coords
+    poly = sh.make_poly(X, E, degree)
+    powers = []
+    for c in poles:
+        inv = power = 1.0 / (z - complex(c))
+        for _ in range(degree):
+            powers.append(power)
+            power = power * inv
+    pole_tables = sh.function_algebras._times_units(np.reshape(powers, (-1, X.size)), E)
+    span = sh.Span.of(np.concatenate([poly.basis.reshape(poly.dim, -1), pole_tables]))
+    return np.array(span.kept).reshape(span.rank, X.size, E.dim)
+
+
+@pytest.mark.parametrize("name", ["complex", "pointwise_2", "dual_numbers"])
+@pytest.mark.parametrize("poles", [[0], [0, 0.1 + 2j]])
+@pytest.mark.parametrize("full", [True, False])
+def test_make_rational_in_one_pass_matches_two(name, poles, full):
+    rng = np.random.default_rng(26)
+    E = sh.preset_algebra(name)
+    X = random_space(rng, 5 if full else 30)
+    R = sh.make_rational(X, E, 4, poles)
+    assert (R.dim == X.size * E.dim) is full
+    assert np.array_equal(R.basis, _two_pass_rational(X, E, 4, poles))
 
 
 def test_span_BE_dimensions():
@@ -533,7 +652,7 @@ def test_as_algebra_matches_the_all_pairs_oracle(case, name, n):
 
 def test_unclosed_span_flagged_closed_is_caught():
     X = random_space(np.random.default_rng(12), 3)
-    S = replace(sh.make_poly(X, sh.complex_field(), 1), closed=True)  # {1, z}: z^2 is missing
+    S = sh.make_poly(X, sh.complex_field(), 1)  # {1, z}: z^2 is missing
     assert not sh.validate_system(S).check("product_closed").passed
     with pytest.raises(ValueError, match="not closed"):
         _dense_as_algebra(S)
@@ -572,7 +691,7 @@ def test_check_admissible_constants_fail_naturality():
     X = random_space(rng, 2)
     E = sh.preset_algebra("pointwise_2")
     constants = sh.FunctionSystem(
-        X, sh.complex_field(), np.ones((1, 2, 1), dtype=complex), closed=True
+        X, sh.complex_field(), np.ones((1, 2, 1), dtype=complex)
     )
     Q = sh.Quadruple(X, E, constants, sh.make_CXE(X, E))
     report = sh.check_admissible(Q)
@@ -587,7 +706,7 @@ def test_check_admissible_missing_eps_constant():
     # vector span {b * 1_E}: contains 1_E, separates, misses eps constants
     tables = np.zeros((B.dim, X.size, E.dim), dtype=complex)
     tables[:, :, 0] = B.basis[:, :, 0]
-    Bt = sh.FunctionSystem(X, E, tables, closed=True)
+    Bt = sh.FunctionSystem(X, E, tables)
     Q = sh.Quadruple(X, E, B, Bt)
     report = sh.check_admissible(Q)
     assert not report.check("products_BE_in_vector_system").passed
@@ -713,7 +832,7 @@ def _unit_multiples(X: sh.FiniteSpace, E: sh.AlgebraSpec) -> sh.FunctionSystem:
     tables = np.zeros((X.size, X.size, E.dim), dtype=complex)
     for x in range(X.size):
         tables[x, x, :] = E.unit
-    return sh.FunctionSystem(X, E, tables, closed=True, label="C(X)*1_E")
+    return sh.FunctionSystem(X, E, tables, label="C(X)*1_E")
 
 
 @pytest.mark.parametrize(
@@ -729,7 +848,7 @@ def test_one_naturality_rule(case, natural):
         S = sh.make_CXE(X, C)
     elif case == "constants":
         X = random_space(rng, 2)
-        S = sh.FunctionSystem(X, C, np.ones((1, 2, 1), dtype=complex), closed=True)
+        S = sh.FunctionSystem(X, C, np.ones((1, 2, 1), dtype=complex))
     elif case == "cxe_pointwise_2":
         S = sh.make_CXE(X, E)
     else:

@@ -1,5 +1,7 @@
 """Finite spaces, raster regions, hulls, boundaries, sampling, PGM I/O."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -41,6 +43,57 @@ def test_metric_triangle_violation():
     check = report.check("triangle")
     assert not check.passed
     assert "a" in check.detail and "c" in check.detail
+
+
+def _broadcast_triangle(X):
+    """Oracle for validate_metric's triangle check: every triple at once, as
+    two n^3 arrays (passed, residual, detail)."""
+    d = X.metric
+    slack = d[:, None, :] - (d[:, :, None] + d[None, :, :])
+    worst = float(slack.max())
+    detail = ""
+    if worst > sh.spaces.METRIC_TOL:
+        a, b, c = np.unravel_index(np.argmax(slack), slack.shape)
+        detail = f"({X.points[a]},{X.points[b]},{X.points[c]})"
+    return bool(worst <= sh.spaces.METRIC_TOL), max(worst, 0.0), detail
+
+
+def test_triangle_scan_matches_the_broadcast():
+    # Euclidean metrics with planted violations: one long edge, several,
+    # two of equal slack (the first in (a, b, c) order is reported), a NaN
+    rng = np.random.default_rng(61)
+    verdicts = []
+    for case in range(60):
+        n = int(rng.integers(1, 30))
+        z = rng.random(n) + 1j * rng.random(n)
+        d = np.abs(z[:, None] - z[None, :])
+        for _ in range(case % 4):
+            a, c = rng.integers(0, n, 2)
+            d[a, c] = d[c, a] = 3 * d[a, c] + 1
+        if case % 9 == 4 and n > 2:
+            d[[0, 1], [2, 2]] = d[[2, 2], [0, 1]] = 5.0  # two triples of equal slack
+        if case % 13 == 6:
+            d[0, -1] = np.nan
+        X = sh.FiniteSpace(tuple(f"p{k}" for k in range(n)), metric=d)
+        check = sh.validate_metric(X).check("triangle")
+        expected = _broadcast_triangle(X)
+        np.testing.assert_equal((check.passed, check.residual, check.detail), expected)
+        verdicts.append(check.passed)
+    assert True in verdicts and False in verdicts
+
+
+def test_triangle_check_memory_is_quadratic():
+    # the n^3 broadcast peaked at 122 MB for n = 200
+    n = 200
+    z = np.random.default_rng(62).random(n) * np.exp(1j * np.linspace(0, 6, n))
+    X = sh.FiniteSpace(tuple(f"p{k}" for k in range(n)), metric=np.abs(z[:, None] - z[None, :]))
+    tracemalloc.start()
+    try:
+        assert sh.validate_metric(X).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n * 8
 
 
 def test_euclidean_default():
