@@ -37,16 +37,46 @@ sequential run's.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import itertools
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.optimize._highspy._core  # binds scipy, which perfbench's tracer wraps
+import scipy  # bound here: perfbench's tracer wraps boundary.scipy.optimize
 
-_highs_core = scipy.optimize._highspy._core  # incremental HiGHS
+
+def _load_highs_core():
+    """scipy's incremental HiGHS extension, without importing scipy.optimize.
+
+    ``import scipy.optimize._highspy._core`` first runs scipy/optimize's
+    __init__, which imports every solver of scipy.optimize and what they
+    use, a large share of this package's import time; the extension itself
+    needs none of it.  So the extension file is found in its package
+    directory and executed directly.  The module enters sys.modules under
+    its own name before it runs: a later ``import scipy.optimize`` then
+    finds it there and reuses it, and pybind11, which refuses to register
+    the same types twice, never sees a second copy.  A copy already
+    imported is used as it is.
+    """
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    package_dir = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+    spec = importlib.machinery.PathFinder.find_spec(name, [package_dir])
+    if spec is None:
+        raise ImportError(f"no {name} extension in {package_dir}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_highs_core = _load_highs_core()  # incremental HiGHS
 
 from .algebra import AlgebraSpec, Element, support_components
 from .blas import single_threaded

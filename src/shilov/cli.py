@@ -86,7 +86,7 @@ from .spaces import (
 # meet the same budget before they are formed: a system of m basis functions
 # whose closure is read, and the closure "close" asks for, may count at most
 # m^2 |X| dim E entries (_check_products).  That count bounds the products
-# that FunctionSystem.closed and as_algebra form, and as_algebra's dense m^3
+# FunctionSystem.basis_products forms and keeps, and as_algebra's dense m^3
 # structure tensor, as an independent basis has m <= |X| dim E.
 _MAX_ENTRIES, _MAX_POINTS, _MAX_COORD = 2**24, 2**14, 4
 _MAX_METRIC = 2**10
@@ -623,7 +623,8 @@ def _check_products(name: str, m: int, X: FiniteSpace, E: AlgebraSpec) -> None:
 def _check_closed(*systems: FunctionSystem) -> None:
     """_check_products for each system whose closure is read: the verdict
     (FunctionSystem.closed) forms the products of the basis pairs whose
-    supports meet, and as_algebra those and its dense m^3 structure tensor."""
+    supports meet and keeps them on the system (basis_products), and
+    as_algebra reads those and writes its dense m^3 structure tensor."""
     for S in systems:
         _check_products(S.label, S.dim, S.space, S.scalars)
 

@@ -88,11 +88,21 @@ class FunctionSystem:
         return Span.of(self.basis.reshape(self.dim, -1))
 
     @cached_property
+    def basis_products(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """_basis_products of the system, formed once and read-only, under
+        the BLAS pin of the verdict (closure_residual), which as_algebra
+        reads first."""
+        triple = _basis_products(self)
+        for a in triple:
+            a.setflags(write=False)
+        return triple
+
+    @cached_property
     def closure_residual(self) -> float:
         """The largest Span.residuals of the unit and of the basis products
-        whose supports meet (_basis_products; all others are zero)."""
+        whose supports meet (basis_products; all others are zero)."""
         with single_threaded():
-            tables = np.concatenate([self.unit_table().reshape(1, -1), _basis_products(self)[2]])
+            tables = np.concatenate([self.unit_table().reshape(1, -1), self.basis_products[2]])
             return float(self.span.residuals(tables).max())
 
     @property
@@ -524,7 +534,7 @@ def embedding_constant(S: FunctionSystem, samples: int = 10_000, seed: int = 0) 
 def as_algebra(S: FunctionSystem, label: str = "") -> AlgebraSpec:
     """Structure constants of a closed system (S.closed) in its own basis.
 
-    Only the basis pairs whose supports meet (_basis_products) are expressed
+    Only the basis pairs whose supports meet (S.basis_products) are expressed
     in the basis through S.span; every other product is zero.  Each pair's
     row is symmetrized against its swapped partner's, and the uniform
     weight, the largest l1 norm of a row (at least 1), makes the
@@ -535,7 +545,7 @@ def as_algebra(S: FunctionSystem, label: str = "") -> AlgebraSpec:
         raise ValueError(f"system {S.label!r} is not closed: residual {S.closure_residual:.3g}")
     m = S.dim
     span = S.span
-    i, j, products = _basis_products(S)
+    i, j, products = S.basis_products
     rows = span.coefficients(products)
     swap = np.searchsorted(i * m + j, j * m + i)  # the row of (j, i)
     rows = 0.5 * (rows + rows[swap])  # exact symmetry (products are symmetric tables)

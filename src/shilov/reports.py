@@ -116,6 +116,50 @@ def _sanitize(obj):
     return obj
 
 
+_STEP = np.zeros(256, np.int64)  # level change at each byte: brackets open and close
+_STEP[list(b"[{")], _STEP[list(b"]}")] = 1, -1
+_STRUCTURAL = (_STEP != 0) | (np.arange(256) == ord(","))
+
+
+def _indent(compact: str) -> str:
+    """Compact JSON text (separators "," and ": ", ASCII) in the layout of
+    json.dumps(indent=2): a newline and two spaces per level after each
+    opening bracket and comma and before each closing bracket, except in
+    an empty container and inside strings.
+
+    json writes that layout only with its pure-Python encoder, which takes
+    several times as long as its C encoder, so the C encoder's text is
+    re-indented here in whole-array passes.
+    """
+    raw = np.frombuffer(compact.encode("ascii"), np.uint8)
+    # a quote inside a string follows an odd run of backslashes; with every
+    # escaped backslash masked, it follows exactly one ("\x01" never occurs:
+    # ensure_ascii writes control characters as \u escapes)
+    probe = np.frombuffer(compact.replace("\\\\", "\x01\x01").encode("ascii"), np.uint8)
+    quotes = np.flatnonzero(probe == ord('"'))
+    quotes = quotes[probe[quotes - 1] != ord("\\")]
+    pos = np.flatnonzero(_STRUCTURAL[probe])
+    pos = pos[np.searchsorted(quotes, pos) % 2 == 0]  # an even count of quotes before
+    step = _STEP[probe[pos]]
+    level = np.cumsum(step)  # after each character
+    after = (step == 0) | ((step == 1) & (_STEP[np.append(probe, 0)[pos + 1]] != -1))
+    before = (step == -1) & (_STEP[probe[pos - 1]] != 1)
+    gaps = np.concatenate([pos[after], pos[before] - 1])  # characters a newline follows
+    inserted = np.zeros(raw.size, np.int64)
+    inserted[gaps] = 1 + 2 * np.concatenate([level[after], level[before]])
+    where = np.cumsum(inserted)
+    where -= inserted
+    where += np.arange(raw.size)  # each character's place in the indented text
+    out = np.full(where[-1] + 1, ord(" "), np.uint8)
+    out[where] = raw
+    out[where[gaps] + 1] = ord("\n")
+    return out.tobytes().decode("ascii")
+
+
 def canonical_json(data) -> str:
-    """Deterministic JSON text: sorted keys, stable float repr, newline-terminated."""
-    return json.dumps(_sanitize(data), sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON text: sorted keys, stable float repr, newline-terminated.
+
+    Byte for byte json.dumps(_sanitize(data), sort_keys=True, indent=2) + "\n".
+    """
+    compact = json.dumps(_sanitize(data), sort_keys=True, separators=(",", ": "))
+    return _indent(compact) + "\n"

@@ -3,8 +3,8 @@
 Finite spaces carry labels, optional planar coordinates and an optional
 metric (Euclidean by default when coordinates exist).  Raster regions are
 boolean bitmaps with a guaranteed one-pixel empty margin, so the unbounded
-complement component always touches the border; holes are filled by flood
-fill from that border.  All bitmap operations use 4-connectivity.
+complement component always touches the border; holes are the complement
+components that do not.  All bitmap operations use 4-connectivity.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 from .reports import (
     ValidationReport,
@@ -24,7 +25,6 @@ from .reports import (
 )
 
 METRIC_TOL = 1e-12
-FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
 class EmptySampleError(ValueError):
@@ -295,31 +295,64 @@ def raster_from_shape(shapes, resolution: int) -> RasterRegion:
     return RasterRegion(grid, origin, size)
 
 
+def _holes(grid: np.ndarray) -> np.ndarray:
+    """Unset pixels of the bounded complement components (4-connectivity).
+
+    The complement is labelled by runs, not pixels: each row's maximal runs
+    of unset pixels are the nodes, and runs in adjacent rows that share a
+    column are joined.  Components holding a run on the grid's edge are
+    the unbounded part; every other run is a hole, painted back onto the
+    grid by a cumulative sum along its row.
+    """
+    rows, cols = grid.shape
+    # with the grid padded by set pixels, every unset run [start, stop)
+    # opens and closes with a change of value, in C order
+    row, col = np.nonzero(np.diff(grid, axis=1, prepend=True, append=True))
+    row, start, stop = row[0::2], col[0::2], col[1::2]
+    # keyed row * width + column, starts and stops are both increasing, so
+    # the runs of row r + 1 meeting [start, stop), those that stop after
+    # start and start before stop, are one contiguous range lo:hi
+    width = cols + 1
+    below = (row + 1) * width
+    lo = np.searchsorted(row * width + stop, below + start, side="right")
+    hi = np.searchsorted(row * width + start, below + stop, side="left")
+    count = np.maximum(hi - lo, 0)
+    # run k is joined to runs lo[k], ..., hi[k] - 1
+    upper = np.repeat(np.arange(row.size), count)
+    lower = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)
+    graph = coo_array((np.ones(upper.size, dtype=np.int8), (upper, lower)), shape=(row.size,) * 2)
+    _, labels = connected_components(graph, directed=False)
+    on_edge = (row == 0) | (row == rows - 1) | (start == 0) | (stop == cols)
+    hole = ~np.isin(labels, labels[on_edge])
+    paint = np.zeros((rows, width), dtype=np.int8)
+    paint[row[hole], start[hole]] = 1
+    paint[row[hole], stop[hole]] = -1
+    return np.cumsum(paint, axis=1, dtype=np.int8)[:, :cols] > 0
+
+
 def polynomial_hull_raster(R: RasterRegion) -> RasterRegion:
     """Fill every bounded complement component ("filling in the holes").
 
-    The complement is flood-filled (4-connectivity) from the border margin;
-    unset pixels the flood never reaches are holes and become set.
+    The complement's components are found by _holes; those that never
+    reach the empty margin are holes and become set.
     """
-    complement = ~R.grid
-    labels, _ = ndimage.label(complement, structure=FOUR_CONNECTED)
-    border_labels = np.unique(
-        np.concatenate([labels[0], labels[-1], labels[:, 0], labels[:, -1]])
+    return RasterRegion(R.grid | _holes(R.grid), R.origin, R.pixel_size)
+
+
+def _interior(grid: np.ndarray) -> np.ndarray:
+    """Set pixels whose four neighbors are all set (outside counts as unset):
+    the erosion of the grid by the 4-connected cross."""
+    padded = np.pad(grid, 1, constant_values=False)
+    return (
+        grid
+        & padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
     )
-    border_labels = border_labels[border_labels != 0]
-    unbounded = np.isin(labels, border_labels)
-    filled = R.grid | (complement & ~unbounded)
-    return RasterRegion(filled, R.origin, R.pixel_size)
 
 
 def boundary_mask(R: RasterRegion) -> np.ndarray:
-    """Set pixels with at least one unset 4-neighbor."""
-    g = R.grid
-    padded = np.pad(g, 1, constant_values=False)
-    interior = (
-        padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
-    )
-    return g & ~interior
+    """Set pixels with at least one unset 4-neighbor: the grid less its
+    _interior."""
+    return R.grid & ~_interior(R.grid)
 
 
 def topological_boundary_raster(R: RasterRegion) -> np.ndarray:
@@ -392,7 +425,7 @@ def sample_raster(R: RasterRegion, strategy) -> FiniteSpace:
     if isinstance(strategy, InteriorGrid):
         if strategy.step <= 0:
             raise EmptySampleError("interior grid step must be positive")
-        eroded = ndimage.binary_erosion(R.grid, structure=FOUR_CONNECTED)
+        eroded = _interior(R.grid)
         rows, cols = R.grid.shape
         x0, y0 = R.origin.real, R.origin.imag
         xs = x0 + strategy.step * (0.5 + np.arange(int(cols * R.pixel_size / strategy.step) + 2))

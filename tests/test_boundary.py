@@ -2,9 +2,13 @@
 
 import importlib
 import math
+import os
+import subprocess
+import sys
 import threading
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,39 @@ def affine_family():
     """span{1, z} evaluated at X = {0, 0.5, 1}."""
     V = np.array([[1.0, 0.0], [1.0, 0.5], [1.0, 1.0]], dtype=complex)
     return sh.WitnessFamily(("x0", "x1", "x2"), V, coords=np.array([0, 0.5, 1.0]))
+
+
+_ONE_CORE_SCRIPT = """
+import sys
+if {optimize_first}:
+    import scipy.optimize
+import numpy as np
+import shilov.cli
+if not {optimize_first}:  # the cold import takes neither subpackage
+    assert "scipy.optimize" not in sys.modules, "scipy.optimize"
+    assert "scipy.ndimage" not in sys.modules, "scipy.ndimage"
+import scipy.optimize
+from scipy.optimize._highspy import _highs_wrapper
+assert shilov.boundary._highs_core is sys.modules["scipy.optimize._highspy._core"]
+assert _highs_wrapper._h is sys.modules["scipy.optimize._highspy._core"]
+result = scipy.optimize.linprog([1, 1], A_ub=[[-1, -1]], b_ub=[-1], method="highs")
+assert result.status == 0 and abs(result.fun - 1) < 1e-12, result
+V = np.array([[1.0, 0.0], [1.0, 0.5], [1.0, 1.0]], dtype=complex)
+cert = shilov.certify_peak(shilov.WitnessFamily(("x0", "x1", "x2"), V), 2)
+assert cert.status == "certified_peak", cert
+"""
+
+
+@pytest.mark.parametrize("optimize_first", [False, True])
+def test_one_highs_core_whichever_package_loads_it(optimize_first):
+    # a fresh interpreter: this one has imported scipy.optimize already
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else f"{src}{os.pathsep}{path}"}
+    script = _ONE_CORE_SCRIPT.format(optimize_first=optimize_first)
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def test_full_algebra_indicator_peaks():

@@ -7,11 +7,13 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shilov as sh
 from shilov import cli
 from shilov.cli import ConfigError, main, validate_config
-from shilov.reports import canonical_json
+from shilov.reports import _sanitize, canonical_json
 
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -65,7 +67,20 @@ DEMO_VERDICTS = {
 }
 
 
-def test_shipped_demo_verdicts_are_pinned(tmp_path):
+def _indent_2_json(data) -> str:
+    """Oracle for canonical_json: json's own indent=2 (pure-Python) encoder."""
+    return json.dumps(_sanitize(data), sort_keys=True, indent=2) + "\n"
+
+
+def test_shipped_demo_verdicts_are_pinned(tmp_path, monkeypatch):
+    def checked_json(data):
+        text = canonical_json(data)
+        assert text == _indent_2_json(data)
+        written.append(text)
+        return text
+
+    written = []
+    monkeypatch.setattr(cli, "canonical_json", checked_json)
     for config in ("annulus_demo", "exact_demo"):
         out = tmp_path / config
         argv = ["--config", str(DEMO_DIR / f"{config}.json"), "--output-dir", str(out)]
@@ -80,6 +95,7 @@ def test_shipped_demo_verdicts_are_pinned(tmp_path):
                 partition["certified_not_peak"],
                 partition["undecided"],
             ) == verdicts, (report, field)
+    assert len(written) == len(list(tmp_path.glob("*/*.report.json")))  # every report checked
 
 
 def test_config_schema_passes_its_metaschema():
@@ -628,6 +644,35 @@ def test_peaker_unknown_point_is_a_config_error(tmp_path, capsys):
     assert main(["--config", str(path), "--output-dir", str(tmp_path / "out")]) == 2
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "config" and "nowhere" in error["message"]
+
+
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats() | st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 1e300, 5e-324])
+)
+_JSON_DATA = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(_JSON_DATA)
+@settings(max_examples=300, deadline=None)
+def test_canonical_json_matches_the_indent_2_encoder(data):
+    assert canonical_json(data) == _indent_2_json(data)
+
+
+@pytest.mark.parametrize("data", [
+    {"label": 'a "quoted" [label], {x: 1}', "nested": [[], {}, [[]], {"e": {}}]},
+    ["\\", "\\\"", "\\\\\"]", '"', "\\[", "\u00e9t\u00e9 \u2202X \U0001d4d1", "\x01\n\t"],
+    {"\u00e9": {"[": ",", "]": "{"}, "": [1, -2, 0.5, True, None]},
+    np.array([[0.5, np.nan], [-np.inf, 1e-300]]),
+    "top", 3, 2.5, None, [], {},
+])
+def test_canonical_json_keeps_strings_and_empty_containers(data):
+    assert canonical_json(data) == _indent_2_json(data)
 
 
 def test_canonical_json_writes_non_finite_values_as_strings():

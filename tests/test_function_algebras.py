@@ -228,9 +228,32 @@ def test_closure_is_decided_once_under_the_pin(monkeypatch):
     assert depths == [1]  # the verdict, pinned, once
     sh.check_natural(sh.Quadruple(X, S.scalars, sh.make_CXE(X, sh.complex_field()), S))
     sh.build_pi(sh.Quadruple(X, S.scalars, sh.make_CXE(X, sh.complex_field()), S))
-    # as_algebra forms the products it expresses; it reads S's verdict
-    assert depths == [1, 1, 1]
-    assert "closure_residual" in vars(S)
+    # as_algebra reads S's verdict and the products the verdict formed
+    assert depths == [1]
+    assert "closure_residual" in vars(S) and "basis_products" in vars(S)
+
+
+@pytest.mark.parametrize("case, name, n", [("cxe", "pointwise_3", 24), ("lip", "dual_numbers", 8),
+                                           ("poly", "C", 7), ("closure", "C", 8)])
+def test_basis_products_are_formed_once_per_system(monkeypatch, case, name, n):
+    S = _product_case(case, name, n)
+    calls = []
+    basis_products = sh.function_algebras._basis_products
+
+    def counting(system):
+        calls.append(system)
+        return basis_products(system)
+
+    monkeypatch.setattr(sh.function_algebras, "_basis_products", counting)
+    assert S.closed
+    A = sh.as_algebra(S)
+    assert sh.as_algebra(S).structure.tobytes() == A.structure.tobytes()
+    assert calls == [S]  # one einsum, shared by the verdict and as_algebra
+    with single_threaded():  # as the verdict forms them
+        fresh = basis_products(S)
+    for cached, formed in zip(S.basis_products, fresh):
+        assert cached.dtype == formed.dtype and cached.tobytes() == formed.tobytes()
+        assert not cached.flags.writeable
 
 
 class _CountingPin(blas._Pin):

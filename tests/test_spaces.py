@@ -7,7 +7,9 @@ import pytest
 from scipy import ndimage
 
 import shilov as sh
-from shilov.spaces import FOUR_CONNECTED, boundary_mask
+from shilov.spaces import _holes, _interior, boundary_mask
+
+FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
 def components(mask: np.ndarray) -> int:
@@ -174,6 +176,54 @@ def test_hull_is_closure_operator():
         H2 = sh.polynomial_hull_raster(R2)
         assert (H.grid & ~H2.grid).sum() == 0  # monotone
         assert components(~H.grid) == 1  # complement connected
+
+
+def _ndimage_holes(grid: np.ndarray) -> np.ndarray:
+    """Oracle for _holes: label the complement pixel by pixel and keep the
+    labels that never reach the grid's edge."""
+    complement = ~grid
+    labels, _ = ndimage.label(complement, structure=FOUR_CONNECTED)
+    edge = np.concatenate([labels[0], labels[-1], labels[:, 0], labels[:, -1]])
+    return complement & ~np.isin(labels, edge[edge != 0])
+
+
+def _demo_rasters():
+    # the demos' disk and annulus at their 16 px/unit, and two larger rasters
+    return [sh.raster_from_shape(sh.Disk(0, 1), 16),
+            sh.raster_from_shape(sh.Annulus(0, 0.5, 1), 16),
+            sh.raster_from_shape([sh.Annulus(0, 0.5, 1), sh.Disk(0.1j, 0.2)], 40),
+            sh.raster_from_shape(sh.Annulus(0.3, 0.25, 2), 64)]
+
+
+def test_raster_helpers_match_ndimage_on_random_grids():
+    rng = np.random.default_rng(20)
+    for _ in range(400):
+        rows, cols = rng.integers(1, 48, size=2)
+        grid = rng.random((rows, cols)) < rng.uniform(0.05, 0.95)  # no margin: any edge run
+        assert np.array_equal(_holes(grid), _ndimage_holes(grid))
+        assert np.array_equal(_interior(grid), ndimage.binary_erosion(grid, FOUR_CONNECTED))
+    for grid in (np.ones((5, 7), bool), np.zeros((5, 7), bool), np.ones((1, 1), bool)):
+        assert np.array_equal(_holes(grid), _ndimage_holes(grid))
+        assert np.array_equal(_interior(grid), ndimage.binary_erosion(grid, FOUR_CONNECTED))
+
+
+def test_raster_helpers_match_ndimage_on_the_demo_rasters():
+    for R in _demo_rasters():
+        filled = sh.polynomial_hull_raster(R)
+        assert np.array_equal(filled.grid, R.grid | _ndimage_holes(R.grid))
+        assert np.array_equal(_interior(R.grid), ndimage.binary_erosion(R.grid, FOUR_CONNECTED))
+        assert np.array_equal(boundary_mask(R), R.grid & ~ndimage.binary_erosion(R.grid, FOUR_CONNECTED))
+
+
+def test_nested_holes_fill_through_islands():
+    # a ring holding an island holding a hole: every bounded part fills
+    grid = np.zeros((11, 11), dtype=bool)
+    grid[1:10, 1:10] = True
+    grid[2:9, 2:9] = False
+    grid[4:7, 4:7] = True
+    grid[5, 5] = False
+    filled = sh.polynomial_hull_raster(sh.RasterRegion(grid, 0j, 0.1)).grid
+    assert np.array_equal(filled, np.pad(np.ones((9, 9), bool), 1))
 
 
 # --- boundaries --------------------------------------------------------------
