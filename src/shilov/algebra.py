@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_array
-from scipy.sparse.csgraph import connected_components
 
+from .blas import single_threaded
 from .reports import (
     ValidationReport,
     complex_array_to_pairs,
@@ -223,21 +222,45 @@ def basis_multiplication_matrices(E: AlgebraSpec) -> list[np.ndarray]:
     return [E.structure[i].T.copy() for i in range(E.dim)]
 
 
+def components(count: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Connected components of the undirected graph on nodes 0, ..., count - 1
+    with the edges (u[e], v[e]): each node labelled by the smallest node of
+    its component.
+
+    The labels form a forest in which every node points at a smaller one or
+    at itself (a root).  Each round hooks the larger root of every edge whose
+    ends lie in different trees onto the smaller one (the smallest, when
+    several edges offer one), then jumps pointers (labels[labels]) until
+    every node points at its root; it stops when no edge joins two trees.
+    A path numbered in order takes one round, and a randomly numbered
+    4,000-node path eight.
+    """
+    labels = np.arange(count)
+    while True:
+        lu, lv = labels[u], labels[v]
+        apart = lu != lv
+        if not apart.any():
+            return labels
+        lu, lv = lu[apart], lv[apart]
+        np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+
+
 def support_components(support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Connected components of the bipartite graph that joins row r to
-    column j when support[r, j] (scipy's connected_components over the
-    rows, then the columns, as nodes): one label per row and one per column,
-    each component labelled by its first row.  A row without support is a
+    column j when support[r, j] (components over the rows, then the
+    columns, as nodes): one label per row and one per column, each
+    component labelled by its first row.  A row without support is a
     component alone; a column without support is labelled n, the row
     count."""
     n, k = support.shape
     r, j = np.nonzero(support)
-    graph = coo_array((np.ones(r.size, dtype=bool), (r, n + j)), shape=(n + k, n + k))
-    count, labels = connected_components(graph, directed=False)
-    first = np.full(count, n)
-    components, first_rows = np.unique(labels[:n], return_index=True)
-    first[components] = first_rows
-    return first[labels[:n]], first[labels[n:]]
+    labels = components(n + k, r, n + j)  # a row is smaller than every column
+    return labels[:n], np.minimum(labels[n:], n)
 
 
 def _distinct_blocks(E: AlgebraSpec) -> list[tuple[AlgebraSpec, list[np.ndarray]]]:
@@ -311,6 +334,7 @@ def _block_residuals(E: AlgebraSpec) -> list[tuple]:
     return found
 
 
+@single_threaded()
 def validate_algebra(E: AlgebraSpec) -> ValidationReport:
     """Check commutativity, associativity, the unit law, and the norm certificate.
 
@@ -427,20 +451,37 @@ def complex_field() -> AlgebraSpec:
     return spec
 
 
+# each builder is looked up when called, so a test can stand in for it
 _PRESET_PATTERNS = [
-    (re.compile(r"^pointwise_(\d+)$"), lambda n: pointwise_algebra(int(n))),
+    (re.compile(r"^pointwise_(\d+)$"), lambda n: pointwise_algebra(n)),
     (re.compile(r"^dual_numbers$"), lambda: dual_numbers()),
-    (re.compile(r"^truncated_poly_(\d+)$"), lambda k: truncated_polynomials(int(k))),
-    (re.compile(r"^cyclic_group_(\d+)$"), lambda n: cyclic_group_algebra(int(n))),
+    (re.compile(r"^truncated_poly_(\d+)$"), lambda k: truncated_polynomials(k)),
+    (re.compile(r"^cyclic_group_(\d+)$"), lambda n: cyclic_group_algebra(n)),
     (re.compile(r"^complex$|^C$"), lambda: complex_field()),
 ]
+# A named preset's dimension is at most this, so its dense n^3 structure
+# tensor holds at most 2**24 entries (256 MiB), the command line's budget.
+MAX_PRESET_DIM = 2**8
+
+
+def parse_preset(name: str):
+    """The builder of a preset name and its integer arguments, without
+    building anything; AlgebraError for an unknown name or a dimension
+    above MAX_PRESET_DIM."""
+    for pattern, builder in _PRESET_PATTERNS:
+        match = pattern.match(name)
+        if match:
+            sizes = [int(group) for group in match.groups()]
+            if any(size > MAX_PRESET_DIM for size in sizes):
+                raise AlgebraError(
+                    f"preset algebra {name!r} exceeds the dimension cap of {MAX_PRESET_DIM}"
+                )
+            return builder, sizes
+    raise AlgebraError(f"unknown preset algebra {name!r}")
 
 
 def preset_algebra(name: str) -> AlgebraSpec:
     """Look up a preset by name: pointwise_<n>, dual_numbers, truncated_poly_<k>,
-    cyclic_group_<n>, or complex."""
-    for pattern, builder in _PRESET_PATTERNS:
-        match = pattern.match(name)
-        if match:
-            return builder(*match.groups())
-    raise AlgebraError(f"unknown preset algebra {name!r}")
+    cyclic_group_<n>, or complex (parse_preset)."""
+    builder, sizes = parse_preset(name)
+    return builder(*sizes)

@@ -1,17 +1,30 @@
-"""One BLAS thread for the peak sweep's many small solves.
+"""One BLAS thread for every public check.
 
-OpenBLAS may thread even the tiny products and factorizations that
-Lawson's seeding, the polygon LPs and the max-modulus evaluations issue
-thousands of times per sweep, and a sweep that certifies candidates on
-several threads of its own would then start BLAS workers from each of them.
-``single_threaded`` pins the OpenBLAS copies bundled with numpy and scipy to
-one thread and restores their previous counts on exit.  Where no such copy
-is found (another BLAS, another wheel layout) it does nothing.  The pin
-pays in the exact regime: on 2 vCPUs, ``perfbench/run.py --seconds 15``
-reads a median 0.27-0.35 s wall and 0.51-0.62 s cpu on ``exact_growth``
-with it, against 0.50-0.53 s wall and 0.98-1.03 s cpu with every pin
-removed (two runs of each).  On ``annulus_product`` both read about 0.36 s
-wall.  The shipped demo configs give byte-identical outputs either way.
+The checks issue thousands of small dense operations: Span projections, the
+algebra and character checks, the Schur step of the character search, the
+close-pair projections, Lawson's seeding, the polygon LPs and the
+max-modulus evaluations.  OpenBLAS may thread even these small products,
+and waking its workers for each costs more than the product saves; a
+sweep that certifies candidates on several threads of its own would start
+BLAS workers from each of them as well.  So every public entry point that
+does such work (validate_algebra, characters, validate_system,
+check_admissible, check_natural, check_pi_injective, build_pi,
+close_under_products, Span.extend and its projections, as_algebra,
+certify_peak, the sweep, reverify_certificate, verify_product_theorem and
+the command line's run_config) holds ``single_threaded`` for its whole run.
+It pins the OpenBLAS copies bundled with numpy and scipy to one thread and
+restores their previous counts on exit.  Where no such copy is found
+(another BLAS, another wheel layout) it does nothing.  This is the one
+thread policy of the package; there is no option for it.
+
+Measured on 2 vCPUs (BENCH_21.json, ten alternating pairs of
+``perfbench/run.py --workload all --seconds 10``): with each check pinned as
+a whole, ``exact_growth`` read a median 0.089 s cpu and 0.091 s wall,
+against 0.159 s cpu and 0.110 s wall with only Span, as_algebra and the
+sweep pinned; ``annulus_product`` and ``cli_demos`` read level.  close_rows
+on the 72 characters of C(X, C^3) at |X| = 24, called 10 ms apart, took a
+median 9.9 ms with OpenBLAS at two threads and 0.04 ms pinned.  Not
+measured: hosts with more than 2 vCPUs, and exact cases beyond |X| = 96.
 
 The thread counts are process-wide, so the pin is too, and it is reentrant
 across threads: one depth count under a lock covers every caller, the first

@@ -174,19 +174,19 @@ class _Block(WitnessFamily):
         pass
 
 
+@single_threaded()
 def _independent_columns(matrix: np.ndarray) -> np.ndarray:
-    """Keep independent columns, each rescaled to unit max modulus.
+    """Keep independent columns, each rescaled to unit max modulus first
+    (zero columns dropped), by one Span.extend.
 
     Scaling a witness never changes the family's span, and without it
     families like Laurent monomials span fifteen orders of magnitude and
     wreck the conditioning of every downstream solve.
     """
-    span = Span(matrix.shape[0])
-    with single_threaded():  # one pin for every add
-        for col in matrix.T.astype(complex):
-            peak = float(np.abs(col).max())
-            if peak > 0.0:
-                span.add(col / peak)
+    columns = np.asarray(matrix, dtype=complex).T
+    peaks = np.abs(columns).max(axis=1)
+    nonzero = peaks > 0.0
+    span = Span.of(columns[nonzero] / peaks[nonzero, None])
     if not span.rank:
         raise ValueError("witness family has no nonzero column")
     return np.column_stack(span.kept)
@@ -875,6 +875,7 @@ class ProductTheoremReport:
         }
 
 
+@single_threaded()
 def verify_product_theorem(
     Q: Quadruple,
     regime: str = "exact",
@@ -1001,7 +1002,7 @@ def partition_to_csv(partition: BoundaryPartition) -> str:
         raise ValueError("witness family has no candidate coordinates")
     lines = ["x,y,status"]
     for idx, z in enumerate(partition.family.coords):
-        lines.append(f"{z.real!r},{z.imag!r},{partition.status_of(idx)}")
+        lines.append(f"{float(z.real)!r},{float(z.imag)!r},{partition.status_of(idx)}")
     return "\n".join(lines) + "\n"
 
 

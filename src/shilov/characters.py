@@ -33,6 +33,7 @@ from .algebra import (
     numerical_rank,
     pointwise_algebra,
 )
+from .blas import single_threaded
 from .reports import ValidationReport, complex_array_to_pairs
 
 CHARACTER_TOL = 1e-8  # multiplicativity / unitality residual bound
@@ -185,9 +186,12 @@ def close_rows(P: np.ndarray, tol: float = DISTINCT_TOL):
     distances, one offset at a time; every pair at distance <= tol is among
     them, once.  Rows that close have projections on a unit-modulus u
     within m tol (m columns), so only rows that near in the sorted
-    projections are compared, in O(n m) memory."""
+    projections are compared, in O(n m) memory.  The projection, the one
+    BLAS call, runs on one BLAS thread (a generator holds no pin across
+    its yields)."""
     m = P.shape[1]
-    proj = (P @ np.exp(1j * np.arange(m))).real
+    with single_threaded():
+        proj = (P @ np.exp(1j * np.arange(m))).real
     # widened by a bound on the roundoff of two computed projections
     window = m * (tol + 4.0 * np.finfo(float).eps * np.abs(P).sum(axis=1).max())
     order = np.argsort(proj, kind="stable")
@@ -224,6 +228,7 @@ def _lexicographic_order(rows: np.ndarray) -> np.ndarray:
     return np.lexsort(keys.T[::-1])  # lexsort's primary key is its last
 
 
+@single_threaded()
 def characters(E: AlgebraSpec, seed: int = 0) -> list[Character]:
     """All characters of E, deduplicated and lexicographically ordered.
 

@@ -25,7 +25,8 @@ import jsonschema
 import numpy as np
 
 from . import __version__
-from .algebra import AlgebraSpec, preset_algebra
+from .algebra import MAX_PRESET_DIM, AlgebraSpec, parse_preset, preset_algebra
+from .blas import single_threaded
 from .boundary import (
     DEFAULT_SIDES,
     DEFAULT_TOL,
@@ -87,7 +88,10 @@ from .spaces import (
 # whose closure is read, and the closure "close" asks for, may count at most
 # m^2 |X| dim E entries (_check_products).  That count bounds the products
 # FunctionSystem.basis_products forms and keeps, and as_algebra's dense m^3
-# structure tensor, as an independent basis has m <= |X| dim E.
+# structure tensor, as an independent basis has m <= |X| dim E.  dim E itself,
+# of a preset name or of a config algebra, is at most MAX_PRESET_DIM, so E's
+# own n^3 structure tensor meets the budget too; a name is checked before
+# its algebra is built (parse_preset).
 _MAX_ENTRIES, _MAX_POINTS, _MAX_COORD = 2**24, 2**14, 4
 _MAX_METRIC = 2**10
 _MAX_RESOLUTION = (2**12 - 3) // (4 * _MAX_COORD)
@@ -120,7 +124,7 @@ CONFIG_SCHEMA = {
                         "type": "object",
                         "required": ["dim", "structure", "unit", "weights"],
                         "properties": {
-                            "dim": {"type": "integer", "minimum": 1},
+                            "dim": {"type": "integer", "minimum": 1, "maximum": MAX_PRESET_DIM},
                             "structure": {"type": "array"},
                             "unit": {"type": "array"},
                             "weights": {"type": "array"},
@@ -404,20 +408,26 @@ def validate_config(path) -> dict:
 
 
 def _check_references(config: dict) -> None:
-    """All cross-references must resolve (presets count as algebras)."""
+    """All cross-references must resolve (presets count as algebras, and a
+    preset name resolves without building its algebra)."""
     algebras = set(config.get("algebras", {}))
     spaces = set(config.get("spaces", {}))
     systems = set(config.get("systems", {}))
     quadruples = set(config.get("quadruples", {}))
 
-    def need_algebra(name, where):
-        if name in algebras:
-            return
+    def need_preset(name, where, what):
         try:
-            preset_algebra(name)
-        except Exception:
-            raise ConfigError(f"{where}: unresolved algebra {name!r}") from None
+            parse_preset(name)
+        except Exception as exc:
+            raise ConfigError(f"{where}: unresolved {what} {name!r} ({exc})") from None
 
+    def need_algebra(name, where):
+        if name not in algebras:
+            need_preset(name, where, "algebra")
+
+    for name, spec in config.get("algebras", {}).items():
+        if isinstance(spec, str):
+            need_preset(spec, f"algebra {name!r}", "preset")
     for name, spec in config.get("spaces", {}).items():
         if "sample_of" in spec and spec["sample_of"] not in spaces:
             raise ConfigError(f"space {name!r}: unresolved raster {spec['sample_of']!r}")
@@ -441,12 +451,8 @@ def _check_references(config: dict) -> None:
                 raise ConfigError(f"quadruple {name!r}: unresolved system {spec[key]!r}")
     for k, entry in enumerate(config.get("run", [])):
         target = entry["target"]
-        known = algebras | spaces | systems | quadruples
-        if target not in known:
-            try:
-                preset_algebra(target)
-            except Exception:
-                raise ConfigError(f"run[{k}]: unresolved target {target!r}") from None
+        if target not in algebras | spaces | systems | quadruples:
+            need_preset(target, f"run[{k}]", "target")
 
 
 def _check_rational(config: dict) -> None:
@@ -509,7 +515,8 @@ def _run_entry(ws: _Workspace, entry: dict, seed: int, out_dir: Path, stem: str,
             _check_closed(obj)
             payload = validate_system(obj).to_dict()
         elif isinstance(obj, Quadruple):
-            _check_closed(obj.scalar_system)  # condition (3) reads its algebra
+            # condition (3) reads B's algebra, and condition (4) B~'s closure
+            _check_closed(obj.scalar_system, obj.vector_system)
             payload = check_admissible(obj).to_dict()
         elif isinstance(obj, FiniteSpace):
             payload = validate_metric(obj).to_dict()
@@ -523,7 +530,9 @@ def _run_entry(ws: _Workspace, entry: dict, seed: int, out_dir: Path, stem: str,
         filled = polynomial_hull_raster(region)
         write_pgm(out_dir / f"{stem}.pgm", filled)
         boundary = topological_boundary_raster(filled)
-        csv = "x,y\n" + "\n".join(f"{z.real!r},{z.imag!r}" for z in boundary) + "\n"
+        csv = "x,y\n" + "\n".join(
+            f"{float(z.real)!r},{float(z.imag)!r}" for z in boundary
+        ) + "\n"
         extras[f"{stem}.csv"] = csv
         payload = {
             "raster": target,
@@ -642,6 +651,7 @@ def _algebra_peaker(E: AlgebraSpec, char_index: int) -> np.ndarray:
     return coords
 
 
+@single_threaded()
 def run_config(config: dict, output_dir: Path, seed: int, quiet: bool = False) -> int:
     """Execute every command in the run list; returns a process exit code."""
     ws = _Workspace(config)

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import coo_array
-from scipy.sparse.csgraph import connected_components
 
+from .algebra import components
 from .reports import (
     ValidationReport,
     complex_to_pair,
@@ -320,8 +319,7 @@ def _holes(grid: np.ndarray) -> np.ndarray:
     # run k is joined to runs lo[k], ..., hi[k] - 1
     upper = np.repeat(np.arange(row.size), count)
     lower = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)
-    graph = coo_array((np.ones(upper.size, dtype=np.int8), (upper, lower)), shape=(row.size,) * 2)
-    _, labels = connected_components(graph, directed=False)
+    labels = components(row.size, upper, lower)
     on_edge = (row == 0) | (row == rows - 1) | (start == 0) | (stop == cols)
     hole = ~np.isin(labels, labels[on_edge])
     paint = np.zeros((rows, width), dtype=np.int8)

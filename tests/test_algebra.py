@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 import shilov as sh
 from conftest import PRESET_NAMES, conjugated_algebra, direct_product
@@ -411,3 +413,64 @@ def test_element_dimension_mismatch():
     E = sh.preset_algebra("dual_numbers")
     with pytest.raises(sh.AlgebraError):
         E.element([1, 2, 3])
+
+
+# --- connected components ---------------------------------------------------------
+
+
+def _scipy_components(count, u, v):
+    """Oracle for algebra.components: scipy's connected_components, each
+    label mapped to the smallest node carrying it."""
+    graph = coo_array((np.ones(len(u), dtype=bool), (u, v)), shape=(count, count))
+    _, labels = connected_components(graph, directed=False)
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return first[inverse]
+
+
+def _scipy_support_components(support):
+    """Oracle for support_components: the csgraph labelling it replaced."""
+    n, k = support.shape
+    r, j = np.nonzero(support)
+    labels = _scipy_components(n + k, r, n + j)
+    return labels[:n], np.minimum(labels[n:], n)
+
+
+def test_components_match_scipy_on_random_graphs():
+    rng = np.random.default_rng(50)
+    for _ in range(300):
+        count = int(rng.integers(1, 60))
+        edges = int(rng.integers(0, 2 * count))
+        u, v = rng.integers(0, count, size=(2, edges))  # loops and repeats too
+        assert np.array_equal(sh.algebra.components(count, u, v), _scipy_components(count, u, v))
+
+
+def test_components_follow_a_long_shuffled_path():
+    rng = np.random.default_rng(51)
+    order = rng.permutation(4000)
+    u, v = order[:-1], order[1:]
+    assert np.array_equal(sh.algebra.components(4000, u, v), np.zeros(4000, dtype=int))
+    # two paths and an isolated node
+    u, v = np.delete(u, 1999), np.delete(v, 1999)
+    labels = sh.algebra.components(4001, u, v)
+    assert np.array_equal(labels, _scipy_components(4001, u, v))
+    assert len(np.unique(labels)) == 3
+
+
+@pytest.mark.parametrize("shape", ["random", "block_diagonal", "banded"])
+def test_support_components_match_scipy(shape):
+    rng = np.random.default_rng(52)
+    for _ in range(40):
+        n, k = (int(size) for size in rng.integers(1, 120, size=2))
+        if shape == "random":
+            support = rng.random((n, k)) < rng.choice([0.01, 0.05, 0.2])
+        elif shape == "block_diagonal":
+            rows = np.sort(rng.integers(0, 8, n))
+            cols = np.sort(rng.integers(0, 8, k))
+            support = (rows[:, None] == cols[None, :]) & (rng.random((n, k)) < 0.7)
+        else:  # a band: one long path through rows and columns
+            support = np.abs(np.arange(n)[:, None] * k / n - np.arange(k)[None, :]) <= 1.0
+        support = support[rng.permutation(n)][:, rng.permutation(k)]
+        rows, cols = sh.algebra.support_components(support)
+        oracle_rows, oracle_cols = _scipy_support_components(support)
+        assert np.array_equal(rows, oracle_rows) and np.array_equal(cols, oracle_cols)
+

@@ -41,9 +41,10 @@ if {optimize_first}:
     import scipy.optimize
 import numpy as np
 import shilov.cli
-if not {optimize_first}:  # the cold import takes neither subpackage
+if not {optimize_first}:  # the cold import takes none of these subpackages
     assert "scipy.optimize" not in sys.modules, "scipy.optimize"
     assert "scipy.ndimage" not in sys.modules, "scipy.ndimage"
+    assert "scipy.sparse" not in sys.modules, "scipy.sparse"
 import scipy.optimize
 from scipy.optimize._highspy import _highs_wrapper
 assert shilov.boundary._highs_core is sys.modules["scipy.optimize._highspy._core"]
@@ -907,6 +908,59 @@ def test_certify_peak_runs_blas_single_threaded(monkeypatch):
     assert counts_inside and all(c == [1] * len(controls) for c in counts_inside)
 
 
+def test_public_checks_run_blas_single_threaded(monkeypatch, tmp_path):
+    # each check holds one pin for its whole run: the leaf calls that issue
+    # small BLAS products (close_rows, the algebra checks, the Schur step)
+    # see one thread inside it, and the counts come back after it
+    controls = blas._openblas_controls()
+    if not controls:
+        pytest.skip("no bundled OpenBLAS found")
+    seen = {}
+
+    def spying(name, real):
+        def spy(*args, **kwargs):
+            seen.setdefault(name, []).append([get() for get, _ in controls])
+            return real(*args, **kwargs)
+
+        return spy
+
+    characters = importlib.import_module("shilov.characters")  # sh.characters is the function
+    for module in (characters, sh.function_algebras):
+        monkeypatch.setattr(module, "close_rows", spying("close_rows", characters.close_rows))
+    monkeypatch.setattr(sh.algebra, "_block_residuals",
+                        spying("_block_residuals", sh.algebra._block_residuals))
+    monkeypatch.setattr(characters, "_candidate_tuples",
+                        spying("schur", characters._candidate_tuples))
+
+    def fresh_quadruple(seed):  # fresh algebras: nothing validated or searched yet
+        X = random_space(np.random.default_rng(seed), 4)
+        E = sh.preset_algebra("pointwise_2")
+        return sh.Quadruple(X, E, sh.make_CXE(X, sh.complex_field()), sh.make_CXE(X, E))
+
+    demo = Path(__file__).resolve().parent.parent / "demos" / "configs" / "exact_demo.json"
+    checks = {
+        "verify_product_theorem": lambda: sh.verify_product_theorem(fresh_quadruple(1)).passed,
+        "check_admissible": lambda: sh.check_admissible(fresh_quadruple(2)).passed,
+        "check_natural": lambda: sh.check_natural(fresh_quadruple(3)),
+        "cli.main": lambda: importlib.import_module("shilov.cli").main(
+            ["--config", str(demo), "--output-dir", str(tmp_path), "--quiet"]) == 0,
+    }
+    previous = [get() for get, _ in controls]
+    try:
+        for name, check in checks.items():
+            seen.clear()
+            for _, set_ in controls:
+                set_(2)
+            assert check(), name
+            after = [get() for get, _ in controls]
+            assert sorted(seen) == ["_block_residuals", "close_rows", "schur"], name
+            assert all(c == [1] * len(controls) for counts in seen.values() for c in counts), name
+            assert (after, blas._PIN.depth) == ([2] * len(controls), 0), name
+    finally:
+        for (_, set_), count in zip(controls, previous):
+            set_(count)
+
+
 def _support_components(support):
     """Oracle for _blocks: union-find over the nonzero entries."""
     n, k = support.shape
@@ -927,6 +981,31 @@ def _support_components(support):
         for members in components.values()
     ]
     return sorted(blocks)
+
+
+def _column_by_column(matrix):
+    """Oracle for _independent_columns: one Span.add per scaled nonzero
+    column, as it was built before Span.extend."""
+    span = sh.Span(matrix.shape[0])
+    for col in matrix.T.astype(complex):
+        peak = float(np.abs(col).max())
+        if peak > 0.0:
+            span.add(col / peak)
+    return np.column_stack(span.kept)
+
+
+def test_independent_columns_match_column_by_column():
+    rng = np.random.default_rng(53)
+    for rows, cols, rank in [(30, 12, 12), (40, 25, 9), (200, 150, 140), (6, 4, 1)]:
+        matrix = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+        matrix = matrix * 10.0 ** rng.uniform(-12, 12, cols)  # columns over 24 decades
+        matrix = np.insert(matrix, rng.integers(0, cols + 1), 0.0, axis=1)  # dropped
+        kept = _independent_columns(matrix)
+        assert kept.shape == (rows, min(rank, cols))
+        assert kept.tobytes() == _column_by_column(matrix).tobytes()
+    S = sh.make_poly(random_space(rng, 12), sh.complex_field(), 8)
+    W = sh.witnesses_from_system(S)
+    assert W.values.tobytes() == _column_by_column(sh.function_algebras.pi_matrix(S)).tobytes()
 
 
 def test_support_components_match_union_find():

@@ -695,3 +695,64 @@ def test_canonical_json_writes_non_finite_values_as_strings():
         "count": 3,
         "finite": 0.1,
     }
+
+
+def test_every_number_of_every_demo_csv_parses(tmp_path):
+    written = 0
+    for config in ("annulus_demo", "exact_demo"):
+        out = tmp_path / config
+        argv = ["--config", str(DEMO_DIR / f"{config}.json"), "--output-dir", str(out), "--quiet"]
+        assert main(argv) == 0
+        for path in sorted(out.glob("*.csv")):
+            header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+            assert header in (["x", "y"], ["x", "y", "status"]), path.name
+            assert rows, path.name
+            for row in rows:
+                assert len(row) == len(header)
+                x, y = float(row[0]), float(row[1])  # plain numbers, no type names
+                assert row[:2] == [repr(x), repr(y)] and math.isfinite(x) and math.isfinite(y)
+            written += 1
+    assert written == 3  # the hull boundary and both shilov partitions
+
+
+@pytest.mark.parametrize(
+    "name", ["pointwise_257", "truncated_poly_257", "cyclic_group_257", "cyclic_group_100000"]
+)
+def test_preset_dimension_is_capped_before_building(tmp_path, capsys, monkeypatch, name):
+    def refuse(*args):
+        raise AssertionError("a preset algebra was built")
+
+    for builder in ("pointwise_algebra", "truncated_polynomials", "cyclic_group_algebra"):
+        monkeypatch.setattr(sh.algebra, builder, refuse)
+    with pytest.raises(sh.AlgebraError, match="dimension cap of 256"):
+        sh.preset_algebra(name)
+    at_cap = name.rsplit("_", 1)[0] + "_256"
+    assert sh.algebra.parse_preset(at_cap)[1] == [256]  # parsed, not built
+    chars = [{"command": "characters", "target": "E"}]
+    configs = [
+        minimal_config(algebras={"E": name}, run=chars),  # an algebras-table preset
+        minimal_config(run=[{"command": "characters", "target": name}]),  # a run target
+        minimal_config(  # a system's algebra
+            spaces={"X": {"points": ["a"]}},
+            systems={"B": {"kind": "cxe", "space": "X", "algebra": name}},
+        ),
+    ]
+    for config in configs:
+        out = tmp_path / "out"
+        assert main(["--config", str(write_config(tmp_path, config)), "--output-dir", str(out)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "config" and "dimension cap of 256" in error["message"]
+        assert not out.exists()
+
+
+def test_config_algebra_dimension_is_capped(tmp_path, capsys):
+    assert sh.algebra.MAX_PRESET_DIM**3 == cli._MAX_ENTRIES
+    spec = {"dim": cli.MAX_PRESET_DIM, "structure": [], "unit": [], "weights": []}
+    config = minimal_config(algebras={"E": spec}, run=[{"command": "characters", "target": "E"}])
+    validate_config(write_config(tmp_path, config))  # validation alone builds nothing
+    spec["dim"] += 1
+    path = write_config(tmp_path, config)
+    with pytest.raises(ConfigError, match="schema violation at algebras/E/dim"):
+        validate_config(path)
+    assert main(["--config", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"

@@ -13,7 +13,7 @@ import shilov as sh
 from shilov import blas
 from shilov.blas import single_threaded
 from shilov.characters import DISTINCT_TOL
-from shilov.function_algebras import SEPARATION_TOL, SPAN_TOL
+from shilov.function_algebras import _SPAN_BLOCK, SEPARATION_TOL, SPAN_TOL
 from conftest import PRESET_CHARACTER_COUNTS, PRESET_NAMES, conjugated_algebra, random_space
 
 
@@ -387,17 +387,27 @@ def _near_dependent_rows(rng, count=40, width=48):
     return np.array(rows)
 
 
-@pytest.mark.parametrize("kind", ["random", "rank_deficient", "near_dependent"])
-def test_span_buffers_match_the_stacked_oracle(kind):
-    rng = np.random.default_rng(31)
+def _span_rows(kind, rng):
     if kind == "random":
-        rows = _complex_normal(rng, 40, 36)  # rank 36: six buffer doublings
-    elif kind == "rank_deficient":
+        return _complex_normal(rng, 40, 36)  # rank 36: six buffer doublings
+    if kind == "rank_deficient":
         rows = _complex_normal(rng, 40, 20) @ _complex_normal(rng, 20, 30)
         rows[[3, 17]] = 0.0
         rows[25] = 2 * rows[9]
-    else:
-        rows = _near_dependent_rows(rng)
+        return rows
+    if kind == "near_dependent":
+        return _near_dependent_rows(rng)
+    if kind == "three_blocks":  # near-dependent rows across block boundaries
+        return _near_dependent_rows(rng, count=3 * _SPAN_BLOCK + 10, width=240)
+    # a0, 1e-12 b, b: the middle row is dropped, and b is still kept
+    a0, b = _complex_normal(rng, 2, 50)
+    return np.array([a0, 1e-12 * b, b])
+
+
+@pytest.mark.parametrize("kind", ["random", "rank_deficient", "near_dependent"])
+def test_span_buffers_match_the_stacked_oracle(kind):
+    rng = np.random.default_rng(31)
+    rows = _span_rows(kind, rng)
     span, oracle = sh.Span(rows.shape[1]), _StackedSpan(rows.shape[1])
     decisions = []
     for row in rows:
@@ -414,6 +424,74 @@ def test_span_buffers_match_the_stacked_oracle(kind):
     probes = np.concatenate([rows, _complex_normal(rng, 5, rows.shape[1])])
     assert np.array_equal(span.coefficients(probes), oracle.coefficients(probes))
     assert np.array_equal(span.residuals(probes), oracle.residuals(probes))
+
+
+def _incremental_span(rows):
+    """Span built by one add per row: the unblocked decision order."""
+    span = sh.Span(rows.shape[1])
+    for row in rows:
+        span.add(row)
+    return span
+
+
+@pytest.mark.parametrize(
+    "kind", ["random", "rank_deficient", "near_dependent", "three_blocks", "a0_tiny_b"]
+)
+def test_blocked_span_matches_incremental_adds(kind):
+    rng = np.random.default_rng(33)
+    rows = _span_rows(kind, rng)
+    blocked, incremental = sh.Span.of(rows), _incremental_span(rows)
+    assert blocked.index == incremental.index
+    assert np.array_equal(np.array(blocked.kept), np.array(incremental.kept))
+    if kind == "a0_tiny_b":
+        assert blocked.index == [0, 2]
+    if kind == "three_blocks":
+        assert len(rows) > 3 * _SPAN_BLOCK and _SPAN_BLOCK < blocked.rank < len(rows)
+    q = blocked._q
+    np.testing.assert_allclose(q @ q.conj().T, np.eye(blocked.rank), atol=1e-12)
+    probes = np.concatenate([rows, _complex_normal(rng, 5, rows.shape[1])])
+    np.testing.assert_allclose(blocked.residuals(probes), incremental.residuals(probes),
+                               rtol=1e-6, atol=1e-13)
+    assert np.array_equal(blocked.contains(probes), incremental.contains(probes))
+
+
+def _pairwise_closure(S):
+    """Oracle for close_under_products: one Span.add per product, in
+    lexicographic pair order, as the closure was built before Span.extend."""
+    span = sh.Span(S.space.size * S.scalars.dim)
+    unit = S.unit_table()
+    if not S.span.contains(unit)[0]:
+        span.add(unit)
+    for t in S.basis:
+        span.add(t)
+    while True:
+        added = False
+        snapshot = [t.reshape(S.space.size, S.scalars.dim) for t in span.kept]
+        for i in range(len(snapshot)):
+            for j in range(i, len(snapshot)):
+                added |= span.add(sh.pointwise_product(S, snapshot[i], snapshot[j]))
+        if not added:
+            break
+    return np.array(span.kept).reshape(span.rank, S.space.size, S.scalars.dim)
+
+
+@pytest.mark.parametrize(
+    "name, n, degree",
+    [("C", 8, 1), ("C", 30, 2), ("dual_numbers", 5, 1), ("pointwise_2", 6, 1),
+     ("truncated_poly_3", 4, 1), ("no_unit", 6, 1)],
+)
+def test_closure_by_blocks_matches_pairwise_adds(name, n, degree):
+    rng = np.random.default_rng(34)
+    X = random_space(rng, n)
+    if name == "no_unit":  # span{z}: the unit goes in first
+        S = scalar_system(X.coords, [X.coords])
+    else:
+        E = sh.complex_field() if name == "C" else sh.preset_algebra(name)
+        S = sh.make_poly(X, E, degree)
+    closed = sh.close_under_products(S)
+    oracle = _pairwise_closure(S)
+    assert closed.closed
+    assert closed.basis.shape == oracle.shape and closed.basis.tobytes() == oracle.tobytes()
 
 
 # --- constructors ----------------------------------------------------------------
@@ -733,6 +811,33 @@ def test_check_admissible_missing_eps_constant():
     Q = sh.Quadruple(X, E, B, Bt)
     report = sh.check_admissible(Q)
     assert not report.check("products_BE_in_vector_system").passed
+
+
+def test_check_admissible_condition_4_reads_closure():
+    # the tiny annulus product quadruple: B~ = span(B E) with B = R_2 on a
+    # sampled annulus holds the unit and separates points, but is not closed
+    R = sh.raster_from_shape([sh.Annulus(0j, 0.5, 1.0)], 16)
+    X = sh.combine_spaces(
+        sh.sample_raster(R, sh.CircleSample(0j, 1.0, 6)),
+        sh.sample_raster(R, sh.CircleSample(0j, 0.5, 6)),
+        sh.sample_raster(R, sh.InteriorGrid(0.5)),
+    )
+    E = sh.pointwise_algebra(2)
+    B = sh.make_rational(X, sh.complex_field(), 2, [0j])
+    Bt = sh.span_BE(B, E)
+    assert not Bt.closed and Bt.closure_residual > SPAN_TOL
+    check = sh.check_admissible(sh.Quadruple(X, E, B, Bt)).check("vector_system_function_algebra")
+    assert not check.passed
+    assert check.residual == Bt.closure_residual
+    assert check.detail.startswith("not closed under products; evaluation maps")
+    # a closed B~ reads as before: passed, residual 0, the same detail
+    rng = np.random.default_rng(35)
+    X = random_space(rng, 3)
+    Q = sh.Quadruple(X, E, sh.make_CXE(X, sh.complex_field()), sh.make_CXE(X, E))
+    check = sh.check_admissible(Q).check("vector_system_function_algebra")
+    assert (check.passed, check.residual, check.detail) == (
+        True, 0.0, "evaluation maps are linear and automatically continuous in finite dimension"
+    )
 
 
 def test_build_pi_scalar_case_is_evaluations():

@@ -215,6 +215,30 @@ def test_raster_helpers_match_ndimage_on_the_demo_rasters():
         assert np.array_equal(boundary_mask(R), R.grid & ~ndimage.binary_erosion(R.grid, FOUR_CONNECTED))
 
 
+def _serpentine(turns: int, width: int = 40) -> np.ndarray:
+    """A walled block holding one corridor that winds back and forth: the
+    corridor's runs join one after another, a long path of a hole."""
+    grid = np.zeros((2 * turns + 5, width + 4), dtype=bool)
+    grid[1:-1, 1:-1] = True
+    for t in range(turns):
+        r = 2 * t + 2
+        grid[r, 2:-2] = False
+        if t + 1 < turns:  # the step down to the next lane, at alternating ends
+            grid[r + 1, 2 if t % 2 else width + 1] = False
+    return grid
+
+
+@pytest.mark.parametrize("turns", [1, 2, 50, 400])
+def test_holes_follow_a_long_corridor(turns):
+    grid = _serpentine(turns)
+    holes = _holes(grid)
+    assert np.array_equal(holes, _ndimage_holes(grid))
+    assert holes.sum() == (~grid[1:-1, 1:-1]).sum()  # the whole corridor
+    opened = grid.copy()
+    opened[2, 1] = False  # the first lane reaches the margin: nothing is a hole
+    assert not _holes(opened).any() and not _ndimage_holes(opened).any()
+
+
 def test_nested_holes_fill_through_islands():
     # a ring holding an island holding a hole: every bounded part fills
     grid = np.zeros((11, 11), dtype=bool)
