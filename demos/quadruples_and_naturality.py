@@ -35,15 +35,15 @@ def main():
         for check in report.checks:
             print(f"  {'ok  ' if check.passed else 'FAIL'} {check.name}")
 
-        algebra = sh.as_algebra(Bt)
-        pi = sh.build_pi(Q, vector_algebra=algebra)
+        pi = sh.build_pi(Q)
+        algebra = pi[0].algebra  # B~ as an abstract algebra (as_algebra)
         print(f"  |M(E)| * |X| = {len(E.characters)} * {X.size} = {len(pi)}; "
               f"|M(B~)| = {len(algebra.characters)}")
         print(f"  pi injective: {sh.check_pi_injective(Q)}; "
               f"natural: {sh.check_natural(Q)}")
 
         if Bt.norm_tag == "lipschitz":
-            M = sh.embedding_constant(Bt, samples=2000)
+            M = sh.embedding_constant(Bt)
             print(f"  embedding constant (sup norm <= M * Lipschitz norm): M = {M:.4f}")
         print()
 

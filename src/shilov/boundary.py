@@ -13,7 +13,7 @@ LP point or the seed that started the LP, whichever is smaller off the
 target: a feasible value no larger than the LP point's, so inside the
 bracket.
 Every LP takes one path: an active set of polygon constraints, seeded by
-Lawson's reweighting iteration (run for a whole block of targets at once)
+Lawson's reweighting iteration (run for a chunk of targets at once)
 and grown on incremental HiGHS inside a box that holds every LP optimum.
 A square family needs no LP: it is invertible, so V^-1 e_t vanishes off
 the target and the optimum is 0.
@@ -192,16 +192,16 @@ def _independent_columns(matrix: np.ndarray) -> np.ndarray:
     return np.column_stack(span.kept)
 
 
-def witnesses_from_algebra(E: AlgebraSpec, label: str = "") -> WitnessFamily:
+def witnesses_from_algebra(E: AlgebraSpec) -> WitnessFamily:
     """Candidates = E.characters, witnesses = transforms of the basis."""
     return _Block(
         tuple(chi.label for chi in E.characters),
         _independent_columns(character_matrix(E)),
-        label=label or f"M({E.label})",
+        label=f"M({E.label})",
     )
 
 
-def witnesses_from_system(S: FunctionSystem, label: str = "") -> WitnessFamily:
+def witnesses_from_system(S: FunctionSystem) -> WitnessFamily:
     """Candidates = evaluation characters of a function system.
 
     The candidates are the pairs (psi, x), psi-major over
@@ -219,7 +219,7 @@ def witnesses_from_system(S: FunctionSystem, label: str = "") -> WitnessFamily:
         labels,
         _independent_columns(pi_matrix(S)),
         coords=None if X.coords is None else np.tile(X.coords, len(psis)),
-        label=label or (S.label or "system"),
+        label=S.label or "system",
     )
 
 
@@ -415,14 +415,14 @@ def _max_modulus(V_off: np.ndarray, c: np.ndarray) -> float:
     return float(np.abs(V_off @ c).max(initial=0.0))
 
 
-# Targets per vectorized seeding pass: _seeds' work arrays are (chunk, n)
-# and (chunk, k, k) for n candidates and k witnesses.
+# Targets per vectorized seeding pass (_Scaled.seed): _lawson's work arrays
+# are (chunk, n) and (chunk, k, k) for n candidates and k witnesses.
 _SEED_CHUNK = 64
 _SEED_ITERS = 60  # Lawson rounds at most
 _SEED_RTOL = 1e-3  # relative gap to Lawson's lower bound that ends the rounds
 
 
-def _seeds(scaled: "_Scaled", targets) -> np.ndarray:
+def _lawson(V: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Near-optimal coefficients (v_t c = 1) for each target, one row each.
 
     Lawson's iteration for the minimax problem, run for every target at
@@ -431,25 +431,10 @@ def _seeds(scaled: "_Scaled", targets) -> np.ndarray:
     c = x / (v_t x) with M x = conj(v_t), M = V^H diag(d) V; then
     d_r <- d_r |(Vc)_r|, normalized.  The weights concentrate on the rows
     that bind at the optimum, and those rows are what the LP's active set
-    needs.  V is the scaled family's values.  A row returned is the best
-    iterate by the true off-target max; a target the family marks unseen
-    gets a zero row.  A square V is invertible, and its rows are V^-1 e_t,
-    the exact optimum.  Targets run in chunks of _SEED_CHUNK, so memory
-    stays O(chunk * n * k) (k <= n).
+    needs.  A row returned is the best iterate by the true off-target max.
+    A square V is invertible, and its rows are V^-1 e_t, the exact optimum.
+    targets is a nonempty index array of seen rows (_Scaled.seed).
     """
-    V = scaled.values
-    targets = np.asarray(targets, dtype=int).reshape(-1)
-    seeds = np.zeros((targets.size, V.shape[1]), dtype=complex)
-    for start in range(0, targets.size, _SEED_CHUNK):
-        chunk = targets[start : start + _SEED_CHUNK]
-        seen = ~scaled.unseen[chunk]
-        if seen.any():
-            seeds[start : start + chunk.size][seen] = _lawson(V, chunk[seen])
-    return seeds
-
-
-def _lawson(V: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """_seeds on a nonempty index array of seen targets."""
     n, k = V.shape
     if n == k:  # square, so invertible: V c = e_t
         return np.linalg.solve(V, np.eye(n)[:, targets]).T
@@ -495,8 +480,8 @@ class _Scaled:
     map back (c = c_scaled / scale) is exact in floating point.  unseen[r]
     marks a row no witness sees: its scaled max modulus is at most 1e-13
     max(1, max |values|); it is the one such rule of seeding, certification
-    and re-verification.  seeds holds _seeds rows by target, filled by a
-    sweep.
+    and re-verification.  seeds holds each computed chunk's seed rows by its
+    first target; threads that race on a chunk compute the same rows.
     """
 
     values: np.ndarray
@@ -518,6 +503,21 @@ class _Scaled:
         radius divides by; a square family runs no LP and no SVD."""
         return float(np.linalg.svd(self.values, compute_uv=False)[-1])
 
+    def seed(self, target: int) -> np.ndarray:
+        """A target's _lawson row (zero if unseen), computed once per family
+        with its whole chunk: the targets from target - target %
+        _SEED_CHUNK, at most _SEED_CHUNK of them.  Lawson's stop is
+        chunk-wide, so a lone certify_peak and a sweep seed alike."""
+        start = target - target % _SEED_CHUNK
+        if start not in self.seeds:
+            chunk = np.arange(start, min(start + _SEED_CHUNK, self.values.shape[0]))
+            rows = np.zeros((chunk.size, self.values.shape[1]), dtype=complex)
+            seen = ~self.unseen[chunk]
+            if seen.any():
+                rows[seen] = _lawson(self.values, chunk[seen])
+            self.seeds[start] = rows
+        return self.seeds[start][target - start]
+
 
 @single_threaded()
 def certify_peak(
@@ -536,23 +536,22 @@ def certify_peak(
     W's columns are first rescaled by powers of two to max modulus near 1;
     coefficients map back exactly, so every number of the certificate is
     read off W itself.  A row the scaled family marks unseen is not a peak,
-    with lp_lower = inf.  Every other target is seeded by _seeds (a sweep
-    computes the seeds of a whole block in one pass).  A square W is
-    invertible: its seed V^-1 e_t is the certificate, with bounds 0, and no
-    LP runs.  Otherwise the seed starts the LP's active set, whose
-    variables are boxed by |Re c_j|, |Im c_j| <= 2 sqrt(1 + (n - 1)
-    (T sec(pi/m))^2) / sigma_min, with T the seed's off-target max and
-    sigma_min the scaled family's smallest singular value: every LP optimum
-    lies inside, so lp_lower stays sound, and no reduced LP is unbounded.  The LP runs on
-    incremental HiGHS with 1e-9 feasibility tolerances (a failed run is
-    retried once from a cleared solver with presolve on).  The certificate
-    is the LP point or the seed, each normalized at the target, whichever
-    has the smaller off-target max (the LP point on a tie).
+    with lp_lower = inf.  Every other target is seeded by _Scaled.seed.  A
+    square W is invertible: its seed V^-1 e_t is the certificate, with
+    bounds 0, and no LP runs.  Otherwise the seed starts the LP's active
+    set, whose variables are boxed by |Re c_j|, |Im c_j| <= 2 sqrt(1 +
+    (n - 1) (T sec(pi/m))^2) / sigma_min, with T the seed's off-target max
+    and sigma_min the scaled family's smallest singular value: every LP
+    optimum lies inside, so lp_lower stays sound, and no reduced LP is
+    unbounded.  The LP runs on incremental HiGHS with 1e-9 feasibility
+    tolerances (a failed run is retried once from a cleared solver with
+    presolve on).  The certificate is the LP point or the seed, each
+    normalized at the target, whichever has the smaller off-target max
+    (the LP point on a tie).
 
     Apart from W's cached scaled state, which a sweep fills before it fans
     out, a call writes nothing shared: a sweep maps it over the targets of
-    one block on a thread pool (_estimate_families), and each certificate
-    is bit-identical to a lone call's with the same seed.
+    one block on a thread pool (_estimate_families).
     """
     n, k = W.values.shape
     if m < 8:
@@ -565,9 +564,7 @@ def certify_peak(
     if scaled.unseen[target]:
         return _unseen(target, k)
     v_t = scaled.values[target]
-    seed = scaled.seeds.get(target)
-    if seed is None:
-        [seed] = _seeds(scaled, [target])
+    seed = scaled.seed(target)
     # power-of-two scaling commutes with rounding: the scaled values of
     # best_c below equal W.values @ (best_c / scale) bit for bit
     if n == k:  # the optimum is 0, attained by the seed
@@ -680,13 +677,9 @@ def shilov_estimate(
     and zero every other row; the optimum is A's own, and a padded
     certificate re-verifies on W.  Rows no witness sees are not peaks.
 
-    One vectorized pass of _seeds seeds all of a block's candidates, where
-    a lone certify_peak call seeds its target alone.  The seeds differ only
-    in roundoff and only shorten the LP's active-set search: the verdicts
-    are the same, and LP values agree up to the solver's 1e-9 tolerances.
-    The block's candidates are then certified concurrently, one pool thread
-    per CPU; each certificate is bit-identical to a sequential certify_peak
-    call on the same block and seeds.
+    The block's candidates are certified concurrently, one pool thread per
+    CPU; each certificate is bit-identical to a sequential certify_peak
+    call on the same block, so to certify_peak(W, t) when W is one block.
     """
     return _estimate_families([W], tol, m)[0]
 
@@ -704,8 +697,8 @@ def _estimate_families(
 ) -> list[BoundaryPartition]:
     """shilov_estimate of each family, with one table of swept blocks shared
     by all of them: a block seen before reuses its certificates.  A block's
-    solver state (_Scaled.of, one pass of _seeds, sigma_min when an LP will
-    run) is computed before the fan-out, so no worker fills a cache.  Then
+    solver state (_Scaled.of, the seeds of every chunk, sigma_min when an LP
+    will run) is computed before the fan-out, so no worker fills a cache.  Then
     certify_peak is mapped over its candidates on a pool of _cpu_count()
     threads, under one BLAS pin: certificates come back in candidate order,
     bit-identical to a sequential sweep's, and a failure is raised after
@@ -725,7 +718,8 @@ def _estimate_families(
                 if key not in swept:
                     A = _Block(tuple(W.labels[r] for r in rows), block)
                     scaled = A._scaled
-                    scaled.seeds.update(enumerate(_seeds(scaled, range(rows.size))))
+                    for start in range(0, rows.size, _SEED_CHUNK):
+                        scaled.seed(start)
                     if rows.size > cols.size:
                         _ = scaled.sigma_min
                     certify = functools.partial(certify_peak, A, tol=tol, m=m)
@@ -752,8 +746,9 @@ def is_boundary(subset: list[int], W: WitnessFamily):
     """Does every witness attain its max modulus (up to 1e-9) on the subset?
 
     Checks each witness column and BOUNDARY_SAMPLES random coefficient
-    vectors drawn with BOUNDARY_SEED; returns (True, None) or (False,
-    violating c).
+    vectors drawn with BOUNDARY_SEED.  True, as (True, None), is a sampled
+    verdict: no checked function falsified it.  False comes with a witness,
+    (False, c): c's max modulus on the subset falls short of its max on W.
     """
     subset = sorted(set(int(i) for i in subset))
     if not subset:

@@ -11,10 +11,10 @@ algebra (Hausner: M(E1 x E2) is M(E1) and M(E2) side by side), so the
 characters of C(X, E), X x M(E), cost one search on E's blocks.
 
 Each algebra runs that search once: ``E.characters`` (AlgebraSpec) caches
-``characters(E)`` at the default seed, and the Gelfand transform, the
-radical, the quotient and every witness family read that one tuple.
-``characters(E, seed)`` with another seed stays available as a property
-check of the search.
+``characters(E)``, and the Gelfand transform, the radical, the quotient and
+every witness family read that one tuple.  The random combinations are
+drawn with CHARACTER_SEED; that the characters do not depend on it is a
+property check of the search.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .reports import ValidationReport, complex_array_to_pairs
 CHARACTER_TOL = 1e-8  # multiplicativity / unitality residual bound
 DISTINCT_TOL = 1e-6  # sup-norm distance below which two characters are the same
 TRIANGULARIZATION_ATTEMPTS = 5
+CHARACTER_SEED = 0  # seed of each block's random generic combinations
 
 
 class GenericityFailure(RuntimeError):
@@ -152,7 +153,7 @@ def _candidate_tuples(E: AlgebraSpec, rng: np.random.Generator) -> np.ndarray | 
     return np.column_stack([np.diagonal(M) for M in rotated])
 
 
-def _block_characters(E: AlgebraSpec, seed: int) -> np.ndarray:
+def _block_characters(E: AlgebraSpec) -> np.ndarray:
     """The accepted character values of one block, one row each, in the
     order of the triangularization's diagonal."""
     W = _semisimple_split(E)
@@ -163,7 +164,7 @@ def _block_characters(E: AlgebraSpec, seed: int) -> np.ndarray:
     else:
         reduced, pullback = _quotient_spec(E, W), np.conj(W)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(CHARACTER_SEED)
     accepted: list[np.ndarray] = []
     for _ in range(TRIANGULARIZATION_ATTEMPTS):
         tuples = _candidate_tuples(reduced, rng)
@@ -229,11 +230,11 @@ def _lexicographic_order(rows: np.ndarray) -> np.ndarray:
 
 
 @single_threaded()
-def characters(E: AlgebraSpec, seed: int = 0) -> list[Character]:
+def characters(E: AlgebraSpec) -> list[Character]:
     """All characters of E, deduplicated and lexicographically ordered.
 
-    E is searched as the product of its blocks (E.distinct_blocks),
-    once per bitwise-distinct block, each with a fresh default_rng(seed):
+    E is searched as the product of its blocks (E.distinct_blocks), once
+    per bitwise-distinct block, each with a fresh default_rng(CHARACTER_SEED):
     M(E1 x E2) is M(E1) and M(E2) side by side, each character extended by
     zero.  In a block the radical is split off first (trace form),
     candidate tuples are read off a joint unitary triangularization of the
@@ -250,7 +251,7 @@ def characters(E: AlgebraSpec, seed: int = 0) -> list[Character]:
 
     found = []
     for block, copies in E.distinct_blocks:
-        values = _block_characters(block, seed)
+        values = _block_characters(block)
         for idx in copies:
             extended = np.zeros((len(values), E.dim), dtype=complex)
             extended[:, idx] = values

@@ -49,6 +49,8 @@ SPAN_TOL = 1e-8  # relative residual bound of the one span rule (see Span)
 # block (one BLAS thread, 2 vCPUs)
 _SPAN_BLOCK = 64
 SEPARATION_TOL = 1e-9
+EMBEDDING_SEED = 0  # seed of embedding_constant's random coefficients
+EMBEDDING_SAMPLES = 10_000  # how many random coefficients embedding_constant draws
 
 
 @dataclass(frozen=True)
@@ -186,11 +188,10 @@ def sup_norm(S: FunctionSystem, f) -> float:
     return float(pointwise.max())
 
 
-def lipschitz_seminorm(S: FunctionSystem, f, alpha: float | None = None) -> float:
-    """max over pairs x != y of ||f(x) - f(y)|| / d(x,y)^alpha."""
-    alpha = S.alpha if alpha is None else alpha
-    if alpha is None:
-        raise ValueError("no alpha given and system has no lipschitz tag")
+def lipschitz_seminorm(S: FunctionSystem, f) -> float:
+    """max over pairs x != y of ||f(x) - f(y)|| / d(x,y)^S.alpha."""
+    if S.alpha is None:
+        raise ValueError("system has no lipschitz tag")
     d = S.space.distance_matrix()
     table = f if isinstance(f, np.ndarray) and f.ndim == 2 else S.table(f)
     n = S.space.size
@@ -199,11 +200,11 @@ def lipschitz_seminorm(S: FunctionSystem, f, alpha: float | None = None) -> floa
     diff = table[:, None, :] - table[None, :, :]
     num = np.abs(diff) @ S.scalars.weights  # ||f(x) - f(y)||
     iu = np.triu_indices(n, k=1)
-    return float(np.max(num[iu] / d[iu] ** alpha))
+    return float(np.max(num[iu] / d[iu] ** S.alpha))
 
 
-def lipschitz_norm(S: FunctionSystem, f, alpha: float | None = None) -> float:
-    return sup_norm(S, f) + lipschitz_seminorm(S, f, alpha)
+def lipschitz_norm(S: FunctionSystem, f) -> float:
+    return sup_norm(S, f) + lipschitz_seminorm(S, f)
 
 
 def span_membership(S: FunctionSystem, table: np.ndarray):
@@ -512,7 +513,7 @@ def make_rational(
     return FunctionSystem(X, E, _kept_tables(span, X, E), label=label or f"R_{degree}(X,{E.label})")
 
 
-def span_BE(B: FunctionSystem, E: AlgebraSpec, label: str = "") -> FunctionSystem:
+def span_BE(B: FunctionSystem, E: AlgebraSpec) -> FunctionSystem:
     """The span of {b * e : b in B.basis, e in E basis} as E-valued tables."""
     if B.scalars.dim != 1:
         raise ValueError("span_BE expects a scalar function system")
@@ -521,24 +522,25 @@ def span_BE(B: FunctionSystem, E: AlgebraSpec, label: str = "") -> FunctionSyste
         B.space,
         E,
         _kept_tables(span, B.space, E),
-        label=label or f"span({B.label or 'B'}*{E.label})",
+        label=f"span({B.label or 'B'}*{E.label})",
     )
 
 
-def embedding_constant(S: FunctionSystem, samples: int = 10_000, seed: int = 0) -> float:
+def embedding_constant(S: FunctionSystem) -> float:
     """Lower bound for sup ||f||_X / ||f||_S over the span.
 
     The ratio never exceeds 1, and 1_E attains it: sup-normed systems and
     spans containing 1_E get exactly 1.  Other Lipschitz-normed spans get
-    the maximum over basis directions plus ``samples`` random coefficient
-    vectors.
+    the maximum over basis directions plus EMBEDDING_SAMPLES random
+    coefficient vectors drawn with EMBEDDING_SEED.
     """
     if S.norm_tag == "sup" or S.span.contains(S.unit_table())[0]:
         return 1.0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(EMBEDDING_SEED)
     best = 0.0
     directions = [np.eye(S.dim, dtype=complex)[k] for k in range(S.dim)]
-    draws = rng.standard_normal((samples, S.dim)) + 1j * rng.standard_normal((samples, S.dim))
+    shape = (EMBEDDING_SAMPLES, S.dim)
+    draws = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     d = S.space.distance_matrix()
     iu = np.triu_indices(S.space.size, k=1)
@@ -564,7 +566,7 @@ def embedding_constant(S: FunctionSystem, samples: int = 10_000, seed: int = 0) 
 
 
 @single_threaded()  # threaded products of the meeting pairs cost CPU and save no wall time
-def as_algebra(S: FunctionSystem, label: str = "") -> AlgebraSpec:
+def as_algebra(S: FunctionSystem) -> AlgebraSpec:
     """Structure constants of a closed system (S.closed) in its own basis.
 
     Only the basis pairs whose supports meet (S.basis_products) are expressed
@@ -592,7 +594,7 @@ def as_algebra(S: FunctionSystem, label: str = "") -> AlgebraSpec:
         coeffs,
         unit,
         np.full(m, weight),
-        label or f"{S.label or 'system'}[alg]",
+        f"{S.label or 'system'}[alg]",
     )
 
 
@@ -619,9 +621,9 @@ class Quadruple:
             raise ValueError("the vector system must take values in the quadruple's algebra")
 
 
-def scalar_quadruple(B: FunctionSystem, label: str = "") -> Quadruple:
+def scalar_quadruple(B: FunctionSystem) -> Quadruple:
     """(X, C, B, B): every scalar system yields a quadruple over C."""
-    return Quadruple(B.space, B.scalars, B, B, label=label or f"({B.label},C)")
+    return Quadruple(B.space, B.scalars, B, B, label=f"({B.label},C)")
 
 
 @single_threaded()
@@ -655,13 +657,7 @@ def check_admissible(Q: Quadruple) -> ValidationReport:
             detail="scalar system is not closed; character check unavailable",
         )
     else:
-        natural, worst, count = _naturality(B)
-        report.add(
-            "scalar_system_natural",
-            natural,
-            worst,
-            f"{count} characters vs {Q.space.size} points",
-        )
+        report.add("scalar_system_natural", *_naturality(B))
 
     # (4) B~ is a function algebra: closed, unital and separating
     unit_ok = bool(Bt.span.contains(Bt.unit_table())[0])
@@ -696,14 +692,21 @@ def pi_matrix(S: FunctionSystem) -> np.ndarray:
     return np.concatenate([(S.basis @ psi.values).T for psi in S.scalars.characters])
 
 
-def _naturality(S: FunctionSystem) -> tuple[bool, float, int]:
-    """Match each of the count characters of closed S to its nearest pi row
-    (sup-norm distance, worst = the largest); natural iff the counts agree,
-    worst <= DISTINCT_TOL and the matching is a permutation of the rows."""
+def _naturality(S: FunctionSystem) -> tuple[bool, float, str]:
+    """(natural, worst, detail) of closed S: each of its count characters is
+    matched to its nearest pi row (sup-norm distance, worst = the largest);
+    natural iff the counts agree, worst <= DISTINCT_TOL and the matching is
+    a permutation of the rows.  Structure constants (as_algebra) that fail
+    validation get no character search: S is then not natural, and the
+    detail names each failed identity with its residual."""
     P = pi_matrix(S)
-    # not as_algebra(S).characters: each Character refers to its algebra, so
-    # a cached tuple would hold this throwaway m^3 tensor in a reference cycle
-    chars = characters(as_algebra(S))
+    algebra = as_algebra(S)
+    if failures := algebra.validation.failures():
+        found = "; ".join(f"{c.name} at {c.detail}, residual {c.residual:.3g}" for c in failures)
+        return False, max(c.residual for c in failures), f"structure constants fail {found}"
+    # not algebra.characters: each Character refers to its algebra, so a
+    # cached tuple would hold this throwaway m^3 tensor in a reference cycle
+    chars = characters(algebra)
     matched: list[int] = []
     worst = 0.0
     for chi in chars:
@@ -716,22 +719,22 @@ def _naturality(S: FunctionSystem) -> tuple[bool, float, int]:
         and worst <= DISTINCT_TOL
         and sorted(matched) == list(range(len(P)))
     )
-    return natural, worst, len(chars)
+    return natural, worst, f"{len(chars)} characters vs {len(P)} points"
 
 
 @single_threaded()
-def build_pi(Q: Quadruple, vector_algebra: AlgebraSpec | None = None) -> list[Character]:
+def build_pi(Q: Quadruple) -> list[Character]:
     """The associated map: characters (psi o e_x), psi in E.characters, on
     the closed vector system.
 
     Output is indexed psi-major like pi_matrix, labelled "psi|point".  Every
     returned functional verifies as a character of the vector system's
-    abstract algebra (as_algebra, unless vector_algebra is given).
+    abstract algebra, as_algebra(Q.vector_system), which each one holds as
+    its ``algebra``.
     """
     if not Q.vector_system.closed:
         raise ValueError("build_pi needs a closed vector system")
-    if vector_algebra is None:
-        vector_algebra = as_algebra(Q.vector_system)
+    vector_algebra = as_algebra(Q.vector_system)
     psis = Q.vector_system.scalars.characters
     labels = [f"{psi.label}|{point}" for psi in psis for point in Q.space.points]
     rows = pi_matrix(Q.vector_system)

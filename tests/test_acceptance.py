@@ -69,13 +69,11 @@ def test_criterion_1_hausner_consistency():
         for size in (2, 3, 4, 5):
             X = random_space(rng, size)
             Bt = sh.make_CXE(X, E)
-            algebra = sh.as_algebra(Bt)
-            abstract = sh.characters(algebra)
+            Q = sh.Quadruple(X, E, sh.make_CXE(X, sh.complex_field()), Bt)
+            pi = sh.build_pi(Q)
+            abstract = sh.characters(pi[0].algebra)  # as_algebra(Bt)
             expected = PRESET_CHARACTER_COUNTS[name] * size
             assert len(abstract) == expected, (name, size, len(abstract))
-
-            Q = sh.Quadruple(X, E, sh.make_CXE(X, sh.complex_field()), Bt)
-            pi = sh.build_pi(Q, vector_algebra=algebra)
             assert len(pi) == expected
             pi_values = np.array([c.values for c in pi])
             matched = set()

@@ -15,9 +15,9 @@ import pytest
 import scipy.optimize
 
 import shilov as sh
-from shilov import blas
+from shilov import blas, cli
 from shilov.algebra import support_components
-from shilov.boundary import _Scaled, _blocks, _independent_columns, _seeds
+from shilov.boundary import _Scaled, _blocks, _independent_columns
 from conftest import (
     PRESET_NAMES,
     assert_peak_sets_reverify,
@@ -27,6 +27,7 @@ from conftest import (
 )
 
 SEC32 = 1.0 / math.cos(math.pi / 32)
+DEMO_CONFIG_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 def affine_family():
@@ -738,18 +739,16 @@ def test_batched_lawson_matches_a_per_target_loop(monkeypatch):
     unseen = rng.standard_normal((10, 3)) + 1j * rng.standard_normal((10, 3))
     unseen[4] = 0.0
     families.append(unseen)
-    scaled = [_Scaled.of(V) for V in families]
-    batched = [_seeds(S, range(S.values.shape[0])) for S in scaled]
+    batched = [_all_seeds(_Scaled.of(V)) for V in families]
     monkeypatch.setattr(sh.boundary, "_lawson", _lawson_per_target)
-    for S, seeds in zip(scaled, batched):
-        reference = _seeds(S, range(S.values.shape[0]))
+    for V, seeds in zip(families, batched):
+        reference = _all_seeds(_Scaled.of(V))  # fresh: no cached seeds
         assert np.allclose(seeds, reference, rtol=1e-12, atol=1e-14)
     assert not np.any(batched[-1][4])
 
 
-def _cold_seeds(scaled, targets):
-    rows = scaled.values[np.asarray(list(targets))]
-    return rows.conj() / (np.abs(rows) ** 2).sum(axis=1, keepdims=True)
+def _all_seeds(scaled):
+    return np.array([scaled.seed(t) for t in range(scaled.values.shape[0])])
 
 
 def _seed_test_cases():
@@ -780,16 +779,23 @@ def test_seed_only_shortens_the_path(monkeypatch):
     cases = _seed_test_cases()
 
     def certify(W, targets, swept):
-        if swept:  # the sweep's seeds, computed for the whole block at once
+        if swept:  # the sweep, which seeds every chunk before it fans out
             certificates = sh.shilov_estimate(W).certificates
             return [certificates[t] for t in targets]
         return [sh.certify_peak(W, t) for t in targets]
+
+    cold_calls = []
+
+    def cold_lawson(V, targets):  # each target row's own direction, v_t c = 1
+        cold_calls.append(len(targets))
+        rows = V[targets]
+        return rows.conj() / (np.abs(rows) ** 2).sum(axis=1, keepdims=True)
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for W, _, _ in cases:
             values = W._scaled.values
-            seeds = _seeds(W._scaled, range(W.candidate_count))
+            seeds = _all_seeds(W._scaled)
             assert np.isfinite(seeds).all()
             for row, seed in zip(values, seeds):
                 if np.any(row):
@@ -797,8 +803,13 @@ def test_seed_only_shortens_the_path(monkeypatch):
                 else:
                     assert not np.any(seed)
         seeded = [certify(*case) for case in cases]
-        monkeypatch.setattr(sh.boundary, "_seeds", _cold_seeds)
-        cold = [[sh.certify_peak(W, t) for t in targets] for W, targets, _ in cases]
+        monkeypatch.setattr(sh.boundary, "_lawson", cold_lawson)
+        cold = []
+        for W, targets, _ in cases:
+            # a fresh family: W itself holds the Lawson seeds of the pass above
+            fresh = sh.boundary._Block(W.labels, W.values)
+            cold.append([sh.certify_peak(fresh, t) for t in targets])
+    assert len(cold_calls) == len(cases)  # one seeding chunk per family
     for (W, _, _), fast, slow in zip(cases, seeded, cold):
         for a, b in zip(fast, slow):
             assert a.status == b.status
@@ -1184,10 +1195,9 @@ def _fan_out_families():
 
 
 def _sequential_sweep(W):
-    """The sweep of a one-block family on one thread: the same block and
-    seeds, then certify_peak candidate after candidate."""
+    """The sweep of a one-block family on one thread: the same block, then
+    certify_peak candidate after candidate."""
     A = sh.boundary._Block(W.labels, W.values)
-    A._scaled.seeds.update(enumerate(_seeds(A._scaled, range(W.candidate_count))))
     return [sh.certify_peak(A, i) for i in range(W.candidate_count)]
 
 
@@ -1207,17 +1217,37 @@ def test_fan_out_changes_no_certificate(monkeypatch, workers):
     for W in _fan_out_families():
         assert len(_blocks(W)) == 1
         swept = sh.shilov_estimate(W).certificates
-        for a, b in zip(swept, _sequential_sweep(W), strict=True):
-            assert (a.target, a.status, a.lp_lower, a.lp_upper, a.refined) == (
-                b.target, b.status, b.lp_lower, b.lp_upper, b.refined
-            )
-            assert a.coefficients.tobytes() == b.coefficients.tobytes()
-            statuses.add(a.status)
+        _assert_bit_equal(swept, _sequential_sweep(W))
+        statuses.update(a.status for a in swept)
     assert statuses == {"certified_peak", "certified_not_peak", "undecided"}
     if workers == 1:  # one pool thread, not the caller
         assert len(threads) == 1 and threading.get_ident() not in threads
     if workers == 5:
         assert len(threads) > 1
+
+
+def _assert_bit_equal(certificates, others):
+    for a, b in zip(certificates, others, strict=True):
+        assert (a.target, a.status, a.lp_lower, a.lp_upper, a.refined) == (
+            b.target, b.status, b.lp_lower, b.lp_upper, b.refined
+        )
+        assert a.coefficients.tobytes() == b.coefficients.tobytes()
+
+
+def test_lone_certificates_equal_the_sweeps():
+    # the annulus demo's two systems (91 candidates: two seeding chunks) and
+    # the annulus_product B family; each is one block, so a lone call seeds
+    # its target with the chunk the sweep seeds it with
+    workspace = cli._Workspace(cli.validate_config(DEMO_CONFIG_DIR / "annulus_demo.json"))
+    families = [
+        sh.witnesses_from_system(workspace.system("poly")),
+        sh.witnesses_from_system(workspace.system("rational")),
+        _fan_out_families()[0],
+    ]
+    for W in families:
+        assert len(_blocks(W)) == 1
+        lone = [sh.certify_peak(W, t) for t in range(W.candidate_count)]
+        _assert_bit_equal(sh.shilov_estimate(W).certificates, lone)
 
 
 @pytest.mark.parametrize("bad", [0, 49])

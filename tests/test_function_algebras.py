@@ -634,15 +634,17 @@ def test_separation_check_is_fast_on_many_points():
     assert time.perf_counter() - start < 1.0
 
 
-def test_embedding_constant():
+def test_embedding_constant(monkeypatch):
     S = scalar_system([0, 1], [[1, 1], [0, 1]], norm_tag="sup")
     assert sh.embedding_constant(S) == 1.0
 
+    monkeypatch.setattr(sh.function_algebras, "EMBEDDING_SAMPLES", 200)
     lip = scalar_system([0, 1], [[1, 1]], norm_tag="lipschitz", alpha=1.0)
-    assert sh.embedding_constant(lip, samples=200) == pytest.approx(1.0)
+    assert sh.embedding_constant(lip) == pytest.approx(1.0)
 
+    monkeypatch.setattr(sh.function_algebras, "EMBEDDING_SAMPLES", 2000)
     lip2 = scalar_system([0, 1], [[1, 1], [0, 1]], norm_tag="lipschitz", alpha=1.0)
-    bound = sh.embedding_constant(lip2, samples=2000)
+    bound = sh.embedding_constant(lip2)
     # the coordinate function witnesses ratio 1/2; constants witness 1
     assert bound >= 0.5
     assert bound <= 1.0 + 1e-9
@@ -655,13 +657,14 @@ def test_embedding_constant():
 
 
 @pytest.mark.parametrize("name", ["complex", "cyclic_group_3"])
-def test_embedding_constant_is_one_on_spans_with_the_unit(name):
+def test_embedding_constant_is_one_on_spans_with_the_unit(name, monkeypatch):
     X = sh.FiniteSpace(("a", "b", "c"), np.array([0.2 + 0.1j, 0.9 - 0.3j, -0.5 + 0.7j]))
     # 1_E has Lipschitz seminorm 0, so it attains the largest ratio, 1
     assert sh.embedding_constant(sh.make_lip(X, sh.preset_algebra(name), 0.5)) == 1.0
     # without 1_E the bound is sampled: span{e_1} on two points has ratio 1/2
+    monkeypatch.setattr(sh.function_algebras, "EMBEDDING_SAMPLES", 200)
     single = scalar_system([0, 1], [[0, 1]], norm_tag="lipschitz", alpha=1.0)
-    assert sh.embedding_constant(single, samples=200) == pytest.approx(0.5)
+    assert sh.embedding_constant(single) == pytest.approx(0.5)
 
 
 # --- abstract algebra view and quadruples -----------------------------------------
@@ -895,8 +898,8 @@ def test_pi_outputs_verify_and_natural():
     for name in ("pointwise_2", "dual_numbers"):
         E = sh.preset_algebra(name)
         Q = sh.Quadruple(X, E, sh.make_CXE(X, sh.complex_field()), sh.make_CXE(X, E))
-        alg = sh.as_algebra(Q.vector_system)
-        pi = sh.build_pi(Q, vector_algebra=alg)
+        pi = sh.build_pi(Q)
+        alg = pi[0].algebra
         for chi in pi:
             assert sh.verify_character(alg, chi).passed
         assert sh.check_pi_injective(Q)
@@ -953,6 +956,27 @@ def test_quadruple_invariants():
     assert Q.vector_system.scalars is not E
     with pytest.raises(ValueError, match="quadruple's algebra"):
         sh.Quadruple(X, E, B, sh.make_CXE(X, sh.preset_algebra("dual_numbers")))
+
+
+def test_structure_constants_failing_validation_read_as_not_natural():
+    # P_2 closed on 8 random points has a dense, ill-conditioned basis, and
+    # as_algebra's structure constants miss associativity by about 2.6e-9
+    # (STRUCTURE_TOL is 1e-10): naturality is then reported, not raised
+    rng = np.random.default_rng(0)
+    z = rng.random(8) + 1j * rng.random(8)
+    X = sh.FiniteSpace(tuple(f"p{i}" for i in range(8)), z)
+    S = sh.close_under_products(sh.make_poly(X, sh.complex_field(), 2))
+    failed = sh.as_algebra(S).validation.check("associativity")
+    assert S.closed and not failed.passed
+    Q = sh.scalar_quadruple(S)
+    check = sh.check_admissible(Q).check("scalar_system_natural")
+    assert not check.passed
+    assert check.residual == failed.residual
+    assert f"associativity at {failed.detail}, residual {failed.residual:.3g}" in check.detail
+    assert not sh.check_natural(Q)
+    report = sh.verify_peak_product(Q, regime="exact")
+    assert report.base.preconditions["natural"] is False
+    assert not report.passed and report.base.e_partition is None
 
 
 def _unit_multiples(X: sh.FiniteSpace, E: sh.AlgebraSpec) -> sh.FunctionSystem:
