@@ -276,7 +276,7 @@ def _distinct_blocks(E: AlgebraSpec) -> list[tuple[AlgebraSpec, list[np.ndarray]
     joined = support.any(axis=2) | support.any(axis=1) | support.any(axis=0)
     labels, _ = support_components(joined | np.eye(E.dim, dtype=bool))
     distinct: dict[tuple, tuple[AlgebraSpec, list[np.ndarray]]] = {}
-    for label in np.unique(labels):
+    for label in np.flatnonzero(np.bincount(labels)):  # np.unique would import numpy.ma
         idx = np.flatnonzero(labels == label)
         parts = (E.structure[np.ix_(idx, idx, idx)], E.unit[idx], E.weights[idx])
         key = (idx.size, *(part.tobytes() for part in parts))

@@ -1,4 +1,5 @@
-"""One BLAS thread for every public check.
+"""scipy's compiled extensions and bundled OpenBLAS: the one thread policy,
+extension loading and the package's two LAPACK calls.
 
 The checks issue thousands of small dense operations: Span projections, the
 algebra and character checks, the Schur step of the character search, the
@@ -32,12 +33,32 @@ entry saves the counts and pins them, and the last exit restores them.  A
 sweep that certifies candidates on several threads therefore stays pinned
 until its last certificate is done, however the entries and exits
 interleave.
+
+``load_extension`` executes one of scipy's compiled extensions from its
+file without running its package's __init__: HiGHS for boundary's LPs and
+the f2py LAPACK module ``scipy.linalg._flapack``.  Two calls of the latter
+are all the package needs of scipy.linalg: ``schur``, the complex Schur form
+of the character search (zgees), and ``lower_triangular_inverse``, Span's
+R^-1 (ztrtrs).  Both keep scipy.linalg's checks (ValueError on inf or NaN,
+the lwork = -1 workspace query, the real-to-complex cast, the transposed
+trtrs call for C-ordered input, info to LinAlgError), so their results are
+bit-identical to ``scipy.linalg.schur(a, output="complex")`` and
+``solve_triangular(r, eye, lower=True)``.  ``import scipy.linalg`` would run
+scipy's array-API layer, numpy.f2py and numpy.ma as well.  Measured on 2
+vCPUs (BENCH_23.json): after numpy and scipy, ``import scipy.linalg`` took
+178-240 ms and loading ``_flapack`` alone 3-5 ms (five fresh interpreters);
+``python -X importtime -c "import shilov.cli"`` read a median 522 ms
+cumulative with scipy.linalg and 304 ms without (ten alternating runs).
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import threading
 from contextlib import contextmanager
 from pathlib import Path
@@ -103,3 +124,74 @@ def single_threaded():
             if _PIN.depth == 0:
                 for (_, set_), count in zip(controls, _PIN.saved):
                     set_(count)
+
+
+def load_extension(name: str):
+    """One of scipy's compiled extensions, without running its package's
+    __init__.
+
+    ``import scipy.optimize._highspy._core`` first runs scipy/optimize's
+    __init__, which imports every solver of scipy.optimize and what they
+    use, and ``import scipy.linalg._flapack`` runs scipy/linalg's, which
+    imports scipy's array-API layer; the extensions themselves need none of
+    it.  So the extension file is found in its package directory and
+    executed directly.  The module enters sys.modules under its own name
+    before it runs: a later import of its package then finds it there and
+    reuses it, and pybind11, which refuses to register the same types twice,
+    never sees a second copy.  A copy already imported is used as it is.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    package = name.rpartition(".")[0].split(".")[1:]
+    package_dir = os.path.join(os.path.dirname(scipy.__file__), *package)
+    spec = importlib.machinery.PathFinder.find_spec(name, [package_dir])
+    if spec is None:
+        raise ImportError(f"no {name} extension in {package_dir}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = load_extension("scipy.linalg._flapack")  # scipy's f2py LAPACK
+
+
+def _no_sort(*_):
+    return None
+
+
+def schur(a) -> tuple[numpy.ndarray, numpy.ndarray]:
+    """The complex Schur form (T, Z) of a square matrix, a = Z T Z^H, in
+    double precision: scipy.linalg.schur(a, output="complex") by zgees."""
+    a = numpy.asarray_chkfinite(a)  # ValueError on inf or NaN
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("expected square matrix")
+    a = a.astype(complex, copy=False)
+    gees = _flapack.zgees
+    lwork = int(gees(_no_sort, a, lwork=-1)[-2][0].real)  # workspace query
+    t, _, _, z, _, info = gees(_no_sort, a, lwork=lwork)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gees")
+    if info > 0:
+        raise numpy.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    return t, z
+
+
+def lower_triangular_inverse(r) -> numpy.ndarray:
+    """The inverse of a lower triangular matrix in complex double precision
+    (the entries above the diagonal are not read):
+    scipy.linalg.solve_triangular(r, numpy.eye(n), lower=True) by ztrtrs."""
+    r = numpy.asarray_chkfinite(r)  # ValueError on inf or NaN
+    if r.ndim != 2 or r.shape[0] != r.shape[1]:
+        raise ValueError("expected square matrix")
+    r = r.astype(complex, copy=False)
+    eye = numpy.eye(r.shape[0], dtype=complex)
+    if r.flags.f_contiguous:
+        x, info = _flapack.ztrtrs(r, eye, lower=1)
+    else:  # trtrs reads Fortran order: solve the transposed system
+        x, info = _flapack.ztrtrs(r.T, eye, lower=0, trans=1)
+    if info > 0:
+        raise numpy.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x

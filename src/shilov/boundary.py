@@ -37,49 +37,18 @@ sequential run's.
 from __future__ import annotations
 
 import functools
-import importlib.machinery
-import importlib.util
 import itertools
 import math
 import os
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy  # bound here: perfbench's tracer wraps boundary.scipy.optimize
-
-
-def _load_highs_core():
-    """scipy's incremental HiGHS extension, without importing scipy.optimize.
-
-    ``import scipy.optimize._highspy._core`` first runs scipy/optimize's
-    __init__, which imports every solver of scipy.optimize and what they
-    use, a large share of this package's import time; the extension itself
-    needs none of it.  So the extension file is found in its package
-    directory and executed directly.  The module enters sys.modules under
-    its own name before it runs: a later ``import scipy.optimize`` then
-    finds it there and reuses it, and pybind11, which refuses to register
-    the same types twice, never sees a second copy.  A copy already
-    imported is used as it is.
-    """
-    name = "scipy.optimize._highspy._core"
-    if name in sys.modules:
-        return sys.modules[name]
-    package_dir = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
-    spec = importlib.machinery.PathFinder.find_spec(name, [package_dir])
-    if spec is None:
-        raise ImportError(f"no {name} extension in {package_dir}", name=name)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-_highs_core = _load_highs_core()  # incremental HiGHS
+from numpy.random import default_rng
 
 from .algebra import AlgebraSpec, Element, support_components
-from .blas import single_threaded
+from .blas import load_extension, single_threaded
 from .characters import character_matrix, gelfand_norm
 from .function_algebras import (
     FunctionSystem,
@@ -92,6 +61,8 @@ from .function_algebras import (
 )
 from .reports import ValidationReport, complex_array_to_pairs
 from .spaces import RasterRegion, pgm_text
+
+_highs_core = load_extension("scipy.optimize._highspy._core")  # incremental HiGHS
 
 DEFAULT_TOL = 1e-4
 DEFAULT_SIDES = 32
@@ -739,7 +710,8 @@ def _blocks(W: WitnessFamily) -> list[tuple[np.ndarray, np.ndarray]]:
     the graph joining row r to column j when W.values[r, j] != 0
     (support_components).  A zero row is a block alone, with no columns."""
     rows, cols = support_components(W.values != 0)
-    return [(np.flatnonzero(rows == b), np.flatnonzero(cols == b)) for b in np.unique(rows)]
+    labels = np.flatnonzero(np.bincount(rows))  # np.unique's order; it would import numpy.ma
+    return [(np.flatnonzero(rows == b), np.flatnonzero(cols == b)) for b in labels]
 
 
 def is_boundary(subset: list[int], W: WitnessFamily):
@@ -757,7 +729,7 @@ def is_boundary(subset: list[int], W: WitnessFamily):
     n, k = V.shape
     if subset[0] < 0 or subset[-1] >= n:
         raise ValueError(f"boundary subset indices must lie in [0, {n})")
-    rng = np.random.default_rng(BOUNDARY_SEED)
+    rng = default_rng(BOUNDARY_SEED)
     draws = (BOUNDARY_SAMPLES, k)
     coeff_sets = np.vstack(
         [np.eye(k, dtype=complex), rng.standard_normal(draws) + 1j * rng.standard_normal(draws)]

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from numpy.random import default_rng
 
 from .algebra import (
     AlgebraSpec,
@@ -33,7 +33,7 @@ from .algebra import (
     numerical_rank,
     pointwise_algebra,
 )
-from .blas import single_threaded
+from .blas import schur, single_threaded
 from .reports import ValidationReport, complex_array_to_pairs
 
 CHARACTER_TOL = 1e-8  # multiplicativity / unitality residual bound
@@ -143,7 +143,7 @@ def _candidate_tuples(E: AlgebraSpec, rng: np.random.Generator) -> np.ndarray | 
     mats = basis_multiplication_matrices(E)
     t = rng.standard_normal(E.dim) + 1j * rng.standard_normal(E.dim)
     T = sum(ti * Li for ti, Li in zip(t, mats))
-    _, Q = scipy.linalg.schur(T, output="complex")
+    _, Q = schur(T)
     rotated = [Q.conj().T @ Li @ Q for Li in mats]
     scale = max(max(np.abs(M).max() for M in rotated), 1.0)
     # The flag only separates joint eigenvalues if every L_i is triangular in it.
@@ -164,7 +164,7 @@ def _block_characters(E: AlgebraSpec) -> np.ndarray:
     else:
         reduced, pullback = _quotient_spec(E, W), np.conj(W)
 
-    rng = np.random.default_rng(CHARACTER_SEED)
+    rng = default_rng(CHARACTER_SEED)
     accepted: list[np.ndarray] = []
     for _ in range(TRIANGULARIZATION_ATTEMPTS):
         tuples = _candidate_tuples(reduced, rng)

@@ -30,10 +30,10 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
+from numpy.random import default_rng
 
 from .algebra import AlgebraSpec, Element, same_algebra
-from .blas import single_threaded
+from .blas import lower_triangular_inverse, single_threaded
 from .characters import DISTINCT_TOL, Character, characters, close_rows
 from .reports import (
     ValidationReport,
@@ -297,6 +297,7 @@ class Span:
         self._count = 0  # vectors offered, kept or not
         self.index: list[int] = []  # input positions of the kept vectors
         self.kept: list[np.ndarray] = []
+        self._r_inv: np.ndarray | None = None  # coefficients' R^-1, until a row is kept
 
     @classmethod
     def of(cls, vectors) -> "Span":
@@ -382,6 +383,8 @@ class Span:
         self.index.extend((self._count + np.flatnonzero(keep)).tolist())
         self.kept.extend(V[keep])
         self._count += V.shape[0]
+        if new:
+            self._r_inv = None
         return keep
 
     @single_threaded()
@@ -391,11 +394,13 @@ class Span:
         V = self._rows(V)
         out = np.zeros((V.shape[0], self._count), dtype=complex)
         if self.rank:
-            R = np.array(self.kept) @ self._qh  # kept = R @ Q, lower triangular
-            # one small solve for R^-1, then a product: a triangular solve
-            # against every row of V touches several MB of BLAS buffer
-            R_inv = scipy.linalg.solve_triangular(R, np.eye(self.rank), lower=True)
-            out[:, self.index] = (V @ self._qh) @ R_inv
+            if self._r_inv is None:
+                R = np.array(self.kept) @ self._qh  # kept = R @ Q, lower triangular
+                # one small solve for R^-1, kept until the span grows, then a
+                # product: a triangular solve against every row of V touches
+                # several MB of BLAS buffer
+                self._r_inv = lower_triangular_inverse(R)
+            out[:, self.index] = (V @ self._qh) @ self._r_inv
         return out
 
 
@@ -536,7 +541,7 @@ def embedding_constant(S: FunctionSystem) -> float:
     """
     if S.norm_tag == "sup" or S.span.contains(S.unit_table())[0]:
         return 1.0
-    rng = np.random.default_rng(EMBEDDING_SEED)
+    rng = default_rng(EMBEDDING_SEED)
     best = 0.0
     directions = [np.eye(S.dim, dtype=complex)[k] for k in range(S.dim)]
     shape = (EMBEDDING_SAMPLES, S.dim)

@@ -1,12 +1,18 @@
-"""The process-wide OpenBLAS pin under concurrent callers."""
+"""The process-wide OpenBLAS pin under concurrent callers, and the two
+LAPACK calls against scipy.linalg."""
 
 import sys
 import threading
 
+import numpy as np
 import pytest
+import scipy.linalg
 
+import shilov as sh
 from shilov import blas
-from shilov.blas import _openblas_controls, single_threaded
+from shilov.algebra import basis_multiplication_matrices
+from shilov.blas import _openblas_controls, lower_triangular_inverse, schur, single_threaded
+from conftest import PRESET_NAMES
 
 TIMEOUT = 30.0
 
@@ -88,3 +94,90 @@ def test_pin_survives_many_threads_switching_often(controls):
     assert unpinned == []
     assert counts(controls) == [2] * len(controls)
     assert blas._PIN.depth == 0
+
+
+def _matrices(rng, lower=False):
+    """Random complex and real square matrices, 1 x 1 included, each in C
+    and in Fortran order; lower triangular ones with a dominant diagonal
+    when asked.  At n = 150, past LAPACK's blocking crossover, zgees gives
+    other bits with its default workspace than with the queried one."""
+    found = []
+    for n in (1, 2, 5, 17, 150):
+        for A in (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+                  rng.standard_normal((n, n))):
+            if lower:
+                A = np.tril(A) + 4 * np.eye(n)
+            found += [np.ascontiguousarray(A), np.asfortranarray(A)]
+    return found
+
+
+def _jordan_block(n=6, value=0.5 - 0.25j):
+    return value * np.eye(n) + np.eye(n, k=1)
+
+
+def _assert_same(ours, theirs):
+    assert ours.dtype == theirs.dtype
+    assert np.array_equal(ours, theirs)
+
+
+def _assert_schur_matches_scipy(A):
+    for ours, theirs in zip(schur(A), scipy.linalg.schur(A, output="complex")):
+        _assert_same(ours, theirs)
+
+
+def _assert_inverse_matches_scipy(R):
+    # a real R is cast to complex, as Span's R always is
+    n, complex_R = R.shape[0], R.astype(complex, copy=False)
+    oracle = scipy.linalg.solve_triangular(complex_R, np.eye(n), lower=True)
+    _assert_same(lower_triangular_inverse(R), oracle)
+
+
+def test_schur_is_scipys_complex_schur():
+    for A in _matrices(np.random.default_rng(0)) + [_jordan_block()]:
+        _assert_schur_matches_scipy(A)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_schur_is_scipys_on_preset_multiplication_matrices(name):
+    mats = basis_multiplication_matrices(sh.preset_algebra(name))
+    t = np.random.default_rng(1).standard_normal(len(mats))
+    for A in mats + [sum(ti * Li for ti, Li in zip(t, mats))]:
+        _assert_schur_matches_scipy(A)
+
+
+def test_lower_triangular_inverse_is_scipys_solve():
+    rng = np.random.default_rng(2)
+    for R in _matrices(rng, lower=True) + [_jordan_block().T]:
+        _assert_inverse_matches_scipy(R)
+    # entries above the diagonal are not read, as with solve_triangular
+    R = np.tril(rng.standard_normal((4, 4))) + 4 * np.eye(4) + np.triu(np.ones((4, 4)), 1)
+    _assert_inverse_matches_scipy(R)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_lower_triangular_inverse_is_scipys_on_preset_spans(name):
+    # R of the span of the preset's multiplication matrices, as Span.coefficients forms it
+    mats = basis_multiplication_matrices(sh.preset_algebra(name))
+    span = sh.Span.of(np.array([L.ravel() for L in mats]))
+    R = np.array(span.kept) @ span._qh
+    _assert_inverse_matches_scipy(R)
+    _assert_inverse_matches_scipy(np.asfortranarray(R))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_input_raises_value_error(bad):
+    A = np.eye(3, dtype=complex)
+    A[1, 0] = bad
+    with pytest.raises(ValueError):
+        schur(A)
+    with pytest.raises(ValueError):
+        lower_triangular_inverse(A)
+
+
+def test_singular_triangle_raises_lin_alg_error():
+    R = np.tril(np.ones((3, 3), dtype=complex))
+    R[1, 1] = 0
+    with pytest.raises(np.linalg.LinAlgError, match="diagonal 1"):
+        lower_triangular_inverse(R)
+    with pytest.raises(np.linalg.LinAlgError):
+        scipy.linalg.solve_triangular(R, np.eye(3), lower=True)

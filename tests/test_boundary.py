@@ -37,37 +37,60 @@ def affine_family():
 
 
 _ONE_CORE_SCRIPT = """
+import importlib
 import sys
-if {optimize_first}:
-    import scipy.optimize
+if {first!r}:
+    importlib.import_module({first!r})
 import numpy as np
 import shilov.cli
-if not {optimize_first}:  # the cold import takes none of these subpackages
-    assert "scipy.optimize" not in sys.modules, "scipy.optimize"
-    assert "scipy.ndimage" not in sys.modules, "scipy.ndimage"
-    assert "scipy.sparse" not in sys.modules, "scipy.sparse"
+if not {first!r}:  # the cold import takes none of these
+    for name in ("scipy.optimize", "scipy.ndimage", "scipy.sparse", "scipy.linalg",
+                 "scipy._lib._array_api", "numpy.f2py"):
+        assert name not in sys.modules, name
+loaded = set(sys.modules)
+X = shilov.FiniteSpace(("a", "b"), np.array([0j, 1j]))
+E = shilov.preset_algebra("pointwise_2")
+Q = shilov.Quadruple(X, E, shilov.make_CXE(X, shilov.complex_field()), shilov.make_CXE(X, E))
+assert shilov.verify_peak_product(Q).passed
+V = np.array([[1.0, 0.0], [1.0, 0.5], [1.0, 1.0]], dtype=complex)
+cert = shilov.certify_peak(shilov.WitnessFamily(("x0", "x1", "x2"), V), 2)
+assert cert.status == "certified_peak", cert
+# nor do the checks import anything: np.unique would import numpy.ma, and
+# np.random, first read, numpy.random
+assert set(sys.modules) == loaded, sorted(set(sys.modules) - loaded)
 import scipy.optimize
 from scipy.optimize._highspy import _highs_wrapper
 assert shilov.boundary._highs_core is sys.modules["scipy.optimize._highspy._core"]
 assert _highs_wrapper._h is sys.modules["scipy.optimize._highspy._core"]
 result = scipy.optimize.linprog([1, 1], A_ub=[[-1, -1]], b_ub=[-1], method="highs")
 assert result.status == 0 and abs(result.fun - 1) < 1e-12, result
-V = np.array([[1.0, 0.0], [1.0, 0.5], [1.0, 1.0]], dtype=complex)
-cert = shilov.certify_peak(shilov.WitnessFamily(("x0", "x1", "x2"), V), 2)
-assert cert.status == "certified_peak", cert
+import scipy.linalg
+from scipy.linalg import lapack
+assert shilov.blas._flapack is sys.modules["scipy.linalg._flapack"] is lapack._flapack
+A = np.array([[1.0, 2.0], [3.0, 4.0j]])
+T, Z = scipy.linalg.schur(A, output="complex")
+assert all(np.array_equal(a, b) for a, b in zip((T, Z), shilov.blas.schur(A)))
 """
 
 
-@pytest.mark.parametrize("optimize_first", [False, True])
-def test_one_highs_core_whichever_package_loads_it(optimize_first):
+def _run_one_core_script(first: str) -> None:
     # a fresh interpreter: this one has imported scipy.optimize already
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src if not path else f"{src}{os.pathsep}{path}"}
-    script = _ONE_CORE_SCRIPT.format(optimize_first=optimize_first)
+    script = _ONE_CORE_SCRIPT.format(first=first)
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("optimize_first", [False, True])
+def test_one_highs_core_whichever_package_loads_it(optimize_first):
+    _run_one_core_script("scipy.optimize" if optimize_first else "")
+
+
+def test_one_lapack_extension_when_scipy_linalg_comes_first():
+    _run_one_core_script("scipy.linalg")
 
 
 def test_full_algebra_indicator_peaks():

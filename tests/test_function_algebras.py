@@ -426,6 +426,23 @@ def test_span_buffers_match_the_stacked_oracle(kind):
     assert np.array_equal(span.residuals(probes), oracle.residuals(probes))
 
 
+def test_span_coefficients_after_extend_match_a_fresh_span():
+    # R^-1 is kept between calls: an extend that keeps rows must drop it
+    rng = np.random.default_rng(32)
+    rows = _span_rows("three_blocks", rng)
+    probes = np.concatenate([rows, _complex_normal(rng, 5, rows.shape[1])])
+    span = sh.Span.of(rows[:_SPAN_BLOCK])  # the fresh span's first block
+    span.coefficients(probes)
+    span.extend(rows[_SPAN_BLOCK:])
+    fresh = sh.Span.of(rows)
+    assert span.rank == fresh.rank > _SPAN_BLOCK
+    assert np.array_equal(span.coefficients(probes), fresh.coefficients(probes))
+    cached = span._r_inv
+    assert not span.extend(rows[:1]).any()  # keeps nothing: R^-1 stands
+    assert span._r_inv is cached
+    assert np.array_equal(span.coefficients(probes)[:, :-1], fresh.coefficients(probes))
+
+
 def _incremental_span(rows):
     """Span built by one add per row: the unblocked decision order."""
     span = sh.Span(rows.shape[1])
