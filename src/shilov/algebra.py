@@ -459,8 +459,11 @@ _PRESET_PATTERNS = [
     (re.compile(r"^cyclic_group_(\d+)$"), lambda n: cyclic_group_algebra(n)),
     (re.compile(r"^complex$|^C$"), lambda: complex_field()),
 ]
+# The package's memory budget in complex entries (256 MiB): the command line
+# sizes its caps by it, and Lawson seeding batches its targets by it.
+MAX_ENTRIES = 2**24
 # A named preset's dimension is at most this, so its dense n^3 structure
-# tensor holds at most 2**24 entries (256 MiB), the command line's budget.
+# tensor holds at most MAX_ENTRIES entries.
 MAX_PRESET_DIM = 2**8
 
 

@@ -47,7 +47,7 @@ import numpy as np
 import scipy  # bound here: perfbench's tracer wraps boundary.scipy.optimize
 from numpy.random import default_rng
 
-from .algebra import AlgebraSpec, Element, support_components
+from .algebra import MAX_ENTRIES, AlgebraSpec, Element, support_components
 from .blas import load_extension, single_threaded
 from .characters import character_matrix, gelfand_norm
 from .function_algebras import (
@@ -298,14 +298,15 @@ def _solve_polygon_lp(
 ):
     """Minimize the polygon max over off-target rows subject to (Vc)(target)=1.
 
-    This is the one LP path of every non-square family.  Constraints are
-    generated lazily per (candidate, direction) pair: solve on an active
-    subset, add the most violated pairs, re-run the warm solver.  The reduced
-    optimum is always a valid lower bound for the full LP, and on clean
-    termination (no violated pairs) it equals the full optimum exactly.
+    This is the one LP path of every non-square family.  Its constraints
+    are (off-target row, direction) pairs, kept as one mask active[row,
+    direction] and added in np.nonzero order: solve, add the most violated
+    fresh pairs (_fresh_pairs), re-run the warm solver.  The reduced optimum
+    is always a valid lower bound for the full LP, and on clean termination
+    (no fresh violated pair) it equals the full optimum exactly.
 
     ``seed`` is a feasible point (v_t seed = 1); its near-maximal rows seed
-    the active set.  It also bounds the LP: with T its off-target max
+    the mask.  It also bounds the LP: with T its off-target max
     modulus, every full-LP optimum c has polygon value p <= T, so
     |(Vc)_r| <= T sec(pi/m) off the target, |(Vc)_t| = 1 and
     ||c||_2 <= sqrt(1 + (n - 1) (T sec)^2) / sigma_min(V).  Boxing each real
@@ -348,10 +349,9 @@ def _solve_polygon_lp(
     # at a zero optimum every row must vanish: three spread directions pin it
     # in the first run, where a boxed column would otherwise rest at a bound
     shifts = (-1, 0, 1) if top > 0 else (0, m // 3, 2 * m // 3)
-    active = {
-        (int(r), int((best_dir[r] + shift) % m)) for r in near for shift in shifts
-    }
-    backend.add_rows(rows_for(*np.array(sorted(active)).T))
+    active = np.zeros((V_off.shape[0], m), dtype=bool)  # [row, direction] in the LP
+    active[near[:, None], (best_dir[near, None] + np.array(shifts)) % m] = True
+    backend.add_rows(rows_for(*np.nonzero(active)))
 
     for _ in range(80):
         c, t_star = backend.solve()
@@ -359,27 +359,25 @@ def _solve_polygon_lp(
             return c, t_star
         proj = np.real(np.multiply.outer(V_off @ c, phases))
         slack = proj - (t_star + 1e-11 * (1.0 + abs(t_star)))
-        viol_rows, viol_dirs = np.nonzero(slack > 0)
-        if viol_rows.size == 0:
+        rows, dirs = _fresh_pairs(slack, active)
+        if not rows.size:
             return c, t_star
-        # at most two fresh directions per row; redundant directions of one
-        # row crowd out coverage of new rows otherwise
-        fresh: dict[int, list[tuple[float, int]]] = {}
-        for r, d in zip(viol_rows, viol_dirs):
-            fresh.setdefault(int(r), []).append((-slack[r, d], int(d)))
-        additions = []
-        for r, opts in fresh.items():
-            opts.sort()
-            additions.extend(
-                (opts[0][0], (r, d)) for _, d in opts[:2] if (r, d) not in active
-            )
-        if not additions:
-            return c, t_star
-        additions.sort(key=lambda item: (item[0], item[1]))
-        chosen = [pair for _, pair in additions[:300]]
-        active.update(chosen)
-        backend.add_rows(rows_for(*np.array(chosen).T))
+        active[rows, dirs] = True
+        backend.add_rows(rows_for(rows, dirs))
     raise CertificationError("constraint generation failed to converge")
+
+
+def _fresh_pairs(slack: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The at most 300 pairs a constraint round adds: of each row's two most
+    violated directions (ties to the lower one; more would crowd out new
+    rows), those not active, by the row's worst violation, row, direction."""
+    rows = np.flatnonzero((slack > 0).any(axis=1))
+    dirs = np.argsort(-slack[rows], axis=1, kind="stable")[:, :2]
+    worst = np.repeat(slack[rows, dirs[:, 0]], 2)
+    rows, dirs = np.repeat(rows, 2), dirs.ravel()
+    fresh = np.flatnonzero((slack[rows, dirs] > 0) & ~active[rows, dirs])
+    chosen = fresh[np.lexsort((dirs[fresh], rows[fresh], -worst[fresh]))[:300]]
+    return rows[chosen], dirs[chosen]
 
 
 def _max_modulus(V_off: np.ndarray, c: np.ndarray) -> float:
@@ -404,7 +402,8 @@ def _lawson(V: np.ndarray, targets: np.ndarray) -> np.ndarray:
     that bind at the optimum, and those rows are what the LP's active set
     needs.  A row returned is the best iterate by the true off-target max.
     A square V is invertible, and its rows are V^-1 e_t, the exact optimum.
-    targets is a nonempty index array of seen rows (_Scaled.seed).
+    targets is a nonempty index array of seen rows (_Scaled.seed).  M is
+    formed in batches of targets whose (batch, k, n + k) arrays fit MAX_ENTRIES.
     """
     n, k = V.shape
     if n == k:  # square, so invertible: V c = e_t
@@ -417,12 +416,16 @@ def _lawson(V: np.ndarray, targets: np.ndarray) -> np.ndarray:
     d /= n - 1
     best = np.full(targets.size, np.inf)
     best_c = np.zeros_like(a)
+    x = np.empty_like(a)
+    batch = max(1, MAX_ENTRIES // (k * (n + k)))
     for _ in range(_SEED_ITERS):
-        M = (V_H[None] * d[:, None, :]) @ V  # (T, k, k): V^H diag(d) V per target
-        # a tiny ridge keeps M invertible when fewer than k rows carry weight
-        ridge = 1e-14 * (1.0 + np.trace(M, axis1=1, axis2=2).real)
-        M += ridge[:, None, None] * np.eye(k)
-        x = np.linalg.solve(M, a.conj()[:, :, None])[:, :, 0]
+        for b in range(0, targets.size, batch):
+            part = slice(b, b + batch)
+            M = (V_H[None] * d[part, None, :]) @ V  # V^H diag(d) V per target
+            # a tiny ridge keeps M invertible when fewer than k rows carry weight
+            ridge = 1e-14 * (1.0 + np.trace(M, axis1=1, axis2=2).real)
+            M += ridge[:, None, None] * np.eye(k)
+            x[part] = np.linalg.solve(M, a[part].conj()[:, :, None])[:, :, 0]
         a_x = (a * x).sum(axis=1)  # = conj(a)^H M^-1 conj(a) > 0
         c = x / a_x[:, None]
         r = np.abs(c @ V.T)
@@ -507,18 +510,19 @@ def certify_peak(
     W's columns are first rescaled by powers of two to max modulus near 1;
     coefficients map back exactly, so every number of the certificate is
     read off W itself.  A row the scaled family marks unseen is not a peak,
-    with lp_lower = inf.  Every other target is seeded by _Scaled.seed.  A
-    square W is invertible: its seed V^-1 e_t is the certificate, with
-    bounds 0, and no LP runs.  Otherwise the seed starts the LP's active
-    set, whose variables are boxed by |Re c_j|, |Im c_j| <= 2 sqrt(1 +
-    (n - 1) (T sec(pi/m))^2) / sigma_min, with T the seed's off-target max
-    and sigma_min the scaled family's smallest singular value: every LP
-    optimum lies inside, so lp_lower stays sound, and no reduced LP is
-    unbounded.  The LP runs on incremental HiGHS with 1e-9 feasibility
-    tolerances (a failed run is retried once from a cleared solver with
-    presolve on).  The certificate is the LP point or the seed, each
-    normalized at the target, whichever has the smaller off-target max
-    (the LP point on a tie).
+    with lp_lower = inf.  Every other target takes one path from its seed
+    (_Scaled.seed) to the certificate.  A square W is invertible: its seed
+    V^-1 e_t is the certificate, with bounds 0, and no LP runs.  Otherwise
+    the seed starts the LP's active set, whose variables are boxed by
+    |Re c_j|, |Im c_j| <= 2 sqrt(1 + (n - 1) (T sec(pi/m))^2) / sigma_min,
+    with T the seed's off-target max and sigma_min the scaled family's
+    smallest singular value: every LP optimum lies inside, so lp_lower
+    stays sound, and no reduced LP is unbounded.  The LP runs on
+    incremental HiGHS with 1e-9 feasibility tolerances (a failed run is
+    retried once from a cleared solver with presolve on).  The certificate
+    is the LP point or the seed, each normalized at the target, whichever
+    has the smaller off-target max (the LP point on a tie); for every family
+    ``refined`` is that max, read once off the scaled off-target rows.
 
     Apart from W's cached scaled state, which a sweep fills before it fans
     out, a call writes nothing shared: a sweep maps it over the targets of
@@ -536,16 +540,11 @@ def certify_peak(
         return _unseen(target, k)
     v_t = scaled.values[target]
     seed = scaled.seed(target)
-    # power-of-two scaling commutes with rounding: the scaled values of
-    # best_c below equal W.values @ (best_c / scale) bit for bit
+    c_seed = seed / np.dot(v_t, seed)
+    V_off = np.delete(scaled.values, target, axis=0)
     if n == k:  # the optimum is 0, attained by the seed
-        best_c = seed / np.dot(v_t, seed)
-        lp_lower = lp_upper = 0.0
-        w = np.abs(scaled.values @ best_c)
-        w[target] = 0.0
-        refined = float(w.max())
+        best_c, lp_lower, lp_upper = c_seed, 0.0, 0.0
     else:
-        V_off = np.delete(scaled.values, target, axis=0)
         c_lp, p = _solve_polygon_lp(
             V_off, v_t, m, seed, scaled.sigma_min, stop_lower=1.0 - tol * 1e-2 + _LP_PAD
         )
@@ -554,9 +553,10 @@ def certify_peak(
         lp_lower = p - _LP_PAD
         lp_upper = p * sec + _LP_PAD
         # the LP point, or the seed where it is smaller off the target
-        c_seed = seed / np.dot(v_t, seed)
         best_c = min((c_lp, c_seed), key=lambda c: _max_modulus(V_off, c))
-        refined = _max_modulus(V_off, best_c)
+    # power-of-two scaling commutes with rounding: the scaled values of
+    # best_c equal W.values @ (best_c / scale) bit for bit
+    refined = _max_modulus(V_off, best_c)
 
     if refined < 1.0 - tol:
         status = "certified_peak"

@@ -25,7 +25,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__
-from .algebra import MAX_PRESET_DIM, AlgebraSpec, parse_preset, preset_algebra
+from .algebra import MAX_ENTRIES, MAX_PRESET_DIM, AlgebraSpec, parse_preset, preset_algebra
 from .blas import single_threaded
 from .boundary import (
     DEFAULT_SIDES,
@@ -39,7 +39,7 @@ from .boundary import (
     verify_product_theorem,
     witnesses_from_system,
 )
-from .characters import character_matrix, radical, semisimple_quotient
+from .characters import character_matrix, radical
 from .function_algebras import (
     FunctionSystem,
     Quadruple,
@@ -62,12 +62,12 @@ from .spaces import (
     InteriorGrid,
     RasterRegion,
     combine_spaces,
+    pgm_and_sidecar,
     polynomial_hull_raster,
     raster_from_shape,
     sample_raster,
     topological_boundary_raster,
     validate_metric,
-    write_pgm,
 )
 
 # Size caps from one memory budget: no array that one config value sizes
@@ -92,7 +92,7 @@ from .spaces import (
 # of a preset name or of a config algebra, is at most MAX_PRESET_DIM, so E's
 # own n^3 structure tensor meets the budget too; a name is checked before
 # its algebra is built (parse_preset).
-_MAX_ENTRIES, _MAX_POINTS, _MAX_COORD = 2**24, 2**14, 4
+_MAX_ENTRIES, _MAX_POINTS, _MAX_COORD = MAX_ENTRIES, 2**14, 4
 _MAX_METRIC = 2**10
 _MAX_RESOLUTION = (2**12 - 3) // (4 * _MAX_COORD)
 _MIN_STEP = 4 * _MAX_COORD / 2**7
@@ -308,9 +308,7 @@ class _Workspace:
                     shapes.append(Annulus(center, float(sh["inner"]), float(sh["outer"])))
             return raster_from_shape(shapes, int(spec["resolution"]))
         if "sample_of" in spec:
-            base = self.space(spec["sample_of"])
-            if not isinstance(base, RasterRegion):
-                raise ConfigError(f"{spec['sample_of']!r} is not a raster region")
+            base = self.space(spec["sample_of"])  # a shape space (_check_references)
             parts, points = [], 0
             for st in spec["strategies"]:
                 if st["kind"] == "circle":
@@ -335,9 +333,7 @@ class _Workspace:
             if name not in table:
                 raise ConfigError(f"unknown system reference {name!r}")
             spec = table[name]
-            space = self.space(spec["space"])
-            if not isinstance(space, FiniteSpace):
-                raise ConfigError(f"system {name!r} needs a finite space")
+            space = self.space(spec["space"])  # not a shape space (_check_references)
             E = self.algebra(spec["algebra"])
             kind = spec["kind"]
             if kind == "cxe":
@@ -407,13 +403,30 @@ def validate_config(path) -> dict:
     return config
 
 
+def _space_kind(spec: dict) -> str:
+    """The form of a space spec, the first key present in _Workspace._build_space's
+    order: "points", "shape" (a raster region) or "sample_of"."""
+    return next(kind for kind in ("points", "shape", "sample_of") if kind in spec)
+
+
+def _entry_stem(k: int, entry: dict) -> str:
+    """File name stem of run entry k: its name, or NN-command-target."""
+    return entry.get("name", f"{k:02d}-{entry['command']}-{entry['target']}")
+
+
 def _check_references(config: dict) -> None:
     """All cross-references must resolve (presets count as algebras, and a
-    preset name resolves without building its algebra)."""
+    preset name resolves without building its algebra), before anything is
+    built or written.  A raster reference (a space's sample_of, a hull target,
+    a shilov entry's raster) names a shape space; a system's or quadruple's
+    space and a validate target do not.  Each run entry's file stem is a
+    plain file name that no earlier entry uses."""
     algebras = set(config.get("algebras", {}))
-    spaces = set(config.get("spaces", {}))
+    space_specs = config.get("spaces", {})
+    spaces = set(space_specs)
     systems = set(config.get("systems", {}))
     quadruples = set(config.get("quadruples", {}))
+    rasters = {name for name, spec in space_specs.items() if _space_kind(spec) == "shape"}
 
     def need_preset(name, where, what):
         try:
@@ -425,12 +438,17 @@ def _check_references(config: dict) -> None:
         if name not in algebras:
             need_preset(name, where, "algebra")
 
+    def need_space(name, where, raster=False):
+        if name not in (rasters if raster else spaces - rasters):
+            what = "shape space (a raster region)" if raster else "points or sampled space"
+            raise ConfigError(f"{where}: {name!r} is not a {what}")
+
     for name, spec in config.get("algebras", {}).items():
         if isinstance(spec, str):
             need_preset(spec, f"algebra {name!r}", "preset")
-    for name, spec in config.get("spaces", {}).items():
-        if "sample_of" in spec and spec["sample_of"] not in spaces:
-            raise ConfigError(f"space {name!r}: unresolved raster {spec['sample_of']!r}")
+    for name, spec in space_specs.items():
+        if _space_kind(spec) == "sample_of":
+            need_space(spec["sample_of"], f"space {name!r}", raster=True)
         if "shape" in spec:
             for sh in spec["shape"]:
                 if sh["kind"] == "annulus":
@@ -439,20 +457,32 @@ def _check_references(config: dict) -> None:
                     except ValueError as exc:
                         raise ConfigError(f"space {name!r}: {exc}") from None
     for name, spec in config.get("systems", {}).items():
-        if spec["space"] not in spaces:
-            raise ConfigError(f"system {name!r}: unresolved space {spec['space']!r}")
+        need_space(spec["space"], f"system {name!r}")
         need_algebra(spec["algebra"], f"system {name!r}")
     for name, spec in config.get("quadruples", {}).items():
-        if spec["space"] not in spaces:
-            raise ConfigError(f"quadruple {name!r}: unresolved space {spec['space']!r}")
+        need_space(spec["space"], f"quadruple {name!r}")
         need_algebra(spec["algebra"], f"quadruple {name!r}")
         for key in ("scalar_system", "vector_system"):
             if spec[key] not in systems:
                 raise ConfigError(f"quadruple {name!r}: unresolved system {spec[key]!r}")
+    stems = set()
     for k, entry in enumerate(config.get("run", [])):
-        target = entry["target"]
+        where, command, target = f"run[{k}]", entry["command"], entry["target"]
         if target not in algebras | spaces | systems | quadruples:
-            need_preset(target, f"run[{k}]", "target")
+            need_preset(target, where, "target")
+        if command == "hull":
+            need_space(target, where, raster=True)
+        elif command == "shilov" and entry.get("raster"):
+            need_space(entry["raster"], where, raster=True)
+        # resolve_any reads a space only when no other table has the name
+        elif command == "validate" and target in rasters - algebras - systems - quadruples:
+            raise ConfigError(f"{where}: cannot validate raster region {target!r}")
+        stem = _entry_stem(k, entry)
+        if stem in ("", ".", "..") or Path(stem).name != stem:
+            raise ConfigError(f"{where}: file stem {stem!r} is not a plain file name")
+        if stem in stems:
+            raise ConfigError(f"{where}: file stem {stem!r} repeats an earlier entry's")
+        stems.add(stem)
 
 
 def _check_rational(config: dict) -> None:
@@ -484,7 +514,7 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _run_entry(ws: _Workspace, entry: dict, seed: int, out_dir: Path, stem: str, config_hash: str):
+def _run_entry(ws: _Workspace, entry: dict, seed: int, stem: str, config_hash: str):
     """Execute one run-list command; returns the payload plus extra files."""
     command = entry["command"]
     target = entry["target"]
@@ -496,7 +526,6 @@ def _run_entry(ws: _Workspace, entry: dict, seed: int, out_dir: Path, stem: str,
     if command == "characters":
         E = ws.algebra(target)
         rad = radical(E)
-        quotient, _ = semisimple_quotient(E)
         payload = {
             "algebra": E.label,
             "characters": [c.to_dict() for c in E.characters],
@@ -504,7 +533,7 @@ def _run_entry(ws: _Workspace, entry: dict, seed: int, out_dir: Path, stem: str,
             "radical_basis": [
                 [[z.real, z.imag] for z in r.coords] for r in rad
             ],
-            "quotient_dim": quotient.dim,
+            "quotient_dim": len(E.characters),  # E / rad E is pointwise on them
         }
 
     elif command == "validate":
@@ -518,17 +547,12 @@ def _run_entry(ws: _Workspace, entry: dict, seed: int, out_dir: Path, stem: str,
             # condition (3) reads B's algebra, and condition (4) B~'s closure
             _check_closed(obj.scalar_system, obj.vector_system)
             payload = check_admissible(obj).to_dict()
-        elif isinstance(obj, FiniteSpace):
+        else:  # a finite space: _check_references keeps raster regions out
             payload = validate_metric(obj).to_dict()
-        else:
-            raise ConfigError(f"validate: cannot validate {target!r}")
 
     elif command == "hull":
-        region = ws.space(target)
-        if not isinstance(region, RasterRegion):
-            raise ConfigError(f"hull target {target!r} is not a raster region")
-        filled = polynomial_hull_raster(region)
-        write_pgm(out_dir / f"{stem}.pgm", filled)
+        filled = polynomial_hull_raster(ws.space(target))
+        extras[f"{stem}.pgm"], extras[f"{stem}.pgm.json"] = pgm_and_sidecar(filled)
         boundary = topological_boundary_raster(filled)
         csv = "x,y\n" + "\n".join(
             f"{float(z.real)!r},{float(z.imag)!r}" for z in boundary
@@ -551,10 +575,7 @@ def _run_entry(ws: _Workspace, entry: dict, seed: int, out_dir: Path, stem: str,
             extras[f"{stem}.csv"] = partition_to_csv(partition)
             payload["csv"] = f"{stem}.csv"
             if entry.get("raster"):
-                raster = ws.space(entry["raster"])
-                if not isinstance(raster, RasterRegion):
-                    raise ConfigError(f"raster {entry['raster']!r} is not a raster region")
-                extras[f"{stem}.pgm"] = partition_to_pgm(partition, raster)
+                extras[f"{stem}.pgm"] = partition_to_pgm(partition, ws.space(entry["raster"]))
                 payload["pgm"] = f"{stem}.pgm"
 
     elif command in ("verify-product", "verify-peaks"):
@@ -660,8 +681,8 @@ def run_config(config: dict, output_dir: Path, seed: int, quiet: bool = False) -
     ).hexdigest()
     output_dir.mkdir(parents=True, exist_ok=True)
     for k, entry in enumerate(config["run"]):
-        stem = entry.get("name", f"{k:02d}-{entry['command']}-{entry['target']}")
-        report, extras = _run_entry(ws, entry, seed, output_dir, stem, config_hash)
+        stem = _entry_stem(k, entry)
+        report, extras = _run_entry(ws, entry, seed, stem, config_hash)
         _atomic_write(output_dir / f"{stem}.report.json", canonical_json(report))
         for fname, text in extras.items():
             _atomic_write(output_dir / fname, text)

@@ -467,17 +467,20 @@ def pgm_text(levels: np.ndarray) -> str:
     return f"P2\n{levels.shape[1]} {levels.shape[0]}\n255\n" + "\n".join(rows) + "\n"
 
 
+def pgm_and_sidecar(R: RasterRegion) -> tuple[str, str]:
+    """Texts of a raster's plain P2 PGM (0 = unset, 255 = set) and of its
+    JSON geometry sidecar, the file beside it named with ".json" appended."""
+    sidecar = {"origin": complex_to_pair(R.origin), "pixel_size": R.pixel_size}
+    pgm = pgm_text(np.where(R.grid, PGM_SET, PGM_UNSET))
+    return pgm, json.dumps(sidecar, sort_keys=True) + "\n"
+
+
 def write_pgm(path, R: RasterRegion) -> None:
-    """Plain P2 PGM (0 = unset, 255 = set) plus a JSON geometry sidecar."""
+    """Write pgm_and_sidecar(R) to path and to path + ".json"."""
     path = Path(path)
-    path.write_text(pgm_text(np.where(R.grid, PGM_SET, PGM_UNSET)))
-    sidecar = {
-        "origin": complex_to_pair(R.origin),
-        "pixel_size": R.pixel_size,
-    }
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(sidecar, sort_keys=True) + "\n"
-    )
+    pgm, sidecar = pgm_and_sidecar(R)
+    path.write_text(pgm)
+    path.with_suffix(path.suffix + ".json").write_text(sidecar)
 
 
 def read_pgm(path) -> RasterRegion:

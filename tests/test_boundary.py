@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -772,6 +773,67 @@ def test_batched_lawson_matches_a_per_target_loop(monkeypatch):
 
 def _all_seeds(scaled):
     return np.array([scaled.seed(t) for t in range(scaled.values.shape[0])])
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+def test_lawson_batches_its_targets_within_the_memory_budget(monkeypatch, batch):
+    rng = np.random.default_rng(48)
+    n, k = 400, 24
+    V = _Scaled.of(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))).values
+    targets = np.arange(sh.boundary._SEED_CHUNK)
+
+    def seeds_and_peak():
+        tracemalloc.start()
+        try:
+            seeds = sh.boundary._lawson(V, targets)
+            return seeds, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    whole, whole_peak = seeds_and_peak()  # one batch: (64, k, n) at once
+    monkeypatch.setattr(sh.boundary, "MAX_ENTRIES", batch * k * (n + k))
+    batched, batched_peak = seeds_and_peak()
+    assert batched.tobytes() == whole.tobytes()
+    assert batched_peak < whole_peak / 3
+
+
+def _fresh_pairs_by_tuples(slack, active):
+    """Reference constraint round: the active pairs as a set of (row,
+    direction) tuples, each row's violated directions in a dict, and one
+    tuple sort of the candidates."""
+    pairs = set(zip(*(idx.tolist() for idx in np.nonzero(active))))
+    fresh = {}
+    for r, d in zip(*np.nonzero(slack > 0)):
+        fresh.setdefault(int(r), []).append((-slack[r, d], int(d)))
+    additions = []
+    for r, opts in fresh.items():
+        opts.sort()
+        additions.extend((opts[0][0], (r, d)) for _, d in opts[:2] if (r, d) not in pairs)
+    additions.sort(key=lambda item: (item[0], item[1]))
+    return [pair for _, pair in additions[:300]]
+
+
+def test_fresh_pairs_match_the_tuple_set_selection():
+    rng = np.random.default_rng(49)
+    sizes = set()
+    for trial in range(300):
+        rows, m = int(rng.integers(1, 400)), int(rng.choice([8, 9, 32]))
+        if trial % 2:  # half-integer slacks: ties within and across rows
+            slack = rng.integers(-3, 4, (rows, m)) * 0.5
+        else:
+            slack = rng.standard_normal((rows, m))
+        slack[rng.random(rows) < 0.2] = -1.0  # rows with no violated direction
+        lone = np.flatnonzero(rng.random(rows) < 0.2)
+        slack[lone] = -0.5  # rows with a single violated direction
+        slack[lone, rng.integers(0, m, lone.size)] = rng.choice([0.5, 1.0], lone.size)
+        active = rng.random((rows, m)) < rng.choice([0.0, 0.3, 0.9])
+        got_rows, got_dirs = sh.boundary._fresh_pairs(slack, active)
+        got = list(zip(got_rows.tolist(), got_dirs.tolist()))
+        assert got == _fresh_pairs_by_tuples(slack, active)
+        sizes.add(len(got) // 150)
+    assert sizes == {0, 1, 2}  # small rounds, and rounds cut at 300
+    rows, dirs = sh.boundary._fresh_pairs(-np.ones((5, 8)), np.zeros((5, 8), dtype=bool))
+    assert rows.size == dirs.size == 0  # nothing violated: the LP is done
 
 
 def _seed_test_cases():

@@ -1,5 +1,6 @@
 """Config validation, command execution, determinism, error handling."""
 
+import importlib
 import json
 import math
 from pathlib import Path
@@ -756,3 +757,121 @@ def test_config_algebra_dimension_is_capped(tmp_path, capsys):
         validate_config(path)
     assert main(["--config", str(path), "--output-dir", str(tmp_path / "out")]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+_DISK = {"shape": [{"kind": "disk", "center": [0, 0], "radius": 1.0}], "resolution": 16}
+_SAMPLES = {"sample_of": "disk", "strategies": [{"kind": "interior_grid", "step": 0.5}]}
+_POINTS = {"points": ["a", "b"], "coords": [[0, 0], [1, 0]]}
+_FIRST = {"command": "characters", "target": "D", "name": "first"}
+
+
+def _assert_refused(tmp_path, capsys, config, message):
+    """main exits 2 with message in its config error, and writes no file,
+    neither in the output directory nor beside it."""
+    work = tmp_path / "work"
+    path = write_config(tmp_path, config)
+    assert main(["--config", str(path), "--output-dir", str(work / "out"), "--quiet"]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "config" and message in error["message"], error
+    assert not work.exists()
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        (["../escaped"], "'../escaped' is not a plain file name"),
+        (["sub/name"], "'sub/name' is not a plain file name"),
+        ([".."], "'..' is not a plain file name"),
+        (["."], "'.' is not a plain file name"),
+        ([""], "'' is not a plain file name"),
+        (["dup", "dup"], "'dup' repeats an earlier entry's"),
+        (["first"], "'first' repeats an earlier entry's"),
+    ],
+)
+def test_run_entry_names_are_plain_and_distinct(tmp_path, capsys, names, message):
+    run = [_FIRST] + [{"command": "characters", "target": "D", "name": n} for n in names]
+    _assert_refused(tmp_path, capsys, minimal_config(run=run), message)
+
+
+def test_default_stem_carries_no_slash_into_the_path(tmp_path, capsys):
+    config = minimal_config(
+        algebras={"D": "dual_numbers", "a/b": "pointwise_2"},
+        run=[_FIRST, {"command": "characters", "target": "a/b"}],
+    )
+    _assert_refused(tmp_path, capsys, config, "'01-characters-a/b' is not a plain file name")
+    config["run"][1]["name"] = "ab"
+    out = tmp_path / "out"
+    assert main(["--config", str(write_config(tmp_path, config)), "--output-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["ab.report.json", "first.report.json"]
+
+
+@pytest.mark.parametrize(
+    "spaces, systems, quadruples, entry, message",
+    [
+        # a sampled space that samples itself (was a RecursionError, exit 1)
+        ({"s": {**_SAMPLES, "sample_of": "s"}}, {}, {}, None, "'s' is not a shape space"),
+        # a sampled space that samples another sampled space
+        ({"disk": _DISK, "s": _SAMPLES, "t": {**_SAMPLES, "sample_of": "s"}}, {}, {}, None,
+         "'s' is not a shape space"),
+        # a hull of a points space (was exit 2 after the earlier entries wrote)
+        ({"X": _POINTS}, {}, {}, {"command": "hull", "target": "X"},
+         "'X' is not a shape space"),
+        # a shilov raster that names a sampled space
+        ({"disk": _DISK, "s": _SAMPLES},
+         {"poly": {"kind": "poly", "space": "s", "algebra": "complex"}}, {},
+         {"command": "shilov", "target": "poly", "raster": "s"}, "'s' is not a shape space"),
+        # a system and a quadruple on a raster region, and a raster region validated
+        ({"disk": _DISK}, {"B": {"kind": "cxe", "space": "disk", "algebra": "complex"}}, {}, None,
+         "'disk' is not a points or sampled space"),
+        ({"disk": _DISK, "X": _POINTS},
+         {"B": {"kind": "cxe", "space": "X", "algebra": "complex"}},
+         {"Q": {"space": "disk", "algebra": "complex", "scalar_system": "B", "vector_system": "B"}},
+         None, "'disk' is not a points or sampled space"),
+        ({"disk": _DISK}, {}, {}, {"command": "validate", "target": "disk"},
+         "cannot validate raster region 'disk'"),
+    ],
+)
+def test_raster_references_are_checked_before_any_output(
+    tmp_path, capsys, spaces, systems, quadruples, entry, message
+):
+    config = minimal_config(
+        spaces=spaces, systems=systems, quadruples=quadruples,
+        run=[_FIRST] + ([entry] if entry else []),
+    )
+    _assert_refused(tmp_path, capsys, config, message)
+
+
+def test_hull_pgm_and_sidecar_go_through_atomic_writes(tmp_path, monkeypatch):
+    path = write_config(tmp_path, {"spaces": {"disk": _DISK}, "run": [
+        {"command": "hull", "target": "disk", "name": "hull"}
+    ]})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command line writes every file through _atomic_write")
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--output-dir", str(out), "--quiet"]) == 0
+    monkeypatch.undo()
+    disk = sh.raster_from_shape(sh.Disk(0, 1), 16)
+    sh.write_pgm(tmp_path / "ref.pgm", sh.polynomial_hull_raster(disk))
+    for suffix in (".pgm", ".pgm.json"):
+        assert (out / f"hull{suffix}").read_bytes() == (tmp_path / f"ref{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name", ["dual_numbers", "pointwise_3", "truncated_poly_3", "cyclic_group_3"]
+)
+def test_quotient_dim_builds_no_quotient_algebra(tmp_path, monkeypatch, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError("quotient_dim needs no n^3 structure tensor")
+
+    # the module: shilov.characters is the function of that name
+    monkeypatch.setattr(importlib.import_module("shilov.characters"), "pointwise_algebra", refuse)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, minimal_config(algebras={"D": name}))
+    assert main(["--config", str(path), "--output-dir", str(out), "--quiet"]) == 0
+    monkeypatch.undo()
+    quotient, _ = sh.semisimple_quotient(sh.preset_algebra(name))
+    payload = json.loads((out / "chars.report.json").read_text())["payload"]
+    assert payload["quotient_dim"] == quotient.dim
