@@ -75,7 +75,12 @@ def main():
 
     certified = part_rat.peak
     ok, _ = sh.is_boundary(certified, sh.witnesses_from_system(rational))
-    print(f"  certified set is a boundary for the rational family: {ok}")
+    meaning = {
+        True: "every other sample is certified not to peak off it",
+        False: "a certified peak lies off it",
+        None: "undecided: some other sample is neither certified to peak nor not to",
+    }[ok]
+    print(f"  certified set is a boundary for the rational family: {ok} ({meaning})")
     print(f"  outputs written under {OUT}")
 
 

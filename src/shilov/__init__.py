@@ -54,7 +54,6 @@ from .boundary import (
 )
 from .characters import (
     Character,
-    GenericityFailure,
     characters,
     gelfand_norm,
     gelfand_transform,

@@ -1,9 +1,9 @@
 """scipy's compiled extensions and bundled OpenBLAS: the one thread policy,
-extension loading and the package's two LAPACK calls.
+extension loading and the package's one direct LAPACK call.
 
 The checks issue thousands of small dense operations: Span projections, the
-algebra and character checks, the Schur step of the character search, the
-close-pair projections, Lawson's seeding, the polygon LPs and the
+algebra and character checks, the eigenvalue split of the character search,
+the close-pair projections, Lawson's seeding, the polygon LPs and the
 max-modulus evaluations.  OpenBLAS may thread even these small products,
 and waking its workers for each costs more than the product saves; a
 sweep that certifies candidates on several threads of its own would start
@@ -36,15 +36,14 @@ interleave.
 
 ``load_extension`` executes one of scipy's compiled extensions from its
 file without running its package's __init__: HiGHS for boundary's LPs and
-the f2py LAPACK module ``scipy.linalg._flapack``.  Two calls of the latter
-are all the package needs of scipy.linalg: ``schur``, the complex Schur form
-of the character search (zgees), and ``lower_triangular_inverse``, Span's
-R^-1 (ztrtrs).  Both keep scipy.linalg's checks (ValueError on inf or NaN,
-the lwork = -1 workspace query, the real-to-complex cast, the transposed
-trtrs call for C-ordered input, info to LinAlgError), so their results are
-bit-identical to ``scipy.linalg.schur(a, output="complex")`` and
-``solve_triangular(r, eye, lower=True)``.  ``import scipy.linalg`` would run
-scipy's array-API layer, numpy.f2py and numpy.ma as well.  Measured on 2
+the f2py LAPACK module ``scipy.linalg._flapack``.  One call of the latter is
+all the package needs of scipy.linalg: ``lower_triangular_inverse``, Span's
+R^-1 (ztrtrs).  It keeps scipy.linalg's checks (ValueError on inf or NaN,
+the real-to-complex cast, the transposed trtrs call for C-ordered input,
+info to LinAlgError), so its result is bit-identical to
+``solve_triangular(r, eye, lower=True)``.  The character search needs only
+numpy's eigvals and svd.  ``import scipy.linalg`` would run scipy's
+array-API layer, numpy.f2py and numpy.ma as well.  Measured on 2
 vCPUs (BENCH_23.json): after numpy and scipy, ``import scipy.linalg`` took
 178-240 ms and loading ``_flapack`` alone 3-5 ms (five fresh interpreters);
 ``python -X importtime -c "import shilov.cli"`` read a median 522 ms
@@ -154,27 +153,6 @@ def load_extension(name: str):
 
 
 _flapack = load_extension("scipy.linalg._flapack")  # scipy's f2py LAPACK
-
-
-def _no_sort(*_):
-    return None
-
-
-def schur(a) -> tuple[numpy.ndarray, numpy.ndarray]:
-    """The complex Schur form (T, Z) of a square matrix, a = Z T Z^H, in
-    double precision: scipy.linalg.schur(a, output="complex") by zgees."""
-    a = numpy.asarray_chkfinite(a)  # ValueError on inf or NaN
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected square matrix")
-    a = a.astype(complex, copy=False)
-    gees = _flapack.zgees
-    lwork = int(gees(_no_sort, a, lwork=-1)[-2][0].real)  # workspace query
-    t, _, _, z, _, info = gees(_no_sort, a, lwork=lwork)
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal gees")
-    if info > 0:
-        raise numpy.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
-    return t, z
 
 
 def lower_triangular_inverse(r) -> numpy.ndarray:

@@ -45,7 +45,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy  # bound here: perfbench's tracer wraps boundary.scipy.optimize
-from numpy.random import default_rng
 
 from .algebra import MAX_ENTRIES, AlgebraSpec, Element, support_components
 from .blas import load_extension, single_threaded
@@ -66,8 +65,6 @@ _highs_core = load_extension("scipy.optimize._highspy._core")  # incremental HiG
 
 DEFAULT_TOL = 1e-4
 DEFAULT_SIDES = 32
-BOUNDARY_SEED = 1729  # seed of is_boundary's random witnesses
-BOUNDARY_SAMPLES = 1000  # how many random witnesses is_boundary draws
 CERT_REVERIFY_TOL = 1e-9
 
 # Reported LP bounds carry a tiny pad for roundoff at the 1e-9 feasibility
@@ -146,6 +143,16 @@ class _Block(WitnessFamily):
 
 
 @single_threaded()
+def _kept_columns(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the columns _independent_columns keeps, and every
+    column's max modulus."""
+    columns = np.asarray(matrix, dtype=complex).T
+    peaks = np.abs(columns).max(axis=1)
+    nonzero = np.flatnonzero(peaks > 0.0)
+    span = Span.of(columns[nonzero] / peaks[nonzero, None])
+    return nonzero[span.index], peaks
+
+
 def _independent_columns(matrix: np.ndarray) -> np.ndarray:
     """Keep independent columns, each rescaled to unit max modulus first
     (zero columns dropped), by one Span.extend.
@@ -154,13 +161,11 @@ def _independent_columns(matrix: np.ndarray) -> np.ndarray:
     families like Laurent monomials span fifteen orders of magnitude and
     wreck the conditioning of every downstream solve.
     """
-    columns = np.asarray(matrix, dtype=complex).T
-    peaks = np.abs(columns).max(axis=1)
-    nonzero = peaks > 0.0
-    span = Span.of(columns[nonzero] / peaks[nonzero, None])
-    if not span.rank:
+    kept, peaks = _kept_columns(matrix)
+    if not kept.size:
         raise ValueError("witness family has no nonzero column")
-    return np.column_stack(span.kept)
+    columns = np.asarray(matrix, dtype=complex)[:, kept] / peaks[kept]
+    return np.ascontiguousarray(columns)  # row-major: products round otherwise on column-major
 
 
 def witnesses_from_algebra(E: AlgebraSpec) -> WitnessFamily:
@@ -386,9 +391,9 @@ def _max_modulus(V_off: np.ndarray, c: np.ndarray) -> float:
 
 # Targets per vectorized seeding pass (_Scaled.seed): _lawson's work arrays
 # are (chunk, n) and (chunk, k, k) for n candidates and k witnesses.
-_SEED_CHUNK = 64
-_SEED_ITERS = 60  # Lawson rounds at most
-_SEED_RTOL = 1e-3  # relative gap to Lawson's lower bound that ends the rounds
+_LAWSON_CHUNK = 64
+_LAWSON_ITERS = 60  # Lawson rounds at most
+_LAWSON_RTOL = 1e-3  # relative gap to Lawson's lower bound that ends the rounds
 
 
 def _lawson(V: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -418,7 +423,7 @@ def _lawson(V: np.ndarray, targets: np.ndarray) -> np.ndarray:
     best_c = np.zeros_like(a)
     x = np.empty_like(a)
     batch = max(1, MAX_ENTRIES // (k * (n + k)))
-    for _ in range(_SEED_ITERS):
+    for _ in range(_LAWSON_ITERS):
         for b in range(0, targets.size, batch):
             part = slice(b, b + batch)
             M = (V_H[None] * d[part, None, :]) @ V  # V^H diag(d) V per target
@@ -436,7 +441,7 @@ def _lawson(V: np.ndarray, targets: np.ndarray) -> np.ndarray:
         best_c[better] = c[better]
         # sum_r d_r |(Vc)_r|^2 = 1 / (v_t x) never exceeds the squared
         # optimum (d sums to 1): stop once every best is that close to it
-        if np.all(best - 1.0 / np.sqrt(np.abs(a_x)) <= _SEED_RTOL * best):
+        if np.all(best - 1.0 / np.sqrt(np.abs(a_x)) <= _LAWSON_RTOL * best):
             break
         weighted = d * r
         total = weighted.sum(axis=1)
@@ -480,11 +485,11 @@ class _Scaled:
     def seed(self, target: int) -> np.ndarray:
         """A target's _lawson row (zero if unseen), computed once per family
         with its whole chunk: the targets from target - target %
-        _SEED_CHUNK, at most _SEED_CHUNK of them.  Lawson's stop is
+        _LAWSON_CHUNK, at most _LAWSON_CHUNK of them.  Lawson's stop is
         chunk-wide, so a lone certify_peak and a sweep seed alike."""
-        start = target - target % _SEED_CHUNK
+        start = target - target % _LAWSON_CHUNK
         if start not in self.seeds:
-            chunk = np.arange(start, min(start + _SEED_CHUNK, self.values.shape[0]))
+            chunk = np.arange(start, min(start + _LAWSON_CHUNK, self.values.shape[0]))
             rows = np.zeros((chunk.size, self.values.shape[1]), dtype=complex)
             seen = ~self.unseen[chunk]
             if seen.any():
@@ -689,7 +694,7 @@ def _estimate_families(
                 if key not in swept:
                     A = _Block(tuple(W.labels[r] for r in rows), block)
                     scaled = A._scaled
-                    for start in range(0, rows.size, _SEED_CHUNK):
+                    for start in range(0, rows.size, _LAWSON_CHUNK):
                         scaled.seed(start)
                     if rows.size > cols.size:
                         _ = scaled.sigma_min
@@ -714,13 +719,18 @@ def _blocks(W: WitnessFamily) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(np.flatnonzero(rows == b), np.flatnonzero(cols == b)) for b in labels]
 
 
+@single_threaded()
 def is_boundary(subset: list[int], W: WitnessFamily):
-    """Does every witness attain its max modulus (up to 1e-9) on the subset?
+    """Does every function of W's span attain its max modulus on the subset?
 
-    Checks each witness column and BOUNDARY_SAMPLES random coefficient
-    vectors drawn with BOUNDARY_SEED.  True, as (True, None), is a sampled
-    verdict: no checked function falsified it.  False comes with a witness,
-    (False, c): c's max modulus on the subset falls short of its max on W.
+    Each candidate t outside the subset S, in ascending order, is certified
+    as a peak of the rows S and t (certify_peak, reduced to independent
+    columns by _independent_columns' rule, at DEFAULT_TOL and DEFAULT_SIDES).
+    A certified peak t gives (False, c): the combination c of W's own
+    columns, re-checked on W by direct evaluation, is 1 at t and at most
+    its certificate's refined < 1 on S.  If every t is certified not a peak
+    (a row no witness sees never peaks), the answer is (True, None).
+    Otherwise some t is undecided, and so is the answer: (None, None).
     """
     subset = sorted(set(int(i) for i in subset))
     if not subset:
@@ -729,18 +739,25 @@ def is_boundary(subset: list[int], W: WitnessFamily):
     n, k = V.shape
     if subset[0] < 0 or subset[-1] >= n:
         raise ValueError(f"boundary subset indices must lie in [0, {n})")
-    rng = default_rng(BOUNDARY_SEED)
-    draws = (BOUNDARY_SAMPLES, k)
-    coeff_sets = np.vstack(
-        [np.eye(k, dtype=complex), rng.standard_normal(draws) + 1j * rng.standard_normal(draws)]
-    )
-    values = np.abs(coeff_sets @ V.T)  # (draws, candidates)
-    max_all = values.max(axis=1)
-    max_sub = values[:, subset].max(axis=1)
-    bad = np.flatnonzero(max_sub < (1.0 - 1e-9) * max_all)
-    if bad.size:
-        return False, coeff_sets[bad[0]]
-    return True, None
+    decided = True
+    for t in sorted(set(range(n)).difference(subset)):
+        rows = np.append(subset, t)  # t last
+        kept, _ = _kept_columns(V[rows])
+        if not kept.size:  # no witness sees t
+            continue
+        block = _Block(tuple(W.labels[r] for r in rows), V[np.ix_(rows, kept)])
+        cert = certify_peak(block, len(subset))
+        if cert.status == "certified_peak":
+            c = np.zeros(k, dtype=complex)
+            c[kept] = cert.coefficients
+            f = V[rows] @ c
+            if (
+                abs(f[-1] - 1.0) <= CERT_REVERIFY_TOL
+                and np.abs(f[:-1]).max() <= cert.refined + CERT_REVERIFY_TOL
+            ):
+                return False, c
+        decided = decided and cert.status == "certified_not_peak"
+    return (True, None) if decided else (None, None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,18 @@
 """Character spaces, Gelfand transforms, radicals and semisimple quotients.
 
-Characters of a finite-dimensional commutative unital algebra are found by
-simultaneously triangularizing the commuting multiplication matrices
-L_{e_1}, ..., L_{e_n} with one unitary Schur similarity computed from a
-random generic linear combination.  The diagonal of the triangularized
-family enumerates the joint eigenvalue tuples (with multiplicity); tuples
-that verify the character identities are kept, the rest are discarded.
-The search runs once per bitwise-distinct direct-product block of the
-algebra (Hausner: M(E1 x E2) is M(E1) and M(E2) side by side), so the
-characters of C(X, E), X x M(E), cost one search on E's blocks.
+Characters of a finite-dimensional commutative unital algebra are the
+joint eigenvalue tuples of its commuting multiplication matrices
+L_{e_1}, ..., L_{e_n} that verify the character identities.  The radical
+is split off first (trace form); the semisimple quotient's space is then
+split into joint eigenspaces one L_{e_j} at a time, by eigenvalue clusters
+and singular vectors, with no random combination and no seed.  The search
+runs once per bitwise-distinct direct-product block of the algebra
+(Hausner: M(E1 x E2) is M(E1) and M(E2) side by side), so the characters
+of C(X, E), X x M(E), cost one search on E's blocks.
 
 Each algebra runs that search once: ``E.characters`` (AlgebraSpec) caches
 ``characters(E)``, and the Gelfand transform, the radical, the quotient and
-every witness family read that one tuple.  The random combinations are
-drawn with CHARACTER_SEED; that the characters do not depend on it is a
-property check of the search.
+every witness family read that one tuple.
 """
 
 from __future__ import annotations
@@ -22,28 +20,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import default_rng
 
 from .algebra import (
     AlgebraSpec,
     Element,
     basis_multiplication_matrices,
+    components,
     multiply,
     norm,
     numerical_rank,
     pointwise_algebra,
 )
-from .blas import schur, single_threaded
+from .blas import single_threaded
 from .reports import ValidationReport, complex_array_to_pairs
 
 CHARACTER_TOL = 1e-8  # multiplicativity / unitality residual bound
 DISTINCT_TOL = 1e-6  # sup-norm distance below which two characters are the same
-TRIANGULARIZATION_ATTEMPTS = 5
-CHARACTER_SEED = 0  # seed of each block's random generic combinations
-
-
-class GenericityFailure(RuntimeError):
-    """The random combination kept producing non-separating triangularizations."""
 
 
 @dataclass(frozen=True)
@@ -114,17 +106,15 @@ def _semisimple_split(E: AlgebraSpec):
 
     tr(L_a) is the multiplicity-weighted sum of character values, so the Gram
     matrix G[i,j] = tr(L_i L_j) has kernel exactly the common character
-    kernel, i.e. the radical.  Quotienting first keeps the subsequent joint
-    triangularization away from multiple eigenvalues, whose diagonal
-    read-offs are only accurate to eps^(1/r) above a rank-r nilpotent block.
+    kernel, i.e. the radical.  Quotienting first keeps the eigenvalue split
+    away from defective eigenvalues, which are only accurate to eps^(1/r)
+    above a rank-r nilpotent block.  A block that passes the unit law has
+    tr(L_1^2) = dim, so the rank is at least 1.
     """
     mats = np.stack(basis_multiplication_matrices(E))
     gram = np.einsum("iab,jba->ij", mats, mats)
     _, s, vh = np.linalg.svd(gram)
-    rank = numerical_rank(s)
-    if rank == 0:
-        return None  # no character can survive: not a unital algebra
-    return vh[:rank].conj().T  # (dim, rank), orthonormal columns
+    return vh[: numerical_rank(s)].conj().T  # (dim, rank), orthonormal columns
 
 
 def _quotient_spec(E: AlgebraSpec, W: np.ndarray) -> AlgebraSpec:
@@ -138,48 +128,63 @@ def _quotient_spec(E: AlgebraSpec, W: np.ndarray) -> AlgebraSpec:
     )
 
 
-def _candidate_tuples(E: AlgebraSpec, rng: np.random.Generator) -> np.ndarray | None:
-    """One triangularization attempt; returns the n diagonal tuples or None."""
-    mats = basis_multiplication_matrices(E)
-    t = rng.standard_normal(E.dim) + 1j * rng.standard_normal(E.dim)
-    T = sum(ti * Li for ti, Li in zip(t, mats))
-    _, Q = schur(T)
-    rotated = [Q.conj().T @ Li @ Q for Li in mats]
-    scale = max(max(np.abs(M).max() for M in rotated), 1.0)
-    # The flag only separates joint eigenvalues if every L_i is triangular in it.
-    lower = max(np.abs(np.tril(M, -1)).max() for M in rotated)
-    if lower > 1e-7 * scale:
-        return None
-    return np.column_stack([np.diagonal(M) for M in rotated])
+def _joint_eigenvalues(E: AlgebraSpec) -> np.ndarray:
+    """The joint eigenvalue tuples of E's multiplication matrices, one row
+    per joint eigenspace; E is semisimple (a block's radical quotient).
+
+    The space is split one L_{e_j} at a time.  On the current subspace, an
+    orthonormal Q (first the identity), the eigenvalues of A = Q^H L_{e_j} Q
+    are clustered at DISTINCT_TOL; a cluster of k eigenvalues with mean lam
+    keeps the k right-singular vectors of A - lam I of least singular value,
+    and L_{e_{j+1}} splits that subspace next.  The L's commute and are
+    diagonalizable, so each eigenspace is invariant under all of them.  A
+    subspace of dimension 1, or one still left after the last L, gives the
+    tuple (tr Q^H L Q / dim Q) over all L: its rows would lie within
+    DISTINCT_TOL of each other, and _first_distinct would merge them.
+    """
+    mats = np.stack(basis_multiplication_matrices(E))
+    flat = mats.reshape(len(mats), -1)
+    rows = []
+    pending = [(np.eye(E.dim, dtype=complex), 0)]
+    while pending:
+        Q, j = pending.pop()
+        k = Q.shape[1]
+        if k == 1 or j == len(mats):  # tr(L Q Q^H) for every L at once
+            rows.append(flat @ (Q @ Q.conj().T).T.reshape(-1) / k)
+            continue
+        A = Q.conj().T @ mats[j] @ Q
+        eig = np.linalg.eigvals(A)
+        near = [
+            pair
+            for a, b, dist in close_rows(eig[:, None])
+            for pair in zip(a[dist < DISTINCT_TOL], b[dist < DISTINCT_TOL])
+        ]
+        labels = components(k, *np.array(near, dtype=int).reshape(-1, 2).T)
+        splits = []
+        for root in np.flatnonzero(labels == np.arange(k)):
+            cluster = labels == root
+            size = int(cluster.sum())
+            if size == k:
+                splits.append((Q, j + 1))
+                continue
+            _, _, vh = np.linalg.svd(A - eig[cluster].mean() * np.eye(k))
+            splits.append((Q @ vh[k - size :].conj().T, j + 1))
+        pending.extend(reversed(splits))  # split in cluster order
+    return np.array(rows)
 
 
 def _block_characters(E: AlgebraSpec) -> np.ndarray:
     """The accepted character values of one block, one row each, in the
-    order of the triangularization's diagonal."""
+    order of the eigenvalue split (_joint_eigenvalues)."""
     W = _semisimple_split(E)
-    if W is None:
-        raise GenericityFailure(f"trace form of {E.label!r} is identically zero")
     if W.shape[1] == E.dim:
-        reduced, pullback = E, None
+        tuples = _joint_eigenvalues(E)
     else:
-        reduced, pullback = _quotient_spec(E, W), np.conj(W)
-
-    rng = default_rng(CHARACTER_SEED)
-    accepted: list[np.ndarray] = []
-    for _ in range(TRIANGULARIZATION_ATTEMPTS):
-        tuples = _candidate_tuples(reduced, rng)
-        if tuples is None:
-            continue
-        for row in tuples:
-            values = row if pullback is None else pullback @ row
-            if verify_character(E, Character(values, E)).passed:
-                accepted.append(values)
-        if accepted:
-            return np.array(accepted)
-    raise GenericityFailure(
-        f"no separating triangularization for {E.label!r} after "
-        f"{TRIANGULARIZATION_ATTEMPTS} attempts"
-    )
+        tuples = _joint_eigenvalues(_quotient_spec(E, W)) @ W.T.conj()  # pulled back
+    accepted = [values for values in tuples if verify_character(E, Character(values, E)).passed]
+    if not accepted:
+        raise RuntimeError(f"no joint eigenvalue tuple of {E.label!r} is a character")
+    return np.array(accepted)
 
 
 def close_rows(P: np.ndarray, tol: float = DISTINCT_TOL):
@@ -223,7 +228,7 @@ def _first_distinct(rows: np.ndarray) -> np.ndarray:
 def _lexicographic_order(rows: np.ndarray) -> np.ndarray:
     """Indices sorting the rows by their (re, im) values rounded to 9
     decimals, ties broken by the raw values (a stable sort).  The rounding
-    keeps the order seed-independent under triangularization noise."""
+    keeps the order stable under the roundoff of the eigenvalue split."""
     raw = np.stack([rows.real, rows.imag], axis=-1).reshape(len(rows), -1)
     keys = np.concatenate([np.round(raw, 9), raw], axis=1)
     return np.lexsort(keys.T[::-1])  # lexsort's primary key is its last
@@ -234,16 +239,13 @@ def characters(E: AlgebraSpec) -> list[Character]:
     """All characters of E, deduplicated and lexicographically ordered.
 
     E is searched as the product of its blocks (E.distinct_blocks), once
-    per bitwise-distinct block, each with a fresh default_rng(CHARACTER_SEED):
-    M(E1 x E2) is M(E1) and M(E2) side by side, each character extended by
-    zero.  In a block the radical is split off first (trace form),
-    candidate tuples are read off a joint unitary triangularization of the
-    quotient's multiplication matrices and pulled back, and exactly those
-    passing the character invariants are kept.  Deduplication, order and
-    the chi<k> labels then run over all of E's characters.  Raises
-    ValueError if E fails validation, and GenericityFailure if no reseeded
-    random combination yields a separating triangularization of a block
-    within TRIANGULARIZATION_ATTEMPTS attempts.
+    per bitwise-distinct block: M(E1 x E2) is M(E1) and M(E2) side by side,
+    each character extended by zero.  In a block the radical is split off
+    first (trace form), candidate tuples are the joint eigenvalues of the
+    quotient's multiplication matrices (_joint_eigenvalues) pulled back,
+    and exactly those passing the character invariants are kept.
+    Deduplication, order and the chi<k> labels then run over all of E's
+    characters.  Raises ValueError if E fails validation.
     """
     if not E.validation.passed:
         bad = ", ".join(c.name for c in E.validation.failures())

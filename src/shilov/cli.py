@@ -272,11 +272,8 @@ class _Workspace:
         """The named algebra, one instance per name (presets included)."""
         if name not in self._algebras:
             table = self.config.get("algebras", {})
-            if name not in table:
-                try:
-                    self._algebras[name] = preset_algebra(name)
-                except Exception:
-                    raise ConfigError(f"unknown algebra reference {name!r}") from None
+            if name not in table:  # a preset name (_check_references)
+                self._algebras[name] = preset_algebra(name)
             elif isinstance(table[name], str):
                 self._algebras[name] = preset_algebra(table[name])
             else:
@@ -285,10 +282,7 @@ class _Workspace:
 
     def space(self, name: str):
         if name not in self._spaces:
-            table = self.config.get("spaces", {})
-            if name not in table:
-                raise ConfigError(f"unknown space reference {name!r}")
-            self._spaces[name] = self._build_space(name, table[name])
+            self._spaces[name] = self._build_space(name, self.config["spaces"][name])
         return self._spaces[name]
 
     def _build_space(self, name: str, spec: dict):
@@ -329,10 +323,7 @@ class _Workspace:
 
     def system(self, name: str) -> FunctionSystem:
         if name not in self._systems:
-            table = self.config.get("systems", {})
-            if name not in table:
-                raise ConfigError(f"unknown system reference {name!r}")
-            spec = table[name]
+            spec = self.config["systems"][name]
             space = self.space(spec["space"])  # not a shape space (_check_references)
             E = self.algebra(spec["algebra"])
             kind = spec["kind"]
@@ -355,10 +346,7 @@ class _Workspace:
 
     def quadruple(self, name: str) -> Quadruple:
         if name not in self._quadruples:
-            table = self.config.get("quadruples", {})
-            if name not in table:
-                raise ConfigError(f"unknown quadruple reference {name!r}")
-            spec = table[name]
+            spec = self.config["quadruples"][name]
             self._quadruples[name] = Quadruple(
                 self.space(spec["space"]),
                 self.algebra(spec["algebra"]),
@@ -379,10 +367,7 @@ class _Workspace:
                 return getter(name)
         if name in self.config.get("spaces", {}):
             return self.space(name)
-        try:
-            return preset_algebra(name)
-        except Exception:
-            raise ConfigError(f"unresolved reference {name!r}") from None
+        return preset_algebra(name)  # a preset name (_check_references)
 
 
 def validate_config(path) -> dict:
@@ -419,13 +404,19 @@ def _check_references(config: dict) -> None:
     preset name resolves without building its algebra), before anything is
     built or written.  A raster reference (a space's sample_of, a hull target,
     a shilov entry's raster) names a shape space; a system's or quadruple's
-    space and a validate target do not.  Each run entry's file stem is a
-    plain file name that no earlier entry uses."""
+    space and a validate target do not.  A run target has its command's
+    kind: an algebra for characters, a system for shilov, a quadruple for
+    verify-product, verify-peaks and peaker; a peaker's point is one of its
+    quadruple's points when that space lists them.  A peaker's point on a
+    sampled space and its character index are checked when it runs, since
+    they need the sampled points and E's characters.  Each run entry's file
+    stem is a plain file name that no earlier entry uses."""
     algebras = set(config.get("algebras", {}))
     space_specs = config.get("spaces", {})
     spaces = set(space_specs)
     systems = set(config.get("systems", {}))
-    quadruples = set(config.get("quadruples", {}))
+    quadruple_specs = config.get("quadruples", {})
+    quadruples = set(quadruple_specs)
     rasters = {name for name, spec in space_specs.items() if _space_kind(spec) == "shape"}
 
     def need_preset(name, where, what):
@@ -438,10 +429,13 @@ def _check_references(config: dict) -> None:
         if name not in algebras:
             need_preset(name, where, "algebra")
 
-    def need_space(name, where, raster=False):
-        if name not in (rasters if raster else spaces - rasters):
-            what = "shape space (a raster region)" if raster else "points or sampled space"
+    def need_kind(name, where, names, what):
+        if name not in names:
             raise ConfigError(f"{where}: {name!r} is not a {what}")
+
+    def need_space(name, where, raster=False):
+        what = "shape space (a raster region)" if raster else "points or sampled space"
+        need_kind(name, where, rasters if raster else spaces - rasters, what)
 
     for name, spec in config.get("algebras", {}).items():
         if isinstance(spec, str):
@@ -468,15 +462,25 @@ def _check_references(config: dict) -> None:
     stems = set()
     for k, entry in enumerate(config.get("run", [])):
         where, command, target = f"run[{k}]", entry["command"], entry["target"]
-        if target not in algebras | spaces | systems | quadruples:
-            need_preset(target, where, "target")
-        if command == "hull":
+        if command == "characters":
+            need_algebra(target, where)
+        elif command == "hull":
             need_space(target, where, raster=True)
-        elif command == "shilov" and entry.get("raster"):
-            need_space(entry["raster"], where, raster=True)
-        # resolve_any reads a space only when no other table has the name
-        elif command == "validate" and target in rasters - algebras - systems - quadruples:
-            raise ConfigError(f"{where}: cannot validate raster region {target!r}")
+        elif command == "shilov":
+            need_kind(target, where, systems, "system")
+            if entry.get("raster"):
+                need_space(entry["raster"], where, raster=True)
+        elif command == "validate":
+            if target not in algebras | spaces | systems | quadruples:
+                need_preset(target, where, "target")
+            # resolve_any reads a space only when no other table has the name
+            if target in rasters - algebras - systems - quadruples:
+                raise ConfigError(f"{where}: cannot validate raster region {target!r}")
+        else:  # verify-product, verify-peaks, peaker
+            need_kind(target, where, quadruples, "quadruple")
+            space = space_specs[quadruple_specs[target]["space"]]
+            if "point" in entry and _space_kind(space) == "points":
+                need_kind(entry["point"], where, space["points"], f"point of {target!r}")
         stem = _entry_stem(k, entry)
         if stem in ("", ".", "..") or Path(stem).name != stem:
             raise ConfigError(f"{where}: file stem {stem!r} is not a plain file name")
@@ -502,9 +506,15 @@ def _check_rational(config: dict) -> None:
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    """Write text to path through a temporary file and a rename, with the
+    mode Path.write_text would give: 0o666 less the umask (mkstemp's own
+    file is 0o600)."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
@@ -593,6 +603,8 @@ def _run_entry(ws: _Workspace, entry: dict, seed: int, stem: str, config_hash: s
         point = entry.get("point", quadruple.space.points[0])
         char_index = int(entry.get("character", 0))
         E, B = quadruple.scalars, quadruple.scalar_system
+        # checked here, not in _check_references: a point of a sampled space,
+        # and the character index, which needs E's characters
         if point not in quadruple.space.points:
             raise ConfigError(f"peaker: unknown point {point!r}")
         if char_index >= len(E.characters):

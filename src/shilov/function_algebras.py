@@ -24,13 +24,11 @@ and a system is closed when its unit and basis products pass the rule.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from numpy.random import default_rng
 
 from .algebra import AlgebraSpec, Element, same_algebra
 from .blas import lower_triangular_inverse, single_threaded
@@ -49,8 +47,6 @@ SPAN_TOL = 1e-8  # relative residual bound of the one span rule (see Span)
 # block (one BLAS thread, 2 vCPUs)
 _SPAN_BLOCK = 64
 SEPARATION_TOL = 1e-9
-EMBEDDING_SEED = 0  # seed of embedding_constant's random coefficients
-EMBEDDING_SAMPLES = 10_000  # how many random coefficients embedding_constant draws
 
 
 @dataclass(frozen=True)
@@ -532,38 +528,16 @@ def span_BE(B: FunctionSystem, E: AlgebraSpec) -> FunctionSystem:
 
 
 def embedding_constant(S: FunctionSystem) -> float:
-    """Lower bound for sup ||f||_X / ||f||_S over the span.
+    """sup ||f||_X / ||f||_S over the span: exactly 1 for sup-normed systems
+    and for spans that hold 1_E.
 
-    The ratio never exceeds 1, and 1_E attains it: sup-normed systems and
-    spans containing 1_E get exactly 1.  Other Lipschitz-normed spans get
-    the maximum over basis directions plus EMBEDDING_SAMPLES random
-    coefficient vectors drawn with EMBEDDING_SEED.
+    The ratio never exceeds 1, and 1_E, of Lipschitz seminorm 0, attains
+    it.  Raises ValueError for a Lipschitz-normed span without 1_E; every
+    function algebra of the product laws holds 1_E.
     """
     if S.norm_tag == "sup" or S.span.contains(S.unit_table())[0]:
         return 1.0
-    rng = default_rng(EMBEDDING_SEED)
-    best = 0.0
-    directions = [np.eye(S.dim, dtype=complex)[k] for k in range(S.dim)]
-    shape = (EMBEDDING_SAMPLES, S.dim)
-    draws = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    d = S.space.distance_matrix()
-    iu = np.triu_indices(S.space.size, k=1)
-    gaps = d[iu] ** S.alpha if S.space.size > 1 else None
-    w = S.scalars.weights
-    for c in itertools.chain(directions, draws):
-        table = S.table(c)
-        pointwise = np.abs(table) @ w
-        sup = float(pointwise.max())
-        if sup == 0.0:
-            continue
-        if gaps is None:
-            semi = 0.0
-        else:
-            diff = np.abs(table[iu[0]] - table[iu[1]]) @ w
-            semi = float(np.max(diff / gaps))
-        best = max(best, sup / (sup + semi))
-    return best
+    raise ValueError(f"system {S.label!r} is Lipschitz-normed and does not hold 1_E")
 
 
 # ---------------------------------------------------------------------------

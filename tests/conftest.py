@@ -86,9 +86,15 @@ def conjugated_algebra(rng: np.random.Generator, base: sh.AlgebraSpec) -> sh.Alg
         S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         if np.linalg.cond(S) < 50:
             break
+    return algebra_in_basis(base, S)
+
+
+def algebra_in_basis(base: sh.AlgebraSpec, S: np.ndarray) -> sh.AlgebraSpec:
+    """base with the basis e'_i = sum_a S[a, i] e_a (S invertible)."""
+    n = base.dim
     Sinv = np.linalg.inv(S)
     # e'_i = sum_a S[a,i] e_a; c'[i,j,k] = S[a,i] S[b,j] c[a,b,m] Sinv[k,m]
-    c = np.einsum("ai,bj,abm,km->ijk", S, S, base.structure, Sinv)
+    c = np.einsum("ai,bj,abm,km->ijk", S, S, base.structure, Sinv, optimize=True)
     unit = Sinv @ base.unit
     weight = max(1.0, float(np.abs(c).sum(axis=2).max()))
     return sh.AlgebraSpec(n, c, unit, np.full(n, weight), f"{base.label}~conj")

@@ -262,12 +262,12 @@ def test_cxe_algebra_triangularizes_one_block(monkeypatch):
     module = importlib.import_module("shilov.characters")
     dims = []
 
-    def counting(E, rng):
+    def counting(E):
         dims.append(E.dim)
-        return tuple_search(E, rng)
+        return split(E)
 
-    tuple_search = module._candidate_tuples
-    monkeypatch.setattr(module, "_candidate_tuples", counting)
+    split = module._joint_eigenvalues
+    monkeypatch.setattr(module, "_joint_eigenvalues", counting)
     X = sh.FiniteSpace(tuple(f"p{i}" for i in range(6)))
     for name, dim in (("pointwise_3", 1), ("cyclic_group_3", 3)):
         dims.clear()

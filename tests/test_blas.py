@@ -1,5 +1,5 @@
-"""The process-wide OpenBLAS pin under concurrent callers, and the two
-LAPACK calls against scipy.linalg."""
+"""The process-wide OpenBLAS pin under concurrent callers, and the one
+LAPACK call against scipy.linalg."""
 
 import sys
 import threading
@@ -11,7 +11,7 @@ import scipy.linalg
 import shilov as sh
 from shilov import blas
 from shilov.algebra import basis_multiplication_matrices
-from shilov.blas import _openblas_controls, lower_triangular_inverse, schur, single_threaded
+from shilov.blas import _openblas_controls, lower_triangular_inverse, single_threaded
 from conftest import PRESET_NAMES
 
 TIMEOUT = 30.0
@@ -96,17 +96,15 @@ def test_pin_survives_many_threads_switching_often(controls):
     assert blas._PIN.depth == 0
 
 
-def _matrices(rng, lower=False):
-    """Random complex and real square matrices, 1 x 1 included, each in C
-    and in Fortran order; lower triangular ones with a dominant diagonal
-    when asked.  At n = 150, past LAPACK's blocking crossover, zgees gives
-    other bits with its default workspace than with the queried one."""
+def _lower_triangles(rng):
+    """Random complex and real lower triangular matrices with a dominant
+    diagonal, 1 x 1 included and one past LAPACK's blocking crossover
+    (n = 150), each in C and in Fortran order."""
     found = []
     for n in (1, 2, 5, 17, 150):
         for A in (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
                   rng.standard_normal((n, n))):
-            if lower:
-                A = np.tril(A) + 4 * np.eye(n)
+            A = np.tril(A) + 4 * np.eye(n)
             found += [np.ascontiguousarray(A), np.asfortranarray(A)]
     return found
 
@@ -120,11 +118,6 @@ def _assert_same(ours, theirs):
     assert np.array_equal(ours, theirs)
 
 
-def _assert_schur_matches_scipy(A):
-    for ours, theirs in zip(schur(A), scipy.linalg.schur(A, output="complex")):
-        _assert_same(ours, theirs)
-
-
 def _assert_inverse_matches_scipy(R):
     # a real R is cast to complex, as Span's R always is
     n, complex_R = R.shape[0], R.astype(complex, copy=False)
@@ -132,22 +125,9 @@ def _assert_inverse_matches_scipy(R):
     _assert_same(lower_triangular_inverse(R), oracle)
 
 
-def test_schur_is_scipys_complex_schur():
-    for A in _matrices(np.random.default_rng(0)) + [_jordan_block()]:
-        _assert_schur_matches_scipy(A)
-
-
-@pytest.mark.parametrize("name", PRESET_NAMES)
-def test_schur_is_scipys_on_preset_multiplication_matrices(name):
-    mats = basis_multiplication_matrices(sh.preset_algebra(name))
-    t = np.random.default_rng(1).standard_normal(len(mats))
-    for A in mats + [sum(ti * Li for ti, Li in zip(t, mats))]:
-        _assert_schur_matches_scipy(A)
-
-
 def test_lower_triangular_inverse_is_scipys_solve():
     rng = np.random.default_rng(2)
-    for R in _matrices(rng, lower=True) + [_jordan_block().T]:
+    for R in _lower_triangles(rng) + [_jordan_block().T]:
         _assert_inverse_matches_scipy(R)
     # entries above the diagonal are not read, as with solve_triangular
     R = np.tril(rng.standard_normal((4, 4))) + 4 * np.eye(4) + np.triu(np.ones((4, 4)), 1)
@@ -168,8 +148,6 @@ def test_lower_triangular_inverse_is_scipys_on_preset_spans(name):
 def test_non_finite_input_raises_value_error(bad):
     A = np.eye(3, dtype=complex)
     A[1, 0] = bad
-    with pytest.raises(ValueError):
-        schur(A)
     with pytest.raises(ValueError):
         lower_triangular_inverse(A)
 

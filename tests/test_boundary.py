@@ -46,7 +46,7 @@ import numpy as np
 import shilov.cli
 if not {first!r}:  # the cold import takes none of these
     for name in ("scipy.optimize", "scipy.ndimage", "scipy.sparse", "scipy.linalg",
-                 "scipy._lib._array_api", "numpy.f2py"):
+                 "scipy._lib._array_api", "numpy.f2py", "numpy.random"):
         assert name not in sys.modules, name
 loaded = set(sys.modules)
 X = shilov.FiniteSpace(("a", "b"), np.array([0j, 1j]))
@@ -68,9 +68,6 @@ assert result.status == 0 and abs(result.fun - 1) < 1e-12, result
 import scipy.linalg
 from scipy.linalg import lapack
 assert shilov.blas._flapack is sys.modules["scipy.linalg._flapack"] is lapack._flapack
-A = np.array([[1.0, 2.0], [3.0, 4.0j]])
-T, Z = scipy.linalg.schur(A, output="complex")
-assert all(np.array_equal(a, b) for a, b in zip((T, Z), shilov.blas.schur(A)))
 """
 
 
@@ -281,9 +278,36 @@ def test_is_boundary():
     ok, _ = sh.is_boundary([0, 2], W)
     assert ok
     ok, witness = sh.is_boundary([1], W)
-    assert not ok
+    assert ok is False
     values = np.abs(W.values @ witness)
     assert values[1] < values.max() * (1 - 1e-9)
+
+
+def test_is_boundary_finds_a_grid_point_the_circle_samples_miss():
+    # 12 samples of the unit circle do not bound P_6 on the disk's samples:
+    # a polynomial of degree 6 peaks at an interior grid point
+    disk = sh.raster_from_shape(sh.Disk(0, 1), 16)
+    X = sh.combine_spaces(sh.sample_raster(disk, sh.CircleSample(0, 1.0, 12)),
+                          sh.sample_raster(disk, sh.InteriorGrid(0.4)))
+    W = sh.witnesses_from_system(sh.make_poly(X, sh.complex_field(), 6))
+    ok, c = sh.is_boundary(list(range(12)), W)
+    assert ok is False
+    f = np.abs(W.values @ c)  # by direct evaluation on W's own columns
+    g0 = int(np.argmax(f))
+    assert g0 >= 12 and X.coords[g0] == pytest.approx(-0.0625 - 0.8625j)
+    assert f[g0] == pytest.approx(1.0, abs=1e-9)
+    assert f[:12].max() < 1 - sh.boundary.DEFAULT_TOL
+
+
+def test_is_boundary_is_undecided_on_a_peak_inside_the_tolerance_band():
+    # a + b z on {0, 1, 1 + 1e-5}: the optimum at the last point over the
+    # first two is 1 / (1 + 2e-5), above 1 - DEFAULT_TOL, so that point is
+    # neither a certified peak nor certified not to be one
+    V = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 1.0 + 1e-5]], dtype=complex)
+    W = sh.WitnessFamily(("x0", "x1", "x2"), V)
+    assert sh.certify_peak(W, 2).status == "undecided"
+    assert sh.is_boundary([0, 1], W) == (None, None)
+    assert sh.is_boundary([0, 2], W)[0] is True
 
 
 def test_is_boundary_rejects_empty():
@@ -733,7 +757,7 @@ def _lawson_per_target(V, targets):
     d /= n - 1
     best = np.full(targets.size, np.inf)
     best_c = np.zeros_like(a)
-    for _ in range(sh.boundary._SEED_ITERS):
+    for _ in range(sh.boundary._LAWSON_ITERS):
         M = np.stack([(V_H * weights) @ V for weights in d])
         ridge = 1e-14 * (1.0 + np.trace(M, axis1=1, axis2=2).real)
         M += ridge[:, None, None] * np.eye(k)
@@ -746,7 +770,7 @@ def _lawson_per_target(V, targets):
         better = top < best
         best = np.where(better, top, best)
         best_c[better] = c[better]
-        if np.all(best - 1.0 / np.sqrt(np.abs(a_x)) <= sh.boundary._SEED_RTOL * best):
+        if np.all(best - 1.0 / np.sqrt(np.abs(a_x)) <= sh.boundary._LAWSON_RTOL * best):
             break
         weighted = d * r
         total = weighted.sum(axis=1)
@@ -780,7 +804,7 @@ def test_lawson_batches_its_targets_within_the_memory_budget(monkeypatch, batch)
     rng = np.random.default_rng(48)
     n, k = 400, 24
     V = _Scaled.of(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))).values
-    targets = np.arange(sh.boundary._SEED_CHUNK)
+    targets = np.arange(sh.boundary._LAWSON_CHUNK)
 
     def seeds_and_peak():
         tracemalloc.start()
@@ -1006,7 +1030,7 @@ def test_certify_peak_runs_blas_single_threaded(monkeypatch):
 
 def test_public_checks_run_blas_single_threaded(monkeypatch, tmp_path):
     # each check holds one pin for its whole run: the leaf calls that issue
-    # small BLAS products (close_rows, the algebra checks, the Schur step)
+    # small BLAS products (close_rows, the algebra checks, the eigenvalue split)
     # see one thread inside it, and the counts come back after it
     controls = blas._openblas_controls()
     if not controls:
@@ -1025,8 +1049,8 @@ def test_public_checks_run_blas_single_threaded(monkeypatch, tmp_path):
         monkeypatch.setattr(module, "close_rows", spying("close_rows", characters.close_rows))
     monkeypatch.setattr(sh.algebra, "_block_residuals",
                         spying("_block_residuals", sh.algebra._block_residuals))
-    monkeypatch.setattr(characters, "_candidate_tuples",
-                        spying("schur", characters._candidate_tuples))
+    monkeypatch.setattr(characters, "_joint_eigenvalues",
+                        spying("_joint_eigenvalues", characters._joint_eigenvalues))
 
     def fresh_quadruple(seed):  # fresh algebras: nothing validated or searched yet
         X = random_space(np.random.default_rng(seed), 4)
@@ -1049,7 +1073,7 @@ def test_public_checks_run_blas_single_threaded(monkeypatch, tmp_path):
                 set_(2)
             assert check(), name
             after = [get() for get, _ in controls]
-            assert sorted(seen) == ["_block_residuals", "close_rows", "schur"], name
+            assert sorted(seen) == ["_block_residuals", "_joint_eigenvalues", "close_rows"], name
             assert all(c == [1] * len(controls) for counts in seen.values() for c in counts), name
             assert (after, blas._PIN.depth) == ([2] * len(controls), 0), name
     finally:

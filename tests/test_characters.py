@@ -1,13 +1,25 @@
 """Character computation, Gelfand transforms, radicals, quotients."""
 
 import importlib
+import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import shilov as sh
-from conftest import PRESET_CHARACTER_COUNTS, PRESET_NAMES, conjugated_algebra
+from conftest import (
+    PRESET_CHARACTER_COUNTS,
+    PRESET_NAMES,
+    algebra_in_basis,
+    conjugated_algebra,
+    direct_product,
+    random_space,
+)
+from shilov.algebra import basis_multiplication_matrices
 from shilov.characters import DISTINCT_TOL, _first_distinct, _lexicographic_order
+
+characters_module = importlib.import_module("shilov.characters")  # sh.characters is the function
 
 
 def _values_multiset(chars):
@@ -165,16 +177,87 @@ def test_characters_kill_radical(preset):
             assert abs(chi(r)) < 1e-8
 
 
+def _random_combination_block(E):
+    """Reference for characters._block_characters: the random-combination
+    search.  The Schur form of a seeded random combination of the radical
+    quotient's multiplication matrices triangularizes all of them, and the
+    diagonals give the tuples; five seeds at most."""
+    W = characters_module._semisimple_split(E)
+    reduced = E if W.shape[1] == E.dim else characters_module._quotient_spec(E, W)
+    mats = basis_multiplication_matrices(reduced)
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        t = rng.standard_normal(reduced.dim) + 1j * rng.standard_normal(reduced.dim)
+        _, Q = scipy.linalg.schur(sum(ti * L for ti, L in zip(t, mats)), output="complex")
+        rotated = [Q.conj().T @ L @ Q for L in mats]
+        scale = max(max(np.abs(M).max() for M in rotated), 1.0)
+        if max(np.abs(np.tril(M, -1)).max() for M in rotated) > 1e-7 * scale:
+            continue  # the combination did not separate the joint eigenvalues
+        tuples = np.column_stack([np.diagonal(M) for M in rotated])
+        if reduced is not E:
+            tuples = tuples @ W.T.conj()  # pulled back
+        accepted = [row for row in tuples if sh.verify_character(E, sh.Character(row, E)).passed]
+        if accepted:
+            return np.array(accepted)
+    raise AssertionError(f"no separating triangularization for {E.label!r}")
+
+
+def _assert_matches_the_random_combination_search(E, monkeypatch):
+    found = sh.characters(E)
+    with monkeypatch.context() as patch:
+        patch.setattr(characters_module, "_block_characters", _random_combination_block)
+        reference = sh.characters(E)
+    assert [chi.label for chi in found] == [chi.label for chi in reference], E.label
+    for chi, ref in zip(found, reference):  # the same order
+        assert np.abs(chi.values - ref.values).max() < DISTINCT_TOL, E.label
+
+
 def test_seed_independence(preset, monkeypatch):
-    module = importlib.import_module("shilov.characters")  # sh.characters is the function
-    assert module.CHARACTER_SEED == 0
-    reference = _values_multiset(sh.characters(preset))
-    for seed in range(1, 6):
-        monkeypatch.setattr(module, "CHARACTER_SEED", seed)
-        again = _values_multiset(sh.characters(preset))
-        assert len(again) == len(reference)
-        for a, b in zip(again, reference):
-            assert np.max(np.abs(np.asarray(a) - np.asarray(b))) < 1e-6
+    # no seed moves a character: the eigenvalue split gives the seeded
+    # random-combination search's list
+    assert not hasattr(characters_module, "CHARACTER_SEED")
+    _assert_matches_the_random_combination_search(preset, monkeypatch)
+
+
+def _cyclic_pair_algebra(a, b):
+    """The group algebra of Z_a x Z_b, basis e_(i, j) at i b + j."""
+    n = a * b
+    c = np.zeros((n, n, n), dtype=complex)
+    for i1, j1, i2, j2 in itertools.product(range(a), range(b), range(a), range(b)):
+        c[i1 * b + j1, i2 * b + j2, (i1 + i2) % a * b + (j1 + j2) % b] = 1.0
+    unit = np.zeros(n)
+    unit[0] = 1.0
+    return sh.AlgebraSpec(n, c, unit, np.ones(n), f"Z{a}xZ{b}")
+
+
+def _oracle_algebras():
+    rng = np.random.default_rng(82)
+    for name in ("complex", "cyclic_group_2", "cyclic_group_6", "cyclic_group_16",
+                 "cyclic_group_64", "pointwise_8", "truncated_poly_5"):
+        yield sh.preset_algebra(name)
+    local = ["complex", "dual_numbers", "truncated_poly_3"]
+    for _ in range(12):  # products of local algebras, each in a random basis
+        factors = [sh.preset_algebra(local[i]) for i in rng.integers(0, 3, rng.integers(2, 4))]
+        E, _ = direct_product(factors, np.arange(sum(F.dim for F in factors)))
+        yield conjugated_algebra(rng, E)
+    for n in (8, 16):
+        yield conjugated_algebra(rng, sh.preset_algebra(f"pointwise_{n}"))
+    # at n = 32 a Gaussian basis is rarely within conjugated_algebra's
+    # condition bound: a unitary one, columns scaled by up to 4
+    Q, _ = np.linalg.qr(rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)))
+    yield algebra_in_basis(sh.preset_algebra("pointwise_32"), Q * rng.uniform(0.25, 1, 32))
+    for a in range(2, 7):
+        for b in range(a, 7):
+            yield _cyclic_pair_algebra(a, b)
+    for n in (6, 12):  # a closed P_2 system as an abstract algebra
+        P = sh.make_poly(random_space(rng, n), sh.complex_field(), 2)
+        yield sh.as_algebra(sh.close_under_products(P))
+
+
+def test_eigenvalue_split_matches_the_random_combination_search(monkeypatch):
+    for E in _oracle_algebras():
+        assert E.validation.passed, E.label
+        _assert_matches_the_random_combination_search(E, monkeypatch)
 
 
 def test_invalid_algebra_rejected():

@@ -3,6 +3,10 @@
 import importlib
 import json
 import math
+import os
+import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -294,8 +298,8 @@ def test_peaker_command_converts_certificate_to_basis(tmp_path):
 
 
 def test_seed_does_not_reach_the_character_search(tmp_path):
-    # cyclic_group_3 has a radical-free, non-diagonal basis: a reseeded
-    # triangularization moves its characters at roundoff
+    # cyclic_group_3 has a radical-free, non-diagonal basis: a seed that
+    # reached the character search would move its characters at roundoff
     config = {
         "algebras": {"Z3": "cyclic_group_3"},
         "spaces": {
@@ -839,6 +843,61 @@ def test_raster_references_are_checked_before_any_output(
         run=[_FIRST] + ([entry] if entry else []),
     )
     _assert_refused(tmp_path, capsys, config, message)
+
+
+_CXE = {"kind": "cxe", "space": "X", "algebra": "complex"}
+_QUADRUPLE = {"space": "X", "algebra": "D", "scalar_system": "B", "vector_system": "B"}
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        # an algebra's shilov (was exit 2 after the first entry wrote)
+        ({"command": "shilov", "target": "D"}, "'D' is not a system"),
+        ({"command": "shilov", "target": "Q"}, "'Q' is not a system"),
+        ({"command": "characters", "target": "B"}, "unresolved algebra 'B'"),
+        ({"command": "verify-product", "target": "B"}, "'B' is not a quadruple"),
+        ({"command": "verify-peaks", "target": "D"}, "'D' is not a quadruple"),
+        ({"command": "peaker", "target": "X"}, "'X' is not a quadruple"),
+        ({"command": "peaker", "target": "Q", "point": "z"}, "'z' is not a point of 'Q'"),
+    ],
+)
+def test_run_targets_are_checked_for_their_kind_before_any_output(
+    tmp_path, capsys, entry, message
+):
+    config = minimal_config(
+        spaces={"X": _POINTS}, systems={"B": _CXE}, quadruples={"Q": _QUADRUPLE},
+        run=[_FIRST, entry],
+    )
+    _assert_refused(tmp_path, capsys, config, message)
+
+
+_UMASK_SCRIPT = """
+import os, sys
+os.umask(int(sys.argv[1], 8))
+from shilov.cli import main
+assert main(["--config", sys.argv[2], "--output-dir", sys.argv[3], "--quiet"]) == 0
+"""
+
+
+@pytest.mark.parametrize("umask, mode", [("022", 0o644), ("077", 0o600)])
+def test_outputs_get_the_mode_the_umask_gives(tmp_path, umask, mode):
+    # in a child process: the umask is process-wide
+    config = write_config(tmp_path, {"spaces": {"disk": _DISK}, "run": [
+        {"command": "hull", "target": "disk", "name": "hull"}
+    ]})
+    out = tmp_path / "out"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else f"{src}{os.pathsep}{path}"}
+    result = subprocess.run(
+        [sys.executable, "-c", _UMASK_SCRIPT, umask, str(config), str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+    assert sorted(modes) == ["hull.csv", "hull.pgm", "hull.pgm.json", "hull.report.json"]
+    assert set(modes.values()) == {mode}, modes
 
 
 def test_hull_pgm_and_sidecar_go_through_atomic_writes(tmp_path, monkeypatch):

@@ -651,21 +651,15 @@ def test_separation_check_is_fast_on_many_points():
     assert time.perf_counter() - start < 1.0
 
 
-def test_embedding_constant(monkeypatch):
+def test_embedding_constant():
     S = scalar_system([0, 1], [[1, 1], [0, 1]], norm_tag="sup")
     assert sh.embedding_constant(S) == 1.0
 
-    monkeypatch.setattr(sh.function_algebras, "EMBEDDING_SAMPLES", 200)
     lip = scalar_system([0, 1], [[1, 1]], norm_tag="lipschitz", alpha=1.0)
-    assert sh.embedding_constant(lip) == pytest.approx(1.0)
-
-    monkeypatch.setattr(sh.function_algebras, "EMBEDDING_SAMPLES", 2000)
+    assert sh.embedding_constant(lip) == 1.0
+    # the constants attain 1; the coordinate function only 1/2
     lip2 = scalar_system([0, 1], [[1, 1], [0, 1]], norm_tag="lipschitz", alpha=1.0)
-    bound = sh.embedding_constant(lip2)
-    # the coordinate function witnesses ratio 1/2; constants witness 1
-    assert bound >= 0.5
-    assert bound <= 1.0 + 1e-9
-    # and the bound really is a lower bound for the sup ratio
+    assert sh.embedding_constant(lip2) == 1.0
     rng = np.random.default_rng(0)
     for _ in range(100):
         f = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -674,14 +668,14 @@ def test_embedding_constant(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["complex", "cyclic_group_3"])
-def test_embedding_constant_is_one_on_spans_with_the_unit(name, monkeypatch):
+def test_embedding_constant_is_one_on_spans_with_the_unit(name):
     X = sh.FiniteSpace(("a", "b", "c"), np.array([0.2 + 0.1j, 0.9 - 0.3j, -0.5 + 0.7j]))
     # 1_E has Lipschitz seminorm 0, so it attains the largest ratio, 1
     assert sh.embedding_constant(sh.make_lip(X, sh.preset_algebra(name), 0.5)) == 1.0
-    # without 1_E the bound is sampled: span{e_1} on two points has ratio 1/2
-    monkeypatch.setattr(sh.function_algebras, "EMBEDDING_SAMPLES", 200)
+    # a Lipschitz span without 1_E (span{e_1} on two points) has no exact constant here
     single = scalar_system([0, 1], [[0, 1]], norm_tag="lipschitz", alpha=1.0)
-    assert sh.embedding_constant(single) == pytest.approx(0.5)
+    with pytest.raises(ValueError, match="does not hold 1_E"):
+        sh.embedding_constant(single)
 
 
 # --- abstract algebra view and quadruples -----------------------------------------
