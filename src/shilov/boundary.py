@@ -6,17 +6,22 @@ the convex minimax program
     minimize  max_{psi != phi} |(Vc)(psi)|   subject to   (Vc)(phi) = 1
 
 has optimum provably below 1 - tol: a strict-max witness rescales to a
-peaking function.  Each modulus is sandwiched between the max over m polygon
+peaking function.  Every target is first seeded by Lawson's reweighting
+iteration (run for a chunk of targets at once), whose weights also give a
+measure nu with nu V = v_t up to a residual, zero at the target: 1 /
+||nu||_1, less a residual term, bounds the optimum from below (the duality
+of complex Chebyshev approximation), and the seed's off-target max bounds
+it from above.  Where that bracket already decides the verdict and is no
+wider than sec(pi/m), the seed is the certificate and no LP runs.
+Elsewhere each modulus is sandwiched between the max over m polygon
 directions and sec(pi/m) times it, so one linear program yields a certified
-bracket [lp_lower, lp_upper] around the optimum.  The certificate is the
-LP point or the seed that started the LP, whichever is smaller off the
-target: a feasible value no larger than the LP point's, so inside the
-bracket.
+bracket [lp_lower, lp_upper] around the optimum.  The certificate is then
+the LP point or the seed, whichever is smaller off the target: a feasible
+value no larger than the LP point's, so inside the bracket.
 Every LP takes one path: an active set of polygon constraints, seeded by
-Lawson's reweighting iteration (run for a chunk of targets at once)
-and grown on incremental HiGHS inside a box that holds every LP optimum.
-A square family needs no LP: it is invertible, so V^-1 e_t vanishes off
-the target and the optimum is 0.
+the Lawson point and grown on incremental HiGHS inside a box that holds
+every LP optimum.  A square family needs no LP: it is invertible, so
+V^-1 e_t vanishes off the target and the optimum is 0.
 
 On a finite candidate set with the full algebra as witnesses the certified
 peak set is the Shilov boundary and coincides with the peak-point set; with
@@ -205,7 +210,15 @@ def witnesses_from_system(S: FunctionSystem) -> WitnessFamily:
 
 @dataclass(frozen=True)
 class PeakCertificate:
-    """Outcome of one peak query, re-verifiable from coefficients alone."""
+    """Outcome of one peak query, re-verifiable from coefficients alone.
+
+    [lp_lower, lp_upper] brackets the optimum and ``refined`` is the
+    coefficients' off-target max.  Where the LP ran, lp_upper is its
+    polygon optimum times sec(pi/m) and lp_lower the larger of the polygon
+    optimum and the Lawson measure's bound; where the seed decided,
+    lp_lower is the measure's bound and lp_upper = refined.  A square
+    family reads 0 for both, and a target no witness sees inf.
+    """
 
     target: int
     status: str  # certified_peak | certified_not_peak | undecided
@@ -393,11 +406,14 @@ def _max_modulus(V_off: np.ndarray, c: np.ndarray) -> float:
 # are (chunk, n) and (chunk, k, k) for n candidates and k witnesses.
 _LAWSON_CHUNK = 64
 _LAWSON_ITERS = 60  # Lawson rounds at most
-_LAWSON_RTOL = 1e-3  # relative gap to Lawson's lower bound that ends the rounds
+_LAWSON_RTOL = 1e-3  # relative gap to 1 / ||nu||_1 that ends a target's rounds
 
 
-def _lawson(V: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Near-optimal coefficients (v_t c = 1) for each target, one row each.
+def _lawson(
+    V: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Near-optimal coefficients (v_t c = 1) for each target, one row each,
+    and each target's not-peak measure: its l1 norm and residual norm.
 
     Lawson's iteration for the minimax problem, run for every target at
     once: with weights d on the off-target rows (uniform at first), c
@@ -406,48 +422,69 @@ def _lawson(V: np.ndarray, targets: np.ndarray) -> np.ndarray:
     d_r <- d_r |(Vc)_r|, normalized.  The weights concentrate on the rows
     that bind at the optimum, and those rows are what the LP's active set
     needs.  A row returned is the best iterate by the true off-target max.
+
+    Each round's weights also give a measure nu = d conj(V x): it vanishes
+    at the target and nu V = v_t + e, e the solve's residual, so for every
+    c with v_t c = 1 and off-target max p, 1 <= ||nu||_1 p + ||e||_2 ||c||_2
+    (certify_peak reads the lower bound on the optimum off this).  Kept per
+    target are ||nu||_1 and ||e||_2 of the round with the smallest positive
+    ||nu||_1 (inf and 0 when no round has one).  A target stops iterating
+    once its best max is within _LAWSON_RTOL of 1 / ||nu||_1, a bound never
+    below the weighted least-squares one, 1 / sqrt(v_t x), by
+    Cauchy-Schwarz; the others go on, at most _LAWSON_ITERS rounds.
+
     A square V is invertible, and its rows are V^-1 e_t, the exact optimum.
     targets is a nonempty index array of seen rows (_Scaled.seed).  M is
     formed in batches of targets whose (batch, k, n + k) arrays fit MAX_ENTRIES.
     """
     n, k = V.shape
+    nu_norm = np.full(targets.size, np.inf)
+    e_norm = np.zeros(targets.size)
     if n == k:  # square, so invertible: V c = e_t
-        return np.linalg.solve(V, np.eye(n)[:, targets]).T
+        return np.linalg.solve(V, np.eye(n)[:, targets]).T, nu_norm, e_norm
     a = V[targets]  # (T, k) target rows
-    rows = np.arange(targets.size)
     V_H = V.conj().T
     d = np.ones((targets.size, n))
-    d[rows, targets] = 0.0
+    d[np.arange(targets.size), targets] = 0.0
     d /= n - 1
     best = np.full(targets.size, np.inf)
     best_c = np.zeros_like(a)
     x = np.empty_like(a)
     batch = max(1, MAX_ENTRIES // (k * (n + k)))
+    live = np.arange(targets.size)  # the targets still iterating
     for _ in range(_LAWSON_ITERS):
-        for b in range(0, targets.size, batch):
-            part = slice(b, b + batch)
+        for b in range(0, live.size, batch):
+            part = live[b : b + batch]
             M = (V_H[None] * d[part, None, :]) @ V  # V^H diag(d) V per target
             # a tiny ridge keeps M invertible when fewer than k rows carry weight
             ridge = 1e-14 * (1.0 + np.trace(M, axis1=1, axis2=2).real)
             M += ridge[:, None, None] * np.eye(k)
             x[part] = np.linalg.solve(M, a[part].conj()[:, :, None])[:, :, 0]
-        a_x = (a * x).sum(axis=1)  # = conj(a)^H M^-1 conj(a) > 0
-        c = x / a_x[:, None]
-        r = np.abs(c @ V.T)
-        r[rows, targets] = 0.0
+        x_live, a_live, d_live = x[live], a[live], d[live]
+        a_x = (a_live * x_live).sum(axis=1)  # = conj(a)^H M^-1 conj(a) > 0
+        w = x_live @ V.T  # V x per target
+        r = np.abs(w) / np.abs(a_x)[:, None]  # |(Vc)_r| for c = x / (v_t x)
+        r[np.arange(live.size), targets[live]] = 0.0
         top = r.max(axis=1)
-        better = top < best
-        best = np.where(better, top, best)
-        best_c[better] = c[better]
-        # sum_r d_r |(Vc)_r|^2 = 1 / (v_t x) never exceeds the squared
-        # optimum (d sums to 1): stop once every best is that close to it
-        if np.all(best - 1.0 / np.sqrt(np.abs(a_x)) <= _LAWSON_RTOL * best):
-            break
-        weighted = d * r
+        better = top < best[live]
+        best[live[better]] = top[better]
+        best_c[live[better]] = x_live[better] / a_x[better, None]
+        weighted = d_live * r
         total = weighted.sum(axis=1)
+        nu_l1 = total * np.abs(a_x)  # ||nu||_1 for nu = d conj(V x), zero at the target
+        smaller = (nu_l1 > 0.0) & (nu_l1 < nu_norm[live])
+        nu_norm[live[smaller]] = nu_l1[smaller]
+        nu = d_live[smaller] * w[smaller].conj()
+        e_norm[live[smaller]] = np.linalg.norm(nu @ V - a_live[smaller], axis=1)
+        going = best[live] - 1.0 / nu_norm[live] > _LAWSON_RTOL * best[live]
+        if not going.any():
+            break
+        live, d_live = live[going], d_live[going]
+        weighted, total = weighted[going], total[going]
         # all weighted rows at zero: c is optimal, keep the weights
-        np.divide(weighted, total[:, None], out=d, where=total[:, None] > 0)
-    return best_c
+        np.divide(weighted, total[:, None], out=d_live, where=total[:, None] > 0)
+        d[live] = d_live
+    return best_c, nu_norm, e_norm
 
 
 @dataclass
@@ -459,14 +496,14 @@ class _Scaled:
     map back (c = c_scaled / scale) is exact in floating point.  unseen[r]
     marks a row no witness sees: its scaled max modulus is at most 1e-13
     max(1, max |values|); it is the one such rule of seeding, certification
-    and re-verification.  seeds holds each computed chunk's seed rows by its
-    first target; threads that race on a chunk compute the same rows.
+    and re-verification.  seeds holds each computed chunk's _lawson arrays by
+    its first target; threads that race on a chunk compute the same arrays.
     """
 
     values: np.ndarray
     scale: np.ndarray
     unseen: np.ndarray
-    seeds: dict[int, np.ndarray] = field(default_factory=dict)
+    seeds: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     @classmethod
     def of(cls, V: np.ndarray) -> "_Scaled":
@@ -478,24 +515,30 @@ class _Scaled:
 
     @functools.cached_property
     def sigma_min(self) -> float:
-        """The scaled matrix's smallest singular value, which the LP box's
-        radius divides by; a square family runs no LP and no SVD."""
+        """The scaled matrix's smallest singular value, which the radii of
+        the measure bound and of the LP box divide by; a square family
+        reads neither, and runs no SVD."""
         return float(np.linalg.svd(self.values, compute_uv=False)[-1])
 
-    def seed(self, target: int) -> np.ndarray:
-        """A target's _lawson row (zero if unseen), computed once per family
-        with its whole chunk: the targets from target - target %
-        _LAWSON_CHUNK, at most _LAWSON_CHUNK of them.  Lawson's stop is
-        chunk-wide, so a lone certify_peak and a sweep seed alike."""
+    def seed(self, target: int) -> tuple[np.ndarray, float, float]:
+        """A target's _lawson row and its measure's ||nu||_1 and ||e||_2
+        (a zero row, inf and 0 if unseen), computed once per family with
+        its whole chunk: the targets from target - target % _LAWSON_CHUNK,
+        at most _LAWSON_CHUNK of them.  Each target stops on its own gap,
+        and seeds depend on neither tol nor m, so a lone certify_peak and a
+        sweep seed alike."""
         start = target - target % _LAWSON_CHUNK
         if start not in self.seeds:
             chunk = np.arange(start, min(start + _LAWSON_CHUNK, self.values.shape[0]))
             rows = np.zeros((chunk.size, self.values.shape[1]), dtype=complex)
+            nu_norm, e_norm = np.full(chunk.size, np.inf), np.zeros(chunk.size)
             seen = ~self.unseen[chunk]
             if seen.any():
-                rows[seen] = _lawson(self.values, chunk[seen])
-            self.seeds[start] = rows
-        return self.seeds[start][target - start]
+                rows[seen], nu_norm[seen], e_norm[seen] = _lawson(self.values, chunk[seen])
+            self.seeds[start] = rows, nu_norm, e_norm
+        rows, nu_norm, e_norm = self.seeds[start]
+        i = target - start
+        return rows[i], float(nu_norm[i]), float(e_norm[i])
 
 
 @single_threaded()
@@ -517,17 +560,25 @@ def certify_peak(
     read off W itself.  A row the scaled family marks unseen is not a peak,
     with lp_lower = inf.  Every other target takes one path from its seed
     (_Scaled.seed) to the certificate.  A square W is invertible: its seed
-    V^-1 e_t is the certificate, with bounds 0, and no LP runs.  Otherwise
-    the seed starts the LP's active set, whose variables are boxed by
-    |Re c_j|, |Im c_j| <= 2 sqrt(1 + (n - 1) (T sec(pi/m))^2) / sigma_min,
-    with T the seed's off-target max and sigma_min the scaled family's
-    smallest singular value: every LP optimum lies inside, so lp_lower
+    V^-1 e_t is the certificate, with bounds 0, and no LP runs.
+
+    Otherwise let T be the seed's off-target max and sigma_min the scaled
+    family's smallest singular value.  Every optimum c has ||c||_2 <= R =
+    sqrt(1 + (n - 1) T^2) / sigma_min, so the seed's measure bounds the
+    optimum below by L = (1 - ||e||_2 R) / ||nu||_1 - _LP_PAD (0 without a
+    measure).  When [L, T] decides the verdict (T < 1 - tol, or L >=
+    1 - tol/100) and T <= L sec(pi/m), as tight as the LP's own bracket,
+    the seed is the certificate with lp_lower = L and lp_upper = T, and no
+    LP runs.  Otherwise the seed starts the LP's active set, whose
+    variables are boxed by |Re c_j|, |Im c_j| <= 2 sqrt(1 + (n - 1)
+    (T sec(pi/m))^2) / sigma_min: every LP optimum lies inside, so its bound
     stays sound, and no reduced LP is unbounded.  The LP runs on
     incremental HiGHS with 1e-9 feasibility tolerances (a failed run is
     retried once from a cleared solver with presolve on).  The certificate
     is the LP point or the seed, each normalized at the target, whichever
-    has the smaller off-target max (the LP point on a tie); for every family
-    ``refined`` is that max, read once off the scaled off-target rows.
+    has the smaller off-target max (the LP point on a tie), and lp_lower
+    the larger of the LP's bound and L.  For every family ``refined`` is
+    the certificate's max, read once off the scaled off-target rows.
 
     Apart from W's cached scaled state, which a sweep fills before it fans
     out, a call writes nothing shared: a sweep maps it over the targets of
@@ -544,21 +595,28 @@ def certify_peak(
     if scaled.unseen[target]:
         return _unseen(target, k)
     v_t = scaled.values[target]
-    seed = scaled.seed(target)
+    seed, nu_norm, e_norm = scaled.seed(target)
     c_seed = seed / np.dot(v_t, seed)
     V_off = np.delete(scaled.values, target, axis=0)
     if n == k:  # the optimum is 0, attained by the seed
         best_c, lp_lower, lp_upper = c_seed, 0.0, 0.0
     else:
-        c_lp, p = _solve_polygon_lp(
-            V_off, v_t, m, seed, scaled.sigma_min, stop_lower=1.0 - tol * 1e-2 + _LP_PAD
-        )
-        c_lp = c_lp / np.dot(v_t, c_lp)  # exact normalization at the target
+        top = _max_modulus(V_off, c_seed)
+        radius = math.sqrt(1.0 + (n - 1) * top**2) / scaled.sigma_min  # bounds ||c|| at optima
+        lower = 0.0 if nu_norm == math.inf else (1.0 - e_norm * radius) / nu_norm - _LP_PAD
         sec = 1.0 / math.cos(math.pi / m)
-        lp_lower = p - _LP_PAD
-        lp_upper = p * sec + _LP_PAD
-        # the LP point, or the seed where it is smaller off the target
-        best_c = min((c_lp, c_seed), key=lambda c: _max_modulus(V_off, c))
+        if (top < 1.0 - tol or lower >= 1.0 - tol * 1e-2) and top <= lower * sec:
+            # the seed's bracket decides, and is no wider than the LP's
+            best_c, lp_lower, lp_upper = c_seed, lower, top
+        else:
+            c_lp, p = _solve_polygon_lp(
+                V_off, v_t, m, seed, scaled.sigma_min, stop_lower=1.0 - tol * 1e-2 + _LP_PAD
+            )
+            c_lp = c_lp / np.dot(v_t, c_lp)  # exact normalization at the target
+            lp_lower = max(p - _LP_PAD, lower)
+            lp_upper = p * sec + _LP_PAD
+            # the LP point, or the seed where it is smaller off the target
+            best_c = min((c_lp, c_seed), key=lambda c: _max_modulus(V_off, c))
     # power-of-two scaling commutes with rounding: the scaled values of
     # best_c equal W.values @ (best_c / scale) bit for bit
     refined = _max_modulus(V_off, best_c)
@@ -583,8 +641,8 @@ def _unseen(target: int, k: int) -> PeakCertificate:
 def reverify_certificate(W: WitnessFamily, cert: PeakCertificate) -> bool:
     """Re-derive a verdict from W and the certificate: a peak's coefficients
     evaluate to 1 at the target and at most refined < 1 off it; an unseen
-    target (lp_lower = inf) is a row W's scaled values mark unseen.  LP
-    lower bounds are trusted."""
+    target (lp_lower = inf) is a row W's scaled values mark unseen.  Lower
+    bounds, the LP's and the Lawson measure's, are trusted."""
     if cert.status == "certified_peak":
         w = W.values @ cert.coefficients
         off = np.delete(np.abs(w), cert.target)
@@ -673,8 +731,9 @@ def _estimate_families(
 ) -> list[BoundaryPartition]:
     """shilov_estimate of each family, with one table of swept blocks shared
     by all of them: a block seen before reuses its certificates.  A block's
-    solver state (_Scaled.of, the seeds of every chunk, sigma_min when an LP
-    will run) is computed before the fan-out, so no worker fills a cache.  Then
+    solver state (_Scaled.of, sigma_min when the block is not square, the
+    seeds of every chunk) is computed before the fan-out, so no worker fills
+    a cache.  Then
     certify_peak is mapped over its candidates on a pool of _cpu_count()
     threads, under one BLAS pin: certificates come back in candidate order,
     bit-identical to a sequential sweep's, and a failure is raised after
@@ -694,10 +753,10 @@ def _estimate_families(
                 if key not in swept:
                     A = _Block(tuple(W.labels[r] for r in rows), block)
                     scaled = A._scaled
-                    for start in range(0, rows.size, _LAWSON_CHUNK):
-                        scaled.seed(start)
                     if rows.size > cols.size:
                         _ = scaled.sigma_min
+                    for start in range(0, rows.size, _LAWSON_CHUNK):
+                        scaled.seed(start)
                     certify = functools.partial(certify_peak, A, tol=tol, m=m)
                     swept[key] = list(pool.map(certify, range(rows.size)))
                 for cert in swept[key]:

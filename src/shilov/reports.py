@@ -7,8 +7,8 @@ package; reports are plain dataclasses that render to deterministic JSON
 
 from __future__ import annotations
 
+import itertools
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,25 +100,60 @@ def pairs_to_complex_array(data) -> np.ndarray:
     return (arr[..., 0] + 1j * arr[..., 1]).astype(complex)
 
 
-def _sanitize(obj):
-    # json.dumps emits bare Infinity/NaN tokens, which are not valid JSON;
-    # map non-finite floats to strings before encoding.  NumPy scalars and
-    # arrays become Python values first: np.float64 is a float whose repr
-    # reads "np.float64(nan)", and json never hands a float to a default.
+def _numpy_value(obj):
+    """json's default: NumPy scalars and arrays as Python values (np.float64
+    is a float, and json encodes it without asking)."""
     if isinstance(obj, (np.generic, np.ndarray)):
-        obj = obj.tolist()
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else repr(obj)
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    return obj
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+# json's bare tokens for non-finite floats, which are not valid JSON, and the
+# strings a report writes instead: each float's repr
+_NON_FINITE_REPR = {"NaN": '"nan"', "Infinity": '"inf"', "-Infinity": '"-inf"'}
 
 
 _STEP = np.zeros(256, np.int64)  # level change at each byte: brackets open and close
 _STEP[list(b"[{")], _STEP[list(b"]}")] = 1, -1
 _STRUCTURAL = (_STEP != 0) | (np.arange(256) == ord(","))
+
+
+def _string_quotes(compact: str) -> tuple[np.ndarray, np.ndarray]:
+    """Compact ASCII JSON text as bytes with escaped backslashes masked, and
+    the positions of the quotes that open and close its strings."""
+    # a quote inside a string follows an odd run of backslashes; with every
+    # escaped backslash masked, it follows exactly one ("\x01" never occurs:
+    # ensure_ascii writes control characters as \u escapes)
+    probe = np.frombuffer(compact.replace("\\\\", "\x01\x01").encode("ascii"), np.uint8)
+    quotes = np.flatnonzero(probe == ord('"'))
+    return probe, quotes[probe[quotes - 1] != ord("\\")]
+
+
+def _find_all(text: str, token: str) -> list[int]:
+    found, at = [], text.find(token)
+    while at >= 0:
+        found.append(at)
+        at = text.find(token, at + 1)
+    return found
+
+
+def _quote_non_finite(compact: str) -> str:
+    """Compact JSON text with each bare NaN, Infinity and -Infinity token
+    (outside strings) replaced by its float's repr as a string."""
+    starts = sorted(_find_all(compact, "NaN") + _find_all(compact, "Infinity"))
+    if not starts:
+        return compact
+    _, quotes = _string_quotes(compact)
+    pieces, end = [], 0
+    outside = np.searchsorted(quotes, starts) % 2 == 0  # an even count of quotes before
+    for start in itertools.compress(starts, outside):
+        token = "NaN" if compact.startswith("NaN", start) else "Infinity"
+        if token == "Infinity" and compact[start - 1] == "-":
+            start, token = start - 1, "-Infinity"
+        pieces += [compact[end:start], _NON_FINITE_REPR[token]]
+        end = start + len(token)
+    pieces.append(compact[end:])
+    return "".join(pieces)
 
 
 def _indent(compact: str) -> str:
@@ -132,12 +167,7 @@ def _indent(compact: str) -> str:
     re-indented here in whole-array passes.
     """
     raw = np.frombuffer(compact.encode("ascii"), np.uint8)
-    # a quote inside a string follows an odd run of backslashes; with every
-    # escaped backslash masked, it follows exactly one ("\x01" never occurs:
-    # ensure_ascii writes control characters as \u escapes)
-    probe = np.frombuffer(compact.replace("\\\\", "\x01\x01").encode("ascii"), np.uint8)
-    quotes = np.flatnonzero(probe == ord('"'))
-    quotes = quotes[probe[quotes - 1] != ord("\\")]
+    probe, quotes = _string_quotes(compact)
     pos = np.flatnonzero(_STRUCTURAL[probe])
     pos = pos[np.searchsorted(quotes, pos) % 2 == 0]  # an even count of quotes before
     step = _STEP[probe[pos]]
@@ -159,7 +189,11 @@ def _indent(compact: str) -> str:
 def canonical_json(data) -> str:
     """Deterministic JSON text: sorted keys, stable float repr, newline-terminated.
 
-    Byte for byte json.dumps(_sanitize(data), sort_keys=True, indent=2) + "\n".
+    The layout of json.dumps(sort_keys=True, indent=2), in which NumPy
+    values are written as their Python values and a non-finite float as
+    the string of its repr ("nan", "inf", "-inf"), since bare NaN and
+    Infinity are not JSON.  json's C encoder writes the compact text, and
+    the non-finite tokens and the layout are mended on that text.
     """
-    compact = json.dumps(_sanitize(data), sort_keys=True, separators=(",", ": "))
-    return _indent(compact) + "\n"
+    compact = json.dumps(data, sort_keys=True, separators=(",", ": "), default=_numpy_value)
+    return _indent(_quote_non_finite(compact)) + "\n"

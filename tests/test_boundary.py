@@ -585,8 +585,8 @@ def annulus_sample_50():
 def test_dense_lp_survives_highs_error(shift, target):
     # On these point orders HiGHS once returned kError on the target's LP,
     # when families this small were solved as one dense LP.  They stay as
-    # inputs to the active-set path; test_highs_error_is_retried_in_place
-    # injects the kError itself.
+    # inputs to the polygon LP, driven directly and through certify_peak;
+    # test_highs_error_is_retried_in_place injects the kError itself.
     X = annulus_sample_50()
     order = np.roll(np.arange(50), shift)
     X = sh.FiniteSpace(tuple(X.points[i] for i in order), X.coords[order])
@@ -594,6 +594,16 @@ def test_dense_lp_survives_highs_error(shift, target):
     cert = sh.certify_peak(W, target)
     assert cert.status == "certified_peak"
     assert sh.reverify_certificate(W, cert)
+    scaled = W._scaled
+    v_t = scaled.values[target]
+    V_off = np.delete(scaled.values, target, axis=0)
+    c, p = sh.boundary._solve_polygon_lp(
+        V_off, v_t, 32, scaled.seed(target)[0], scaled.sigma_min, stop_lower=1.0
+    )
+    c = c / np.dot(v_t, c)
+    # the polygon optimum is at most the true optimum, and its point's max
+    # modulus at most sec(pi/32) times it
+    assert p - 3e-10 <= cert.refined <= np.abs(V_off @ c).max() <= p * SEC32 + 3e-10
 
 
 class _FailingRuns:
@@ -624,13 +634,17 @@ def test_highs_error_is_retried_in_place(monkeypatch, failures):
         models.append(self.h)
 
     monkeypatch.setattr(sh.boundary._HighsRounds, "__init__", failing_init)
-    W = affine_family()
+    # candidate 0 of the annulus_product B family: its seed's bracket is
+    # decided but wider than sec(pi/32), so the LP runs
+    B = sh.make_rational(annulus_sample_50(), sh.complex_field(), 10, [0])
+    W = sh.witnesses_from_system(B)
     if failures == 2:
         with pytest.raises(sh.CertificationError, match="HiGHS run failed"):
-            sh.certify_peak(W, 2)
+            sh.certify_peak(W, 0)
+        assert len(models) == 1
         return
-    cert = sh.certify_peak(W, 2)
-    assert models and all(model.failures == 0 for model in models)
+    cert = sh.certify_peak(W, 0)
+    assert len(models) == 1 and models[0].failures == 0
     assert cert.status == "certified_peak"
     assert sh.reverify_certificate(W, cert)
 
@@ -727,7 +741,7 @@ def test_certificates_take_the_better_of_the_lp_point_and_the_seed(monkeypatch):
         )
         for n, k in ((30, 5), (17, 6), (9, 4))
     ]
-    statuses = set()
+    statuses, paths = set(), set()
     for W in families:
         assert len(_blocks(W)) == 1  # swept rows are W's scaled rows, bit for bit
         rows = W._scaled.values
@@ -739,43 +753,55 @@ def test_certificates_take_the_better_of_the_lp_point_and_the_seed(monkeypatch):
             for cert in certify():
                 assert sh.reverify_certificate(W, cert)
                 assert cert.lp_lower <= cert.refined <= cert.lp_upper
+                assert cert.lp_upper <= cert.lp_lower * SEC32 + 1e-9
                 statuses.add(cert.status)
-                V_off, v_t, c_lp, seed = points[rows[cert.target].tobytes()]
-                assert cert.refined <= _off_target_max(V_off, v_t, c_lp)
-                assert cert.refined <= _off_target_max(V_off, v_t, seed)
+                v_t = rows[cert.target]
+                seed = W._scaled.seed(cert.target)[0]
+                V_off = np.delete(rows, cert.target, axis=0)
+                if v_t.tobytes() in points:  # the LP ran: the better of both points
+                    V_off, v_t, c_lp, lp_seed = points[v_t.tobytes()]
+                    assert lp_seed.tobytes() == seed.tobytes()
+                    assert cert.refined <= _off_target_max(V_off, v_t, c_lp)
+                    assert cert.refined <= _off_target_max(V_off, v_t, seed)
+                    paths.add("lp")
+                else:  # the seed's bracket decides and is no wider than the LP's
+                    assert cert.status != "undecided"
+                    assert cert.refined == cert.lp_upper == _off_target_max(V_off, v_t, seed)
+                    c_seed = seed / np.dot(v_t, seed)
+                    assert np.array_equal(cert.coefficients * W._scaled.scale, c_seed)
+                    paths.add("seed")
     assert {"certified_peak", "certified_not_peak"} <= statuses
+    assert paths == {"lp", "seed"}
 
 
 def _lawson_per_target(V, targets):
-    """Reference _lawson: V^H diag(d) V built by one product per target."""
+    """Reference _lawson: each target's own loop, one matrix product a round."""
     n, k = V.shape
-    a = V[targets]
-    rows = np.arange(targets.size)
-    V_H = V.conj().T
-    d = np.ones((targets.size, n))
-    d[rows, targets] = 0.0
-    d /= n - 1
-    best = np.full(targets.size, np.inf)
-    best_c = np.zeros_like(a)
-    for _ in range(sh.boundary._LAWSON_ITERS):
-        M = np.stack([(V_H * weights) @ V for weights in d])
-        ridge = 1e-14 * (1.0 + np.trace(M, axis1=1, axis2=2).real)
-        M += ridge[:, None, None] * np.eye(k)
-        x = np.linalg.solve(M, a.conj()[:, :, None])[:, :, 0]
-        a_x = (a * x).sum(axis=1)
-        c = x / a_x[:, None]
-        r = np.abs(c @ V.T)
-        r[rows, targets] = 0.0
-        top = r.max(axis=1)
-        better = top < best
-        best = np.where(better, top, best)
-        best_c[better] = c[better]
-        if np.all(best - 1.0 / np.sqrt(np.abs(a_x)) <= sh.boundary._LAWSON_RTOL * best):
-            break
-        weighted = d * r
-        total = weighted.sum(axis=1)
-        np.divide(weighted, total[:, None], out=d, where=total[:, None] > 0)
-    return best_c
+    seeds = np.zeros((targets.size, k), dtype=complex)
+    nu_norms, e_norms = np.full(targets.size, np.inf), np.zeros(targets.size)
+    for i, t in enumerate(targets):
+        a = V[t]
+        d = np.full(n, 1.0 / (n - 1))
+        d[t] = 0.0
+        best = np.inf
+        for _ in range(sh.boundary._LAWSON_ITERS):
+            M = (V.conj().T * d) @ V
+            M += 1e-14 * (1.0 + np.trace(M).real) * np.eye(k)
+            x = np.linalg.solve(M, a.conj())
+            w = V @ x
+            r = np.abs(w) / abs(a @ x)
+            r[t] = 0.0
+            if r.max() < best:
+                best, seeds[i] = r.max(), x / (a @ x)
+            nu = d * w.conj()  # a measure: zero at t, nu V = a up to roundoff
+            if 0.0 < np.abs(nu).sum() < nu_norms[i]:
+                nu_norms[i] = np.abs(nu).sum()
+                e_norms[i] = np.linalg.norm(nu @ V - a)
+            if best - 1.0 / nu_norms[i] <= sh.boundary._LAWSON_RTOL * best:
+                break
+            if (d * r).sum() > 0:
+                d = d * r / (d * r).sum()
+    return seeds, nu_norms, e_norms
 
 
 def test_batched_lawson_matches_a_per_target_loop(monkeypatch):
@@ -787,16 +813,25 @@ def test_batched_lawson_matches_a_per_target_loop(monkeypatch):
     unseen = rng.standard_normal((10, 3)) + 1j * rng.standard_normal((10, 3))
     unseen[4] = 0.0
     families.append(unseen)
-    batched = [_all_seeds(_Scaled.of(V)) for V in families]
+    batched = [_all_seeds(_Scaled.of(V), whole=True) for V in families]
     monkeypatch.setattr(sh.boundary, "_lawson", _lawson_per_target)
-    for V, seeds in zip(families, batched):
-        reference = _all_seeds(_Scaled.of(V))  # fresh: no cached seeds
-        assert np.allclose(seeds, reference, rtol=1e-12, atol=1e-14)
-    assert not np.any(batched[-1][4])
+    for V, (seeds, nu_norms, e_norms) in zip(families, batched):
+        reference = _all_seeds(_Scaled.of(V), whole=True)  # fresh: no cached seeds
+        assert np.allclose(seeds, reference[0], rtol=1e-12, atol=1e-14)
+        assert np.allclose(nu_norms, reference[1], rtol=1e-12, atol=0.0)
+        assert np.allclose(e_norms, reference[2], rtol=0.0, atol=1e-13)
+        seen = np.isfinite(nu_norms)
+        assert seen.sum() >= len(V) - 1 and np.all(e_norms[seen] < 1e-10)
+    seeds, nu_norms, e_norms = batched[-1]
+    assert not np.any(seeds[4]) and nu_norms[4] == np.inf and e_norms[4] == 0.0
 
 
-def _all_seeds(scaled):
-    return np.array([scaled.seed(t) for t in range(scaled.values.shape[0])])
+def _all_seeds(scaled, whole=False):
+    """Every row's seed, or with ``whole`` its seed, ||nu||_1 and ||e||_2."""
+    seeds = [scaled.seed(t) for t in range(scaled.values.shape[0])]
+    if whole:
+        return tuple(np.array(column) for column in zip(*seeds))
+    return np.array([seed for seed, _, _ in seeds])
 
 
 @pytest.mark.parametrize("batch", [1, 7])
@@ -817,8 +852,126 @@ def test_lawson_batches_its_targets_within_the_memory_budget(monkeypatch, batch)
     whole, whole_peak = seeds_and_peak()  # one batch: (64, k, n) at once
     monkeypatch.setattr(sh.boundary, "MAX_ENTRIES", batch * k * (n + k))
     batched, batched_peak = seeds_and_peak()
-    assert batched.tobytes() == whole.tobytes()
+    assert len(batched) == len(whole) == 3  # seeds, ||nu||_1, ||e||_2
+    assert all(b.tobytes() == w.tobytes() for b, w in zip(batched, whole))
     assert batched_peak < whole_peak / 3
+
+
+def _count_lp_models(monkeypatch) -> list:
+    """Record every _HighsRounds built from here on: one per LP run."""
+    models = []
+    init = sh.boundary._HighsRounds.__init__
+
+    def counting(self, *args):
+        models.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(sh.boundary._HighsRounds, "__init__", counting)
+    return models
+
+
+def _criterion_4_families():
+    """(family, targets, grid optima) triples drawn as criterion 4 of
+    tests/test_acceptance.py draws them: 100 random families with one
+    target each, then 25 3 x 2 families, every target with its grid oracle;
+    last, every target of the annulus_product B family."""
+    rng = np.random.default_rng(404)
+    cases = []
+    for _ in range(100):
+        n = int(rng.integers(3, 13))
+        k = int(rng.integers(1, min(7, n)))
+        V = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        cases.append((sh.WitnessFamily(tuple(f"p{i}" for i in range(n)), V),
+                      [int(rng.integers(0, n))], None))
+    for _ in range(25):
+        V = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        rng.integers(0, 3)  # criterion 4's target draw
+        cases.append((sh.WitnessFamily(("a", "b", "c"), V), [0, 1, 2],
+                      [minimax_grid_oracle(V, t) for t in range(3)]))
+    B = sh.make_rational(annulus_sample_50(), sh.complex_field(), 10, [0])
+    cases.append((sh.witnesses_from_system(B), list(range(50)), None))
+    return cases
+
+
+def test_seed_decided_verdicts_equal_the_lps(monkeypatch):
+    models = _count_lp_models(monkeypatch)
+    lawson = sh.boundary._lawson
+
+    def no_measure(V, targets):  # the same seeds, with ||nu||_1 = inf: L = 0
+        seeds, nu_norm, e_norm = lawson(V, targets)
+        return seeds, np.full_like(nu_norm, np.inf), e_norm
+
+    decided = {"certified_peak": 0, "certified_not_peak": 0}
+    moved = []  # (family, target) the LP alone leaves undecided
+    for case, (W, targets, oracles) in enumerate(_criterion_4_families()):
+        seeded, skipped = [], []
+        for t in targets:
+            before = len(models)
+            seeded.append(sh.certify_peak(W, t))
+            skipped.append(len(models) == before and W.values.shape[0] > W.values.shape[1])
+        monkeypatch.setattr(sh.boundary, "_lawson", no_measure)
+        fresh = sh.boundary._Block(W.labels, W.values)  # no cached seeds
+        forced = [sh.certify_peak(fresh, t) for t in targets]
+        monkeypatch.setattr(sh.boundary, "_lawson", lawson)
+        for i, (cert, lp) in enumerate(zip(seeded, forced)):
+            assert sh.reverify_certificate(W, cert)
+            if not skipped[i]:
+                assert cert.status == lp.status
+                continue
+            if lp.status == "undecided":  # the measure decides what the polygon cannot
+                moved.append((case, targets[i]))
+            else:
+                assert cert.status == lp.status
+            decided[cert.status] += 1
+            assert cert.lp_upper == cert.refined <= cert.lp_lower * SEC32
+            assert cert.lp_lower <= lp.lp_upper
+            if oracles is not None:
+                assert cert.lp_lower <= oracles[i] + 1e-9
+    assert min(decided.values()) >= 5, decided
+    # a 3 x 2 family's candidate 1, with optimum 1.000338 by the grid, so a
+    # not-peak: the polygon's bound reads 0.99833
+    assert moved == [(108, 1)]
+
+
+def test_lp_runs_only_where_the_seed_leaves_the_bracket_open(monkeypatch):
+    models = _count_lp_models(monkeypatch)
+    B = sh.make_rational(annulus_sample_50(), sh.complex_field(), 10, [0])
+    W = sh.witnesses_from_system(B)
+    part = sh.shilov_estimate(W)
+    assert 0 < len(models) < W.candidate_count / 2
+    assert all(sh.reverify_certificate(W, c) for c in part.certificates)
+    models.clear()
+    X = random_space(np.random.default_rng(50), 8)
+    E = sh.preset_algebra("pointwise_3")
+    Q = sh.Quadruple(X, E, sh.make_CXE(X, sh.complex_field()), sh.make_CXE(X, E))
+    assert sh.verify_peak_product(Q).passed
+    assert models == []
+
+
+def test_seeds_and_the_svd_run_before_the_fan_out(monkeypatch):
+    # a sweep computes each block's solver state on the calling thread, so
+    # no pool thread fills a cache of the shared _Scaled
+    rng = np.random.default_rng(51)
+    V = rng.standard_normal((100, 6)) + 1j * rng.standard_normal((100, 6))
+    W = sh.WitnessFamily(tuple(f"p{i}" for i in range(100)), V)  # two seeding chunks
+    calls = []
+
+    def spying(name, real):
+        def spy(*args, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return real(*args, **kwargs)
+
+        return spy
+
+    monkeypatch.setattr(sh.boundary, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(sh.boundary, "_lawson", spying("_lawson", sh.boundary._lawson))
+    monkeypatch.setattr(np.linalg, "svd", spying("svd", np.linalg.svd))
+    models = _count_lp_models(monkeypatch)
+    part = sh.shilov_estimate(W)
+    assert models  # some targets run the LP, on the pool
+    assert sorted(name for name, _ in calls) == ["_lawson", "_lawson", "svd"]
+    assert {thread for _, thread in calls} == {threading.get_ident()}
+    assert all(sh.reverify_certificate(W, c) for c in part.certificates)
 
 
 def _fresh_pairs_by_tuples(slack, active):
@@ -895,11 +1048,21 @@ def test_seed_only_shortens_the_path(monkeypatch):
 
     cold_calls = []
 
-    def cold_lawson(V, targets):  # each target row's own direction, v_t c = 1
+    def cold_lawson(V, targets):  # each target row's own direction, v_t c = 1, no measure
         cold_calls.append(len(targets))
         rows = V[targets]
-        return rows.conj() / (np.abs(rows) ** 2).sum(axis=1, keepdims=True)
+        seeds = rows.conj() / (np.abs(rows) ** 2).sum(axis=1, keepdims=True)
+        return seeds, np.full(targets.size, np.inf), np.zeros(targets.size)
 
+    lp_points = []  # the polygon optimum of each LP run, by its target row
+    solve = sh.boundary._solve_polygon_lp
+
+    def recording(V_off, v_t, *args, **kwargs):
+        c, p = solve(V_off, v_t, *args, **kwargs)
+        lp_points.append((v_t.tobytes(), p))
+        return c, p
+
+    monkeypatch.setattr(sh.boundary, "_solve_polygon_lp", recording)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for W, _, _ in cases:
@@ -912,19 +1075,28 @@ def test_seed_only_shortens_the_path(monkeypatch):
                 else:
                     assert not np.any(seed)
         seeded = [certify(*case) for case in cases]
+        warm_lp = dict(lp_points)
+        lp_points.clear()
         monkeypatch.setattr(sh.boundary, "_lawson", cold_lawson)
         cold = []
         for W, targets, _ in cases:
             # a fresh family: W itself holds the Lawson seeds of the pass above
             fresh = sh.boundary._Block(W.labels, W.values)
             cold.append([sh.certify_peak(fresh, t) for t in targets])
+        cold_lp = dict(lp_points)
     assert len(cold_calls) == len(cases)  # one seeding chunk per family
+    both = 0
     for (W, _, _), fast, slow in zip(cases, seeded, cold):
         for a, b in zip(fast, slow):
             assert a.status == b.status
-            if a.lp_lower != math.inf or b.lp_lower != math.inf:
-                assert a.lp_lower == pytest.approx(b.lp_lower, abs=1e-8)
+            # both brackets hold the optimum
+            assert max(a.lp_lower, b.lp_lower) <= min(a.lp_upper, b.lp_upper) + 1e-9
+            row = W._scaled.values[a.target].tobytes()
+            if row in warm_lp and row in cold_lp:  # one polygon LP, two active-set paths
+                assert warm_lp[row] == pytest.approx(cold_lp[row], abs=1e-8)
+                both += 1
             assert sh.reverify_certificate(W, a) and sh.reverify_certificate(W, b)
+    assert both >= 10
 
 
 @pytest.mark.parametrize("factors", [(1e3,), (1e-3,), (1e3, 1e-3), (1e-9,)])

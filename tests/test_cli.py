@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import shilov as sh
 from shilov import cli
 from shilov.cli import ConfigError, main, validate_config
-from shilov.reports import _sanitize, canonical_json
+from shilov.reports import canonical_json
 
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -72,8 +72,23 @@ DEMO_VERDICTS = {
 }
 
 
+def _sanitize(obj):
+    """Oracle for canonical_json's values: every leaf walked in Python, NumPy
+    scalars and arrays as Python values, a non-finite float as its repr."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        obj = obj.tolist()
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else repr(obj)
+    if isinstance(obj, dict):
+        return {k: _sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_sanitize(v) for v in obj]
+    return obj
+
+
 def _indent_2_json(data) -> str:
-    """Oracle for canonical_json: json's own indent=2 (pure-Python) encoder."""
+    """Oracle for canonical_json: json's own indent=2 (pure-Python) encoder
+    on the walked values."""
     return json.dumps(_sanitize(data), sort_keys=True, indent=2) + "\n"
 
 
@@ -677,6 +692,21 @@ def test_canonical_json_matches_the_indent_2_encoder(data):
     "top", 3, 2.5, None, [], {},
 ])
 def test_canonical_json_keeps_strings_and_empty_containers(data):
+    assert canonical_json(data) == _indent_2_json(data)
+
+
+@pytest.mark.parametrize("data", [
+    [math.nan, math.inf, -math.inf, -0.0, 1.5],
+    {"NaN": math.nan, "Infinity": [math.inf, "-Infinity"], "x": (-math.inf, "NaN")},
+    [np.float64("nan"), np.float32("-inf"), np.float16(0.5), np.int8(-3), np.uint64(7),
+     np.bool_(True), np.float64(-0.0)],
+    [np.array(np.nan), np.array(-np.inf), np.array(2), np.array(True), np.array(0.25)],
+    (1, (math.nan, "x"), ()),
+    {"a": 'say ": Infinity, or NaN" here', "b": "-Infinity", 'key ": NaN,': math.inf},
+    ['\\": Infinity,', '\\\": NaN]', "NaN", "Infinity,NaN", "[-Infinity]"],
+    {"nested": {"q": ['"', math.nan, '\\'], "r": np.array([[math.inf, 1.0], [math.nan, 2.0]])}},
+])
+def test_canonical_json_quotes_only_the_bare_non_finite_tokens(data):
     assert canonical_json(data) == _indent_2_json(data)
 
 
