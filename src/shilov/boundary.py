@@ -439,10 +439,10 @@ def _lawson(
     """
     n, k = V.shape
     nu_norm = np.full(targets.size, np.inf)
-    e_norm = np.zeros(targets.size)
     if n == k:  # square, so invertible: V c = e_t
-        return np.linalg.solve(V, np.eye(n)[:, targets]).T, nu_norm, e_norm
+        return np.linalg.solve(V, np.eye(n)[:, targets]).T, nu_norm, np.zeros(targets.size)
     a = V[targets]  # (T, k) target rows
+    nu = np.zeros((targets.size, n), dtype=complex)  # each target's smallest measure
     V_H = V.conj().T
     d = np.ones((targets.size, n))
     d[np.arange(targets.size), targets] = 0.0
@@ -460,8 +460,8 @@ def _lawson(
             ridge = 1e-14 * (1.0 + np.trace(M, axis1=1, axis2=2).real)
             M += ridge[:, None, None] * np.eye(k)
             x[part] = np.linalg.solve(M, a[part].conj()[:, :, None])[:, :, 0]
-        x_live, a_live, d_live = x[live], a[live], d[live]
-        a_x = (a_live * x_live).sum(axis=1)  # = conj(a)^H M^-1 conj(a) > 0
+        x_live, d_live = x[live], d[live]
+        a_x = (a[live] * x_live).sum(axis=1)  # = conj(a)^H M^-1 conj(a) > 0
         w = x_live @ V.T  # V x per target
         r = np.abs(w) / np.abs(a_x)[:, None]  # |(Vc)_r| for c = x / (v_t x)
         r[np.arange(live.size), targets[live]] = 0.0
@@ -474,8 +474,7 @@ def _lawson(
         nu_l1 = total * np.abs(a_x)  # ||nu||_1 for nu = d conj(V x), zero at the target
         smaller = (nu_l1 > 0.0) & (nu_l1 < nu_norm[live])
         nu_norm[live[smaller]] = nu_l1[smaller]
-        nu = d_live[smaller] * w[smaller].conj()
-        e_norm[live[smaller]] = np.linalg.norm(nu @ V - a_live[smaller], axis=1)
+        nu[live[smaller]] = d_live[smaller] * w[smaller].conj()
         going = best[live] - 1.0 / nu_norm[live] > _LAWSON_RTOL * best[live]
         if not going.any():
             break
@@ -484,6 +483,8 @@ def _lawson(
         # all weighted rows at zero: c is optimal, keep the weights
         np.divide(weighted, total[:, None], out=d_live, where=total[:, None] > 0)
         d[live] = d_live
+    e_norm = np.linalg.norm(nu @ V - a, axis=1)
+    e_norm[nu_norm == np.inf] = 0.0  # no measure, no residual
     return best_c, nu_norm, e_norm
 
 
@@ -731,9 +732,8 @@ def _estimate_families(
 ) -> list[BoundaryPartition]:
     """shilov_estimate of each family, with one table of swept blocks shared
     by all of them: a block seen before reuses its certificates.  A block's
-    solver state (_Scaled.of, sigma_min when the block is not square, the
-    seeds of every chunk) is computed before the fan-out, so no worker fills
-    a cache.  Then
+    solver state (_Scaled.of, the seeds of every chunk, sigma_min when an LP
+    will run) is computed before the fan-out, so no worker fills a cache.  Then
     certify_peak is mapped over its candidates on a pool of _cpu_count()
     threads, under one BLAS pin: certificates come back in candidate order,
     bit-identical to a sequential sweep's, and a failure is raised after
@@ -753,10 +753,10 @@ def _estimate_families(
                 if key not in swept:
                     A = _Block(tuple(W.labels[r] for r in rows), block)
                     scaled = A._scaled
-                    if rows.size > cols.size:
-                        _ = scaled.sigma_min
                     for start in range(0, rows.size, _LAWSON_CHUNK):
                         scaled.seed(start)
+                    if rows.size > cols.size:
+                        _ = scaled.sigma_min
                     certify = functools.partial(certify_peak, A, tol=tol, m=m)
                     swept[key] = list(pool.map(certify, range(rows.size)))
                 for cert in swept[key]:

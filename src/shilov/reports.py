@@ -7,8 +7,8 @@ package; reports are plain dataclasses that render to deterministic JSON
 
 from __future__ import annotations
 
-import itertools
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,29 +129,20 @@ def _string_quotes(compact: str) -> tuple[np.ndarray, np.ndarray]:
     return probe, quotes[probe[quotes - 1] != ord("\\")]
 
 
-def _find_all(text: str, token: str) -> list[int]:
-    found, at = [], text.find(token)
-    while at >= 0:
-        found.append(at)
-        at = text.find(token, at + 1)
-    return found
-
-
 def _quote_non_finite(compact: str) -> str:
     """Compact JSON text with each bare NaN, Infinity and -Infinity token
     (outside strings) replaced by its float's repr as a string."""
-    starts = sorted(_find_all(compact, "NaN") + _find_all(compact, "Infinity"))
-    if not starts:
+    matches = list(re.finditer(r"NaN|-?Infinity", compact))
+    if not matches:
         return compact
     _, quotes = _string_quotes(compact)
-    pieces, end = [], 0
+    starts = [match.start() for match in matches]
     outside = np.searchsorted(quotes, starts) % 2 == 0  # an even count of quotes before
-    for start in itertools.compress(starts, outside):
-        token = "NaN" if compact.startswith("NaN", start) else "Infinity"
-        if token == "Infinity" and compact[start - 1] == "-":
-            start, token = start - 1, "-Infinity"
-        pieces += [compact[end:start], _NON_FINITE_REPR[token]]
-        end = start + len(token)
+    pieces, end = [], 0
+    for match, bare in zip(matches, outside):
+        if bare:
+            pieces += [compact[end : match.start()], _NON_FINITE_REPR[match.group()]]
+            end = match.end()
     pieces.append(compact[end:])
     return "".join(pieces)
 

@@ -1044,7 +1044,15 @@ def test_seed_only_shortens_the_path(monkeypatch):
         if swept:  # the sweep, which seeds every chunk before it fans out
             certificates = sh.shilov_estimate(W).certificates
             return [certificates[t] for t in targets]
-        return [sh.certify_peak(W, t) for t in targets]
+        # a fresh family: W itself holds the seeds of the passes before
+        fresh = sh.boundary._Block(W.labels, W.values)
+        return [sh.certify_peak(fresh, t) for t in targets]
+
+    lawson = sh.boundary._lawson
+
+    def warm_lawson(V, targets):  # the Lawson seeds, with no measure: every LP runs
+        seeds, nu_norm, e_norm = lawson(V, targets)
+        return seeds, np.full_like(nu_norm, np.inf), e_norm
 
     cold_calls = []
 
@@ -1054,15 +1062,6 @@ def test_seed_only_shortens_the_path(monkeypatch):
         seeds = rows.conj() / (np.abs(rows) ** 2).sum(axis=1, keepdims=True)
         return seeds, np.full(targets.size, np.inf), np.zeros(targets.size)
 
-    lp_points = []  # the polygon optimum of each LP run, by its target row
-    solve = sh.boundary._solve_polygon_lp
-
-    def recording(V_off, v_t, *args, **kwargs):
-        c, p = solve(V_off, v_t, *args, **kwargs)
-        lp_points.append((v_t.tobytes(), p))
-        return c, p
-
-    monkeypatch.setattr(sh.boundary, "_solve_polygon_lp", recording)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for W, _, _ in cases:
@@ -1074,29 +1073,30 @@ def test_seed_only_shortens_the_path(monkeypatch):
                     assert np.dot(row, seed) == pytest.approx(1.0, abs=1e-12)
                 else:
                     assert not np.any(seed)
-        seeded = [certify(*case) for case in cases]
-        warm_lp = dict(lp_points)
-        lp_points.clear()
+        seeded = [certify(*case) for case in cases]  # where the seed decides, no LP
+        models = _count_lp_models(monkeypatch)
+        monkeypatch.setattr(sh.boundary, "_lawson", warm_lawson)
+        warm = [certify(*case) for case in cases]
+        warm_models = len(models)
         monkeypatch.setattr(sh.boundary, "_lawson", cold_lawson)
         cold = []
         for W, targets, _ in cases:
-            # a fresh family: W itself holds the Lawson seeds of the pass above
             fresh = sh.boundary._Block(W.labels, W.values)
             cold.append([sh.certify_peak(fresh, t) for t in targets])
-        cold_lp = dict(lp_points)
     assert len(cold_calls) == len(cases)  # one seeding chunk per family
-    both = 0
-    for (W, _, _), fast, slow in zip(cases, seeded, cold):
-        for a, b in zip(fast, slow):
-            assert a.status == b.status
-            # both brackets hold the optimum
-            assert max(a.lp_lower, b.lp_lower) <= min(a.lp_upper, b.lp_upper) + 1e-9
-            row = W._scaled.values[a.target].tobytes()
-            if row in warm_lp and row in cold_lp:  # one polygon LP, two active-set paths
-                assert warm_lp[row] == pytest.approx(cold_lp[row], abs=1e-8)
-                both += 1
-            assert sh.reverify_certificate(W, a) and sh.reverify_certificate(W, b)
-    assert both >= 10
+    lp_targets = 0
+    for (W, _, _), real, fast, slow in zip(cases, seeded, warm, cold):
+        for r, a, b in zip(real, fast, slow):
+            assert r.status == a.status == b.status
+            # one polygon LP, two active-set paths: the same bound
+            if a.lp_lower != math.inf or b.lp_lower != math.inf:
+                assert a.lp_lower == pytest.approx(b.lp_lower, abs=1e-8)
+            # the seed-decided bracket holds the LP's optimum
+            assert max(r.lp_lower, b.lp_lower) <= min(r.lp_upper, b.lp_upper) + 1e-9
+            assert all(sh.reverify_certificate(W, c) for c in (r, a, b))
+            lp_targets += 0 < a.lp_upper < math.inf  # p sec(pi/m) + pad: the LP ran
+    # without a measure every non-square, seen target runs the LP, once
+    assert warm_models == lp_targets >= 80
 
 
 @pytest.mark.parametrize("factors", [(1e3,), (1e-3,), (1e3, 1e-3), (1e-9,)])
