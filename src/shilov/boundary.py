@@ -786,10 +786,11 @@ def is_boundary(subset: list[int], W: WitnessFamily):
     as a peak of the rows S and t (certify_peak, reduced to independent
     columns by _independent_columns' rule, at DEFAULT_TOL and DEFAULT_SIDES).
     A certified peak t gives (False, c): the combination c of W's own
-    columns, re-checked on W by direct evaluation, is 1 at t and at most
-    its certificate's refined < 1 on S.  If every t is certified not a peak
-    (a row no witness sees never peaks), the answer is (True, None).
-    Otherwise some t is undecided, and so is the answer: (None, None).
+    columns, re-checked on W's rows S and t by reverify_certificate, is 1
+    at t and at most its certificate's refined < 1 on S.  If every t is
+    certified not a peak (a row no witness sees never peaks), the answer is
+    (True, None).  Otherwise some t is undecided, and so is the answer:
+    (None, None).
     """
     subset = sorted(set(int(i) for i in subset))
     if not subset:
@@ -809,11 +810,7 @@ def is_boundary(subset: list[int], W: WitnessFamily):
         if cert.status == "certified_peak":
             c = np.zeros(k, dtype=complex)
             c[kept] = cert.coefficients
-            f = V[rows] @ c
-            if (
-                abs(f[-1] - 1.0) <= CERT_REVERIFY_TOL
-                and np.abs(f[:-1]).max() <= cert.refined + CERT_REVERIFY_TOL
-            ):
+            if reverify_certificate(_Block(block.labels, V[rows]), replace(cert, coefficients=c)):
                 return False, c
         decided = decided and cert.status == "certified_not_peak"
     return (True, None) if decided else (None, None)

@@ -86,9 +86,10 @@ from .spaces import (
 # (z - c)^-k, k <= degree, per pole c (_check_rational).  Products of values
 # meet the same budget before they are formed: a system of m basis functions
 # whose closure is read, and the closure "close" asks for, may count at most
-# m^2 |X| dim E entries (_check_products).  That count bounds the products
-# FunctionSystem.basis_products forms and keeps, and as_algebra's dense m^3
-# structure tensor, as an independent basis has m <= |X| dim E.  dim E itself,
+# m^2 |X| dim E entries (_check_products; with the config for "close" on a
+# points space).  That count bounds the products FunctionSystem.basis_products
+# forms and keeps, and as_algebra's dense m^3 structure tensor, as an
+# independent basis has m <= |X| dim E.  dim E itself,
 # of a preset name or of a config algebra, is at most MAX_PRESET_DIM, so E's
 # own n^3 structure tensor meets the budget too; a name is checked before
 # its algebra is built (parse_preset).
@@ -339,7 +340,7 @@ class _Workspace:
                     space, E, int(spec.get("degree", 1)), poles, label=name
                 )
             if spec.get("close"):  # the closure has at most |X| dim E basis functions
-                _check_products(name, space.size * E.dim, space, E)
+                _check_products(name, space.size * E.dim, space.size, E.dim)
                 system = system if system.closed else close_under_products(system)
             self._systems[name] = system
         return self._systems[name]
@@ -410,7 +411,9 @@ def _check_references(config: dict) -> None:
     quadruple's points when that space lists them.  A peaker's point on a
     sampled space and its character index are checked when it runs, since
     they need the sampled points and E's characters.  Each run entry's file
-    stem is a plain file name that no earlier entry uses."""
+    stem is a plain file name that no earlier entry uses.  A "close" system
+    meets _check_products here on a points space, when it is built on a
+    sampled one."""
     algebras = set(config.get("algebras", {}))
     space_specs = config.get("spaces", {})
     spaces = set(space_specs)
@@ -453,6 +456,10 @@ def _check_references(config: dict) -> None:
     for name, spec in config.get("systems", {}).items():
         need_space(spec["space"], f"system {name!r}")
         need_algebra(spec["algebra"], f"system {name!r}")
+        space = space_specs[spec["space"]]
+        if spec.get("close") and _space_kind(space) == "points":
+            points, dim = len(space["points"]), _algebra_dim(config, spec["algebra"])
+            _check_products(name, points * dim, points, dim)
     for name, spec in config.get("quadruples", {}).items():
         need_space(spec["space"], f"quadruple {name!r}")
         need_algebra(spec["algebra"], f"quadruple {name!r}")
@@ -487,6 +494,16 @@ def _check_references(config: dict) -> None:
         if stem in stems:
             raise ConfigError(f"{where}: file stem {stem!r} repeats an earlier entry's")
         stems.add(stem)
+
+
+def _algebra_dim(config: dict, name: str) -> int:
+    """dim E of a resolved algebra name: a config algebra's "dim" or a
+    preset's size; only the unsized presets, of dim 1 or 2, are built."""
+    spec = config.get("algebras", {}).get(name, name)
+    if isinstance(spec, dict):
+        return int(spec["dim"])
+    builder, sizes = parse_preset(spec)
+    return sizes[0] if sizes else builder().dim
 
 
 def _check_rational(config: dict) -> None:
@@ -649,15 +666,16 @@ def _run_entry(ws: _Workspace, entry: dict, seed: int, stem: str, config_hash: s
     return report, extras
 
 
-def _check_products(name: str, m: int, X: FiniteSpace, E: AlgebraSpec) -> None:
-    """Reject a system of m basis functions on X with values in E whose
-    m^2 |X| dim E entries exceed the _MAX_ENTRIES budget: they bound its
-    m^3 structure tensor (m <= |X| dim E for an independent basis) and its
-    at most m^2 basis products of |X| dim E entries each."""
-    entries = m * m * X.size * E.dim
+def _check_products(name: str, m: int, points: int, dim: int) -> None:
+    """Reject a system of m basis functions on |X| = points with values in
+    E, dim E = dim, whose m^2 |X| dim E entries exceed the _MAX_ENTRIES
+    budget: they bound its m^3 structure tensor (m <= |X| dim E for an
+    independent basis) and its at most m^2 basis products of |X| dim E
+    entries each."""
+    entries = m * m * points * dim
     if entries > _MAX_ENTRIES:
         raise ConfigError(
-            f"system {name!r}: product table of {m}^2 x {X.size} x {E.dim} = "
+            f"system {name!r}: product table of {m}^2 x {points} x {dim} = "
             f"{entries} entries exceeds the cap of {_MAX_ENTRIES}"
         )
 
@@ -668,7 +686,7 @@ def _check_closed(*systems: FunctionSystem) -> None:
     supports meet and keeps them on the system (basis_products), and
     as_algebra reads those and writes its dense m^3 structure tensor."""
     for S in systems:
-        _check_products(S.label, S.dim, S.space, S.scalars)
+        _check_products(S.label, S.dim, S.space.size, S.scalars.dim)
 
 
 def _algebra_peaker(E: AlgebraSpec, char_index: int) -> np.ndarray:

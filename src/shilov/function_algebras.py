@@ -11,9 +11,11 @@ closure, the quadruple admissibility conditions, and the associated map
 from characters-of-E x points into characters of the vector system, built
 once by pi_matrix.  psi runs over E.characters, the one character tuple the
 algebra caches (AlgebraSpec.characters), so pi, the witness families and the
-Gelfand transforms of one algebra index the same list.  A system is natural
-when pi is a bijection onto its characters: one rule (_naturality) decides it
-for check_natural and, with E = C, for condition (3) of check_admissible.
+Gelfand transforms of one algebra index the same list.  A closed S holds
+1_E and C(X, E) is integral over it, so by lying-over (Atiyah-Macdonald 5.10)
+M(S) is the set of distinct pi rows, and S is natural iff no two coincide:
+one count (_first_distinct) decides check_natural, check_pi_injective and,
+with E = C, condition (3) of check_admissible.
 
 Every rank and span-membership decision here and in the witness builders
 follows one rule, kept in the Span class: a flattened value table v lies in
@@ -32,7 +34,7 @@ import numpy as np
 
 from .algebra import AlgebraSpec, Element, same_algebra
 from .blas import lower_triangular_inverse, single_threaded
-from .characters import DISTINCT_TOL, Character, characters, close_rows
+from .characters import Character, _first_distinct, close_rows
 from .reports import (
     ValidationReport,
     complex_array_to_pairs,
@@ -627,16 +629,9 @@ def check_admissible(Q: Quadruple) -> ValidationReport:
         "" if alg_report.passed else ", ".join(c.name for c in alg_report.failures()),
     )
 
-    # (3) B natural: pi for E = C, i.e. the characters of the closed scalar
-    # system are exactly the point evaluations.
-    if not B.closed:
-        report.add(
-            "scalar_system_natural",
-            False,
-            detail="scalar system is not closed; character check unavailable",
-        )
-    else:
-        report.add("scalar_system_natural", *_naturality(B))
+    # (3) B natural: with E = C, its distinct point evaluations (pi rows).
+    unclosed = False, 0.0, "scalar system is not closed; character check unavailable"
+    report.add("scalar_system_natural", *(_naturality(B) if B.closed else unclosed))
 
     # (4) B~ is a function algebra: closed, unital and separating
     unit_ok = bool(Bt.span.contains(Bt.unit_table())[0])
@@ -672,33 +667,17 @@ def pi_matrix(S: FunctionSystem) -> np.ndarray:
 
 
 def _naturality(S: FunctionSystem) -> tuple[bool, float, str]:
-    """(natural, worst, detail) of closed S: each of its count characters is
-    matched to its nearest pi row (sup-norm distance, worst = the largest);
-    natural iff the counts agree, worst <= DISTINCT_TOL and the matching is
-    a permutation of the rows.  Structure constants (as_algebra) that fail
-    validation get no character search: S is then not natural, and the
-    detail names each failed identity with its residual."""
-    P = pi_matrix(S)
-    algebra = as_algebra(S)
-    if failures := algebra.validation.failures():
+    """(natural, residual, detail) of closed S: its characters are the k pi
+    rows _first_distinct keeps, each exactly (residual 0), and S is natural
+    iff k is the number n of all its pi rows.  Structure constants
+    (as_algebra) that fail validation make S not natural, and the detail
+    names each failed identity with its residual."""
+    if failures := as_algebra(S).validation.failures():
         found = "; ".join(f"{c.name} at {c.detail}, residual {c.residual:.3g}" for c in failures)
         return False, max(c.residual for c in failures), f"structure constants fail {found}"
-    # not algebra.characters: each Character refers to its algebra, so a
-    # cached tuple would hold this throwaway m^3 tensor in a reference cycle
-    chars = characters(algebra)
-    matched: list[int] = []
-    worst = 0.0
-    for chi in chars:
-        dist = np.max(np.abs(P - chi.values), axis=1)
-        row = int(np.argmin(dist))
-        worst = max(worst, float(dist[row]))
-        matched.append(row)
-    natural = (
-        len(chars) == len(P)
-        and worst <= DISTINCT_TOL
-        and sorted(matched) == list(range(len(P)))
-    )
-    return natural, worst, f"{len(chars)} characters vs {len(P)} points"
+    P = pi_matrix(S)
+    k = len(_first_distinct(P))
+    return k == len(P), 0.0, f"{k} characters vs {len(P)} points"
 
 
 @single_threaded()
@@ -722,16 +701,16 @@ def build_pi(Q: Quadruple) -> list[Character]:
 
 @single_threaded()
 def check_pi_injective(Q: Quadruple) -> bool:
-    """True iff the pi rows (pi_matrix) of the vector system are pairwise
-    more than DISTINCT_TOL apart in sup norm; ValueError unless it is closed.
-    close_rows compares only rows near in a projection, in O(n m) memory."""
+    """True iff _first_distinct keeps every pi row of the vector system, as
+    _naturality counts them; ValueError unless the system is closed."""
     if not Q.vector_system.closed:
         raise ValueError("check_pi_injective needs a closed vector system")
     P = pi_matrix(Q.vector_system)
-    return not any(np.any(dist <= DISTINCT_TOL) for _, _, dist in close_rows(P))
+    return len(_first_distinct(P)) == len(P)
 
 
 @single_threaded()
 def check_natural(Q: Quadruple) -> bool:
-    """pi is a bijection from M(E) x X onto M(B~) (see _naturality)."""
+    """pi is a bijection from M(E) x X onto M(B~): B~'s structure constants
+    validate and its pi rows are distinct (_naturality)."""
     return _naturality(Q.vector_system)[0]

@@ -562,7 +562,9 @@ def product_config(entry):
         },
         "systems": {
             "B": {"kind": "cxe", "space": "X", "algebra": "complex"},
-            "P": {"kind": "poly", "space": "X", "algebra": "complex", "degree": 2, "close": True},
+            # declared only where an entry reads it: validate_config refuses it
+            **({"P": {"kind": "poly", "space": "X", "algebra": "complex", "degree": 2,
+                      "close": True}} if entry["target"] == "P" else {}),
         },
         "quadruples": {
             "Q": {"space": "X", "algebra": "complex", "scalar_system": "B", "vector_system": "B"}
@@ -629,11 +631,9 @@ def test_product_tables_are_capped_closed_or_not(tmp_path, capsys, monkeypatch, 
 
 
 def test_product_table_cap_is_the_entry_budget():
-    C = sh.complex_field()
-    X = sh.FiniteSpace(tuple(f"p{i}" for i in range(256)))
-    cli._check_products("B", 256, X, C)  # 256^3 = 2^24 entries, at the cap
+    cli._check_products("B", 256, 256, 1)  # 256^3 = 2^24 entries, at the cap
     with pytest.raises(ConfigError, match="257\\^2 x 256 x 1"):
-        cli._check_products("B", 257, X, C)
+        cli._check_products("B", 257, 256, 1)
 
 
 def test_estimation_product_check_is_not_capped(tmp_path, monkeypatch):
@@ -873,6 +873,46 @@ def test_raster_references_are_checked_before_any_output(
         run=[_FIRST] + ([entry] if entry else []),
     )
     _assert_refused(tmp_path, capsys, config, message)
+
+
+@pytest.mark.parametrize(
+    "algebra, points, dim",
+    [("pointwise_8", 33, 8), ("E8", 33, 8), ("D8", 33, 8), ("dual_numbers", 129, 2)],
+)
+def test_close_cap_is_checked_before_any_output(tmp_path, capsys, monkeypatch, algebra, points,
+                                                dim):
+    # one point over the cap: (|X| dim E)^3 > 2^24 once |X| dim E > 256 (was
+    # exit 2 after the first entry wrote)
+    def refuse(*args, **kwargs):
+        raise AssertionError("an algebra was built before the size check")
+
+    monkeypatch.setattr(cli, "preset_algebra", refuse)
+    config = minimal_config(
+        algebras={"D": "dual_numbers", "E8": "pointwise_8",
+                  "D8": sh.pointwise_algebra(8).to_dict()},
+        spaces={"X": {"points": [f"p{i}" for i in range(points)]}},
+        systems={"P": {"kind": "cxe", "space": "X", "algebra": algebra, "close": True}},
+        run=[_FIRST, {"command": "shilov", "target": "P"}],
+    )
+    message = f"system 'P': product table of {points * dim}^2 x {points} x {dim}"
+    _assert_refused(tmp_path, capsys, config, message)
+    config["spaces"]["X"]["points"].pop()  # at the cap, |X| dim E = 256
+    assert validate_config(write_config(tmp_path, config)) == config
+
+
+def test_close_cap_on_a_sampled_space_is_checked_when_it_is_built(tmp_path, capsys):
+    # |X| is known only once the space is sampled, after the first entry ran
+    config = minimal_config(
+        spaces={"disk": _DISK, "s": _SAMPLES},
+        systems={"P": {"kind": "cxe", "space": "s", "algebra": "pointwise_64", "close": True}},
+        run=[_FIRST, {"command": "shilov", "target": "P"}],
+    )
+    out = tmp_path / "out"
+    assert main(["--config", str(write_config(tmp_path, config)), "--output-dir", str(out),
+                 "--quiet"]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "config" and "system 'P': product table of" in error["message"]
+    assert [p.name for p in out.iterdir()] == ["first.report.json"]
 
 
 _CXE = {"kind": "cxe", "space": "X", "algebra": "complex"}

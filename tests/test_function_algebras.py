@@ -1,6 +1,7 @@
 """Function systems, norms, closure, constructors, quadruples and pi."""
 
 import itertools
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -1024,5 +1025,100 @@ def test_one_naturality_rule(case, natural):
     else:
         Q = sh.Quadruple(X, E, sh.make_CXE(X, C), S)
     assert sh.check_natural(Q) == natural
-    if case == "unit_multiples":
-        assert not sh.check_pi_injective(Q)
+    assert sh.check_pi_injective(Q) == natural
+    detail = sh.function_algebras._naturality(S)[2]
+    assert _character_search_naturality(S) == (natural, detail)
+
+
+def _character_search_naturality(S: sh.FunctionSystem) -> tuple[bool, str | None]:
+    """Oracle for _naturality: (natural, detail) by a character search.  The
+    structure constants (as_algebra) must validate, else (False, None).  Then
+    each character of as_algebra(S) is matched to its nearest pi row (sup
+    norm): natural iff there are as many characters as rows, every match is
+    within DISTINCT_TOL and the matching is a permutation of the rows."""
+    algebra = sh.as_algebra(S)
+    if algebra.validation.failures():
+        return False, None
+    P = sh.pi_matrix(S)
+    chars = sh.characters(algebra)
+    dist = np.array([np.abs(P - chi.values).max(axis=1) for chi in chars])
+    matched = dist.argmin(axis=1)
+    natural = (
+        len(chars) == len(P)
+        and bool(dist.min(axis=1).max() <= DISTINCT_TOL)
+        and sorted(matched) == list(range(len(P)))
+    )
+    return natural, f"{len(chars)} characters vs {len(P)} points"
+
+
+def _closed_sample() -> list[tuple[str, sh.FunctionSystem]]:
+    """81 closed systems: C(X, E) and the closures of P_1 and P_2 (and of
+    span(P_1 E) for E != C) on |X| = 2, 3, 5 and 8 random points of the unit
+    square, and the closure of P_2 on 4 points of which two coincide."""
+    rng = np.random.default_rng(28)
+    C = sh.complex_field()
+
+    def space(n, coincide=False):
+        z = rng.random(n) + 1j * rng.random(n)
+        if coincide:
+            z[-1] = z[0]
+        return sh.FiniteSpace(tuple(f"p{k}" for k in range(n)), z)
+
+    algebras = [C] + [sh.preset_algebra(name) for name in
+                      ("pointwise_2", "dual_numbers", "truncated_poly_3", "cyclic_group_3")]
+    sample = []
+    for n in (2, 3, 5, 8):
+        X = space(n)
+        for E in algebras:
+            sample.append((f"C(X,{E.label}), |X| = {n}", sh.make_CXE(X, E)))
+            for degree in (1, 2):
+                closure = sh.close_under_products(sh.make_poly(X, E, degree))
+                sample.append((f"closure(P_{degree}), {E.label}, |X| = {n}", closure))
+            if E.dim > 1:
+                closure = sh.close_under_products(sh.span_BE(sh.make_poly(X, C, 1), E))
+                sample.append((f"closure(span(P_1 E)), {E.label}, |X| = {n}", closure))
+    X = space(4, coincide=True)
+    for E in algebras:
+        sample.append((f"closure(P_2), {E.label}, coincident", sh.close_under_products(
+            sh.make_poly(X, E, 2))))
+    return sample
+
+
+def test_naturality_by_distinct_pi_rows_matches_the_character_search():
+    gate, collisions = 0, 0
+    for key, S in _closed_sample():
+        assert S.closed, key
+        natural, residual, detail = sh.function_algebras._naturality(S)
+        expected, expected_detail = _character_search_naturality(S)
+        assert natural == expected, key
+        if expected_detail is None:  # the structure-constant gate decided
+            assert detail.startswith("structure constants fail"), key
+            gate += 1
+        else:
+            assert (residual, detail) == (0.0, expected_detail), key
+            collisions += not natural
+    assert gate > 0 and collisions > 0  # the sample reaches both ways of failing
+
+
+def test_exact_checks_run_no_character_search_on_a_system(monkeypatch):
+    # every binding of characters.characters in the package, as the
+    # benchmark's tracer rebinds it
+    original = sys.modules["shilov.characters"].characters
+    searched = []
+
+    def spy(E):
+        searched.append(E.label)
+        return original(E)
+
+    for name, module in list(sys.modules.items()):
+        if name == "shilov" or name.startswith("shilov."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, spy)
+    X = random_space(np.random.default_rng(24), 3)
+    E = sh.preset_algebra("pointwise_3")
+    Q = sh.Quadruple(X, E, sh.make_CXE(X, sh.complex_field()), sh.make_CXE(X, E))
+    assert sh.verify_peak_product(Q, regime="exact").passed
+    assert sh.check_admissible(Q).passed
+    assert "pointwise_3" in searched  # E's own search, through the spy
+    assert not [label for label in searched if label.endswith("[alg]")]
