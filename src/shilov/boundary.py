@@ -5,19 +5,21 @@ the convex minimax program
 
     minimize  max_{psi != phi} |(Vc)(psi)|   subject to   (Vc)(phi) = 1
 
-has optimum provably below 1 - tol: a strict-max witness rescales to a
-peaking function.  Every target is first seeded by Lawson's reweighting
-iteration (run for a chunk of targets at once), whose weights also give a
-measure nu with nu V = v_t up to a residual, zero at the target: 1 /
-||nu||_1, less a residual term, bounds the optimum from below (the duality
-of complex Chebyshev approximation), and the seed's off-target max bounds
-it from above.  Where that bracket already decides the verdict and is no
-wider than sec(pi/m), the seed is the certificate and no LP runs.
-Elsewhere each modulus is sandwiched between the max over m polygon
-directions and sec(pi/m) times it, so one linear program yields a certified
-bracket [lp_lower, lp_upper] around the optimum.  The certificate is then
-the LP point or the seed, whichever is smaller off the target: a feasible
-value no larger than the LP point's, so inside the bracket.
+has optimum provably below 1 - PEAK_TOL: a strict-max witness rescales to
+a peaking function.  An optimum provably at least 1 - PEAK_TOL / 100 rules
+the peak out, and _status decides every verdict by those two thresholds.
+Every target is first seeded by Lawson's reweighting iteration (run for a
+chunk of targets at once), whose weights also give a measure nu with nu V =
+v_t up to a residual, zero at the target: 1 / ||nu||_1, less a residual
+term, bounds the optimum from below (the duality of complex Chebyshev
+approximation), and the seed's off-target max bounds it from above.  Where
+that bracket already decides the verdict and is no wider than
+sec(pi/SIDES), the seed is the certificate and no LP runs.  Elsewhere each
+modulus is sandwiched between the max over SIDES polygon directions and
+sec(pi/SIDES) times it, so one linear program yields a certified bracket
+[lp_lower, lp_upper] around the optimum.  The certificate is then the LP
+point or the seed, whichever is smaller off the target: a feasible value no
+larger than the LP point's, so inside the bracket.
 Every LP takes one path: an active set of polygon constraints, seeded by
 the Lawson point and grown on incremental HiGHS inside a box that holds
 every LP optimum.  A square family needs no LP: it is invertible, so
@@ -68,13 +70,17 @@ from .spaces import RasterRegion, pgm_text
 
 _highs_core = load_extension("scipy.optimize._highspy._core")  # incremental HiGHS
 
-DEFAULT_TOL = 1e-4
-DEFAULT_SIDES = 32
+PEAK_TOL = 1e-4  # the peak margin of _status
+SIDES = 32  # the LP's polygon: |z| <= max over SIDES directions * _SEC
 CERT_REVERIFY_TOL = 1e-9
+
+_SEC = 1.0 / math.cos(math.pi / SIDES)
+_PHASES = np.exp(-2j * np.pi * np.arange(SIDES) / SIDES)
+_NOT_PEAK_LOWER = 1.0 - PEAK_TOL * 1e-2  # a lower bound this high rules a peak out
 
 # Reported LP bounds carry a tiny pad for roundoff at the 1e-9 feasibility
 # tolerances of _HighsRounds; small enough that
-# lp_upper <= lp_lower * sec(pi/m) + 1e-9 still holds.
+# lp_upper <= lp_lower * _SEC + 1e-9 still holds.
 _LP_PAD = 3e-10
 
 PGM_LEVELS = {"certified_not_peak": 85, "undecided": 170, "certified_peak": 255}
@@ -213,11 +219,12 @@ class PeakCertificate:
     """Outcome of one peak query, re-verifiable from coefficients alone.
 
     [lp_lower, lp_upper] brackets the optimum and ``refined`` is the
-    coefficients' off-target max.  Where the LP ran, lp_upper is its
-    polygon optimum times sec(pi/m) and lp_lower the larger of the polygon
-    optimum and the Lawson measure's bound; where the seed decided,
-    lp_lower is the measure's bound and lp_upper = refined.  A square
-    family reads 0 for both, and a target no witness sees inf.
+    coefficients' off-target max; status is _status(refined, lp_lower).
+    Where the LP ran, lp_upper is its polygon optimum times sec(pi/SIDES)
+    and lp_lower the larger of the polygon optimum and the Lawson measure's
+    bound; where the seed decided, lp_lower is the measure's bound and
+    lp_upper = refined.  A square family reads 0 for both, and a target no
+    witness sees inf.
     """
 
     target: int
@@ -229,6 +236,17 @@ class PeakCertificate:
 
     def to_dict(self) -> dict:
         return {**vars(self), "coefficients": complex_array_to_pairs(self.coefficients)}
+
+
+def _status(upper: float, lower: float) -> str:
+    """The verdict of a bracket on the optimum: a peak when the upper bound
+    is below 1 - PEAK_TOL, not a peak when the lower bound reaches
+    1 - PEAK_TOL / 100, undecided in between."""
+    if upper < 1.0 - PEAK_TOL:
+        return "certified_peak"
+    if lower >= _NOT_PEAK_LOWER:
+        return "certified_not_peak"
+    return "undecided"
 
 
 class _HighsRounds:
@@ -306,14 +324,7 @@ class _HighsRounds:
         return x[:k] + 1j * x[k : 2 * k], float(self.h.getObjectiveValue())
 
 
-def _solve_polygon_lp(
-    V_off: np.ndarray,
-    v_t: np.ndarray,
-    m: int,
-    seed: np.ndarray,
-    sigma_min: float,
-    stop_lower: float,
-):
+def _solve_polygon_lp(V_off: np.ndarray, v_t: np.ndarray, seed: np.ndarray, sigma_min: float):
     """Minimize the polygon max over off-target rows subject to (Vc)(target)=1.
 
     This is the one LP path of every non-square family.  Its constraints
@@ -326,28 +337,26 @@ def _solve_polygon_lp(
     ``seed`` is a feasible point (v_t seed = 1); its near-maximal rows seed
     the mask.  It also bounds the LP: with T its off-target max
     modulus, every full-LP optimum c has polygon value p <= T, so
-    |(Vc)_r| <= T sec(pi/m) off the target, |(Vc)_t| = 1 and
+    |(Vc)_r| <= T sec(pi/SIDES) off the target, |(Vc)_t| = 1 and
     ||c||_2 <= sqrt(1 + (n - 1) (T sec)^2) / sigma_min(V).  Boxing each real
     variable by that radius keeps every full-LP optimum (so reduced optima
     stay lower bounds) and makes every reduced LP bounded.
 
-    ``stop_lower`` ends the search early once the certified lower bound
-    passes that threshold while the iterate's true max modulus stays inside
-    the sec(pi/m) bracket; near-flat optima (every candidate active) otherwise
-    waste rounds polishing a hugely degenerate vertex.
+    The search ends early once the reduced optimum, less _LP_PAD, already
+    rules the peak out (_status) while the iterate's true max modulus stays
+    inside the sec(pi/SIDES) bracket; near-flat optima (every candidate
+    active) otherwise waste rounds polishing a hugely degenerate vertex.
     """
     k = v_t.size
-    sec = 1.0 / math.cos(math.pi / m)
-    phases = np.exp(-2j * np.pi * np.arange(m) / m)
     w_seed = V_off @ seed
     w_abs = np.abs(w_seed)
     top = w_abs.max()
     # doubled against roundoff in sigma_min and in the seed's normalization
-    radius = 2.0 * math.sqrt(1.0 + V_off.shape[0] * (top * sec) ** 2) / sigma_min
+    radius = 2.0 * math.sqrt(1.0 + V_off.shape[0] * (top * _SEC) ** 2) / sigma_min
     backend = _HighsRounds(v_t, radius)
 
     def rows_for(cand_idx: np.ndarray, dir_idx: np.ndarray) -> np.ndarray:
-        W_sel = V_off[cand_idx] * phases[dir_idx][:, None]  # (pairs, k)
+        W_sel = V_off[cand_idx] * _PHASES[dir_idx][:, None]  # (pairs, k)
         return np.concatenate(
             [W_sel.real, -W_sel.imag, -np.ones((len(cand_idx), 1))], axis=1
         )
@@ -363,19 +372,19 @@ def _solve_polygon_lp(
         near = np.argsort(-w_abs, kind="stable")[: 2 * k + 16]
     if near.size > 400:
         near = near[np.argsort(-w_abs[near], kind="stable")[:400]]
-    best_dir = np.argmax(np.real(np.multiply.outer(w_seed, phases)), axis=1)
+    best_dir = np.argmax(np.real(np.multiply.outer(w_seed, _PHASES)), axis=1)
     # at a zero optimum every row must vanish: three spread directions pin it
     # in the first run, where a boxed column would otherwise rest at a bound
-    shifts = (-1, 0, 1) if top > 0 else (0, m // 3, 2 * m // 3)
-    active = np.zeros((V_off.shape[0], m), dtype=bool)  # [row, direction] in the LP
-    active[near[:, None], (best_dir[near, None] + np.array(shifts)) % m] = True
+    shifts = (-1, 0, 1) if top > 0 else (0, SIDES // 3, 2 * SIDES // 3)
+    active = np.zeros((V_off.shape[0], SIDES), dtype=bool)  # [row, direction] in the LP
+    active[near[:, None], (best_dir[near, None] + np.array(shifts)) % SIDES] = True
     backend.add_rows(rows_for(*np.nonzero(active)))
 
     for _ in range(80):
         c, t_star = backend.solve()
-        if t_star >= stop_lower and _max_modulus(V_off, c) <= t_star * sec:
+        if t_star >= _NOT_PEAK_LOWER + _LP_PAD and _max_modulus(V_off, c) <= t_star * _SEC:
             return c, t_star
-        proj = np.real(np.multiply.outer(V_off @ c, phases))
+        proj = np.real(np.multiply.outer(V_off @ c, _PHASES))
         slack = proj - (t_star + 1e-11 * (1.0 + abs(t_star)))
         rows, dirs = _fresh_pairs(slack, active)
         if not rows.size:
@@ -431,7 +440,8 @@ def _lawson(
     ||nu||_1 (inf and 0 when no round has one).  A target stops iterating
     once its best max is within _LAWSON_RTOL of 1 / ||nu||_1, a bound never
     below the weighted least-squares one, 1 / sqrt(v_t x), by
-    Cauchy-Schwarz; the others go on, at most _LAWSON_ITERS rounds.
+    Cauchy-Schwarz; the others go on, at most _LAWSON_ITERS rounds.  The
+    stop reads that gap alone, not whether the bracket decides (_status).
 
     A square V is invertible, and its rows are V^-1 e_t, the exact optimum.
     targets is a nonempty index array of seen rows (_Scaled.seed).  M is
@@ -526,8 +536,8 @@ class _Scaled:
         (a zero row, inf and 0 if unseen), computed once per family with
         its whole chunk: the targets from target - target % _LAWSON_CHUNK,
         at most _LAWSON_CHUNK of them.  Each target stops on its own gap,
-        and seeds depend on neither tol nor m, so a lone certify_peak and a
-        sweep seed alike."""
+        and the chunk's seeds depend on the family's values alone, so a lone
+        certify_peak and a sweep seed alike."""
         start = target - target % _LAWSON_CHUNK
         if start not in self.seeds:
             chunk = np.arange(start, min(start + _LAWSON_CHUNK, self.values.shape[0]))
@@ -543,18 +553,14 @@ class _Scaled:
 
 
 @single_threaded()
-def certify_peak(
-    W: WitnessFamily,
-    target: int,
-    tol: float = DEFAULT_TOL,
-    m: int = DEFAULT_SIDES,
-) -> PeakCertificate:
+def certify_peak(W: WitnessFamily, target: int) -> PeakCertificate:
     """Certify whether candidate ``target`` is a peak point of the family.
 
-    certified_peak iff the coefficients, 1 at the target, have max modulus
-    ``refined`` < 1 - tol off it; certified_not_peak requires the certified
-    lower bound to reach 1 - tol/100 or a zero target row; anything between
-    is undecided.
+    The status is _status(refined, lp_lower): certified_peak iff the
+    coefficients, 1 at the target, have max modulus ``refined`` < 1 -
+    PEAK_TOL off it; certified_not_peak iff the certified lower bound
+    reaches 1 - PEAK_TOL / 100 (inf for a target no witness sees);
+    anything between is undecided.
 
     W's columns are first rescaled by powers of two to max modulus near 1;
     coefficients map back exactly, so every number of the certificate is
@@ -567,12 +573,12 @@ def certify_peak(
     family's smallest singular value.  Every optimum c has ||c||_2 <= R =
     sqrt(1 + (n - 1) T^2) / sigma_min, so the seed's measure bounds the
     optimum below by L = (1 - ||e||_2 R) / ||nu||_1 - _LP_PAD (0 without a
-    measure).  When [L, T] decides the verdict (T < 1 - tol, or L >=
-    1 - tol/100) and T <= L sec(pi/m), as tight as the LP's own bracket,
-    the seed is the certificate with lp_lower = L and lp_upper = T, and no
-    LP runs.  Otherwise the seed starts the LP's active set, whose
-    variables are boxed by |Re c_j|, |Im c_j| <= 2 sqrt(1 + (n - 1)
-    (T sec(pi/m))^2) / sigma_min: every LP optimum lies inside, so its bound
+    measure).  When _status(T, L) decides and T <= L sec(pi/SIDES), as
+    tight as the LP's own bracket, the seed is the certificate with
+    lp_lower = L and lp_upper = T, and no LP runs.  Otherwise the seed
+    starts the LP's active set, whose variables are boxed by |Re c_j|,
+    |Im c_j| <= 2 sqrt(1 + (n - 1) (T sec(pi/SIDES))^2) / sigma_min:
+    every LP optimum lies inside, so its bound
     stays sound, and no reduced LP is unbounded.  The LP runs on
     incremental HiGHS with 1e-9 feasibility tolerances (a failed run is
     retried once from a cleared solver with presolve on).  The certificate
@@ -586,10 +592,6 @@ def certify_peak(
     one block on a thread pool (_estimate_families).
     """
     n, k = W.values.shape
-    if m < 8:
-        raise CertificationError("polygon approximation needs m >= 8 sides")
-    if not 0 < tol < 1:
-        raise CertificationError(f"tol must lie in (0, 1), got {tol}")
     if not 0 <= target < n:
         raise IndexError(f"target {target} out of range")
     scaled = W._scaled
@@ -605,29 +607,20 @@ def certify_peak(
         top = _max_modulus(V_off, c_seed)
         radius = math.sqrt(1.0 + (n - 1) * top**2) / scaled.sigma_min  # bounds ||c|| at optima
         lower = 0.0 if nu_norm == math.inf else (1.0 - e_norm * radius) / nu_norm - _LP_PAD
-        sec = 1.0 / math.cos(math.pi / m)
-        if (top < 1.0 - tol or lower >= 1.0 - tol * 1e-2) and top <= lower * sec:
+        if _status(top, lower) != "undecided" and top <= lower * _SEC:
             # the seed's bracket decides, and is no wider than the LP's
             best_c, lp_lower, lp_upper = c_seed, lower, top
         else:
-            c_lp, p = _solve_polygon_lp(
-                V_off, v_t, m, seed, scaled.sigma_min, stop_lower=1.0 - tol * 1e-2 + _LP_PAD
-            )
+            c_lp, p = _solve_polygon_lp(V_off, v_t, seed, scaled.sigma_min)
             c_lp = c_lp / np.dot(v_t, c_lp)  # exact normalization at the target
             lp_lower = max(p - _LP_PAD, lower)
-            lp_upper = p * sec + _LP_PAD
+            lp_upper = p * _SEC + _LP_PAD
             # the LP point, or the seed where it is smaller off the target
             best_c = min((c_lp, c_seed), key=lambda c: _max_modulus(V_off, c))
     # power-of-two scaling commutes with rounding: the scaled values of
     # best_c equal W.values @ (best_c / scale) bit for bit
     refined = _max_modulus(V_off, best_c)
-
-    if refined < 1.0 - tol:
-        status = "certified_peak"
-    elif lp_lower >= 1.0 - tol * 1e-2:
-        status = "certified_not_peak"
-    else:
-        status = "undecided"
+    status = _status(refined, lp_lower)
     coefficients = best_c / scaled.scale
     return PeakCertificate(target, status, coefficients, lp_lower, lp_upper, refined)
 
@@ -640,16 +633,18 @@ def _unseen(target: int, k: int) -> PeakCertificate:
 
 @single_threaded()
 def reverify_certificate(W: WitnessFamily, cert: PeakCertificate) -> bool:
-    """Re-derive a verdict from W and the certificate: a peak's coefficients
-    evaluate to 1 at the target and at most refined < 1 off it; an unseen
-    target (lp_lower = inf) is a row W's scaled values mark unseen.  Lower
-    bounds, the LP's and the Lawson measure's, are trusted."""
+    """Re-derive a verdict from W and the certificate: its status is
+    _status(refined, lp_lower); a peak's coefficients evaluate to 1 at the
+    target and at most refined off it; an unseen target (lp_lower = inf) is
+    a row W's scaled values mark unseen.  Lower bounds, the LP's and the
+    Lawson measure's, are trusted."""
+    if cert.status != _status(cert.refined, cert.lp_lower):
+        return False
     if cert.status == "certified_peak":
         w = W.values @ cert.coefficients
         off = np.delete(np.abs(w), cert.target)
         return (
             abs(w[cert.target] - 1.0) <= CERT_REVERIFY_TOL
-            and cert.refined < 1.0
             and bool(np.all(off <= cert.refined + CERT_REVERIFY_TOL))
         )
     if cert.status == "certified_not_peak" and cert.lp_lower == math.inf:
@@ -663,8 +658,6 @@ class BoundaryPartition:
 
     family: WitnessFamily
     certificates: list[PeakCertificate]
-    tol: float
-    m: int
 
     @property
     def peak(self) -> list[int]:
@@ -684,8 +677,8 @@ class BoundaryPartition:
     def to_dict(self) -> dict:
         return {
             "family": self.family.label,
-            "tol": self.tol,
-            "sides": self.m,
+            "tol": PEAK_TOL,
+            "sides": SIDES,
             "candidates": list(self.family.labels),
             "certified_peak": self.peak,
             "certified_not_peak": self.not_peak,
@@ -694,11 +687,7 @@ class BoundaryPartition:
         }
 
 
-def shilov_estimate(
-    W: WitnessFamily,
-    tol: float = DEFAULT_TOL,
-    m: int = DEFAULT_SIDES,
-) -> BoundaryPartition:
+def shilov_estimate(W: WitnessFamily) -> BoundaryPartition:
     """Certify every candidate; the certified peak set underestimates the
     Shilov boundary (and equals it when the witnesses span the full algebra
     on a finite candidate set).
@@ -716,7 +705,7 @@ def shilov_estimate(
     CPU; each certificate is bit-identical to a sequential certify_peak
     call on the same block, so to certify_peak(W, t) when W is one block.
     """
-    return _estimate_families([W], tol, m)[0]
+    return _estimate_families([W])[0]
 
 
 def _cpu_count() -> int:
@@ -727,9 +716,7 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _estimate_families(
-    families: list[WitnessFamily], tol: float, m: int
-) -> list[BoundaryPartition]:
+def _estimate_families(families: list[WitnessFamily]) -> list[BoundaryPartition]:
     """shilov_estimate of each family, with one table of swept blocks shared
     by all of them: a block seen before reuses its certificates.  A block's
     solver state (_Scaled.of, the seeds of every chunk, sigma_min when an LP
@@ -757,7 +744,7 @@ def _estimate_families(
                         scaled.seed(start)
                     if rows.size > cols.size:
                         _ = scaled.sigma_min
-                    certify = functools.partial(certify_peak, A, tol=tol, m=m)
+                    certify = functools.partial(certify_peak, A)
                     swept[key] = list(pool.map(certify, range(rows.size)))
                 for cert in swept[key]:
                     coefficients = np.zeros(k, dtype=complex)
@@ -765,7 +752,7 @@ def _estimate_families(
                     target = int(rows[cert.target])
                     certs[target] = replace(cert, target=target, coefficients=coefficients)
             ordered = [certs[r] for r in range(W.candidate_count)]
-            partitions.append(BoundaryPartition(W, ordered, tol, m))
+            partitions.append(BoundaryPartition(W, ordered))
     return partitions
 
 
@@ -784,10 +771,10 @@ def is_boundary(subset: list[int], W: WitnessFamily):
 
     Each candidate t outside the subset S, in ascending order, is certified
     as a peak of the rows S and t (certify_peak, reduced to independent
-    columns by _independent_columns' rule, at DEFAULT_TOL and DEFAULT_SIDES).
-    A certified peak t gives (False, c): the combination c of W's own
-    columns, re-checked on W's rows S and t by reverify_certificate, is 1
-    at t and at most its certificate's refined < 1 on S.  If every t is
+    columns by _independent_columns' rule).  A certified peak t gives
+    (False, c): the combination c of W's own columns, re-checked on W's rows
+    S and t by reverify_certificate, is 1 at t and at most its
+    certificate's refined < 1 - PEAK_TOL on S.  If every t is
     certified not a peak (a row no witness sees never peaks), the answer is
     (True, None).  Otherwise some t is undecided, and so is the answer:
     (None, None).
@@ -883,8 +870,6 @@ class ProductTheoremReport:
 
     quadruple: str
     regime: str
-    tol: float
-    m: int
     preconditions: dict
     e_partition: BoundaryPartition | None = None
     b_partition: BoundaryPartition | None = None
@@ -900,8 +885,8 @@ class ProductTheoremReport:
         return {
             "quadruple": self.quadruple,
             "regime": self.regime,
-            "tol": self.tol,
-            "sides": self.m,
+            "tol": PEAK_TOL,
+            "sides": SIDES,
             "preconditions": self.preconditions,
             "algebra_boundary": None if self.e_partition is None else self.e_partition.to_dict(),
             "scalar_boundary": None if self.b_partition is None else self.b_partition.to_dict(),
@@ -916,12 +901,7 @@ class ProductTheoremReport:
 
 
 @single_threaded()
-def verify_product_theorem(
-    Q: Quadruple,
-    regime: str = "exact",
-    tol: float = DEFAULT_TOL,
-    m: int = DEFAULT_SIDES,
-) -> ProductTheoremReport:
+def verify_product_theorem(Q: Quadruple, regime: str = "exact") -> ProductTheoremReport:
     """Compare the certified boundary of the vector system with the product
     of the certified boundaries of E and of the scalar system.
 
@@ -938,11 +918,7 @@ def verify_product_theorem(
     if regime not in ("exact", "estimation"):
         raise ValueError(f"unknown regime {regime!r}")
     report = ProductTheoremReport(
-        quadruple=Q.label or "quadruple",
-        regime=regime,
-        tol=tol,
-        m=m,
-        preconditions={"regime": regime},
+        quadruple=Q.label or "quadruple", regime=regime, preconditions={"regime": regime}
     )
     preconditions = report.preconditions
     if regime == "exact":
@@ -964,9 +940,7 @@ def verify_product_theorem(
             witnesses_from_algebra(Q.scalars),
             witnesses_from_system(Q.scalar_system),
             witnesses_from_system(Q.vector_system),
-        ],
-        tol,
-        m,
+        ]
     )
     report.e_partition, report.b_partition, report.bt_partition = pe, pb, pbt
 
@@ -1006,12 +980,7 @@ class PeakProductReport:
         return data
 
 
-def verify_peak_product(
-    Q: Quadruple,
-    regime: str = "exact",
-    tol: float = DEFAULT_TOL,
-    m: int = DEFAULT_SIDES,
-) -> PeakProductReport:
+def verify_peak_product(Q: Quadruple, regime: str = "exact") -> PeakProductReport:
     """Check S0(vector system) = S0(scalar system) x S0(E) on the candidates.
 
     On finite candidate sets the peak-point set is the certified peak set, so
@@ -1020,7 +989,7 @@ def verify_peak_product(
     inequality itself), which is what makes the agreement between the two
     theorems' checks a statement rather than a tautology.
     """
-    base = verify_product_theorem(Q, regime=regime, tol=tol, m=m)
+    base = verify_product_theorem(Q, regime=regime)
     report = PeakProductReport(base)
     if base.e_partition is None:
         return report

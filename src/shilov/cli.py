@@ -28,8 +28,6 @@ from . import __version__
 from .algebra import MAX_ENTRIES, MAX_PRESET_DIM, AlgebraSpec, parse_preset, preset_algebra
 from .blas import single_threaded
 from .boundary import (
-    DEFAULT_SIDES,
-    DEFAULT_TOL,
     certify_peak,
     partition_to_csv,
     partition_to_pgm,
@@ -80,24 +78,28 @@ from .spaces import (
 # cap.  An explicit space lists at most _MAX_POINTS points and coordinates,
 # and a metric at most _MAX_METRIC rows of at most _MAX_METRIC entries:
 # validate_metric's triangle check stays cubic in them (3.4 s at 2**10
-# points on 2 vCPUs).  On such a space the LP's points x sides and a system's
-# points x functions tables cap m and a system's scalar basis functions
-# (_MAX_FUNCTIONS): 1, z, ..., z^degree, and for a rational system also
-# (z - c)^-k, k <= degree, per pole c (_check_rational).  Products of values
-# meet the same budget before they are formed: a system of m basis functions
-# whose closure is read, and the closure "close" asks for, may count at most
-# m^2 |X| dim E entries (_check_products; with the config for "close" on a
-# points space).  That count bounds the products FunctionSystem.basis_products
-# forms and keeps, and as_algebra's dense m^3 structure tensor, as an
-# independent basis has m <= |X| dim E.  dim E itself,
+# points on 2 vCPUs).  On such a space a system's points x functions table
+# caps its scalar basis functions (_MAX_FUNCTIONS): 1, z, ..., z^degree, and
+# for a rational system also (z - c)^-k, k <= degree, per pole c
+# (_check_rational).  A sweep of a system of m basis functions writes a
+# certificate of at most min(|X| dim E, m) coefficients for each of its
+# |X| dim E candidates, at about 700 B of peak memory per coefficient (229 MB
+# for C(X) on 512 points on 2 vCPUs), so _check_sweep caps that count at
+# _MAX_SWEEP.
+# Products of values meet the same budget before they are formed: a system of
+# m basis functions whose closure is read, and the closure "close" asks for,
+# may count at most m^2 |X| dim E entries (_check_products; with the config
+# for "close" on a points space).  That count bounds the products
+# FunctionSystem.basis_products forms and keeps, and as_algebra's dense m^3
+# structure tensor, as an independent basis has m <= |X| dim E.  dim E itself,
 # of a preset name or of a config algebra, is at most MAX_PRESET_DIM, so E's
-# own n^3 structure tensor meets the budget too; a name is checked before
-# its algebra is built (parse_preset).
+# own n^3 structure tensor meets the budget too; a name is checked before its
+# algebra is built (parse_preset).
 _MAX_ENTRIES, _MAX_POINTS, _MAX_COORD = MAX_ENTRIES, 2**14, 4
 _MAX_METRIC = 2**10
 _MAX_RESOLUTION = (2**12 - 3) // (4 * _MAX_COORD)
 _MIN_STEP = 4 * _MAX_COORD / 2**7
-_MAX_SIDES = _MAX_ENTRIES // _MAX_POINTS
+_MAX_SWEEP = _MAX_ENTRIES // 64
 _MAX_FUNCTIONS = _MAX_ENTRIES // _MAX_POINTS
 _MAX_DEGREE = _MAX_FUNCTIONS - 1
 _MAX_POLES = _MAX_FUNCTIONS - 2  # 1, z and one function per pole at degree 1
@@ -109,146 +111,88 @@ _CENTRE = {**_PAIR, "items": _COORD}
 _RADIUS = {"type": "number", "exclusiveMinimum": 0, "maximum": _MAX_COORD}
 _COUNT = {"type": "integer", "minimum": 1, "maximum": _MAX_POINTS}
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["run"],
-    "additionalProperties": False,
-    "properties": {
-        "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
-        "output_dir": {"type": "string"},
-        "algebras": {
-            "type": "object",
-            "additionalProperties": {
-                "oneOf": [
-                    {"type": "string"},
-                    {
-                        "type": "object",
-                        "required": ["dim", "structure", "unit", "weights"],
-                        "properties": {
-                            "dim": {"type": "integer", "minimum": 1, "maximum": MAX_PRESET_DIM},
-                            "structure": {"type": "array"},
-                            "unit": {"type": "array"},
-                            "weights": {"type": "array"},
-                            "label": {"type": "string"},
-                        },
-                    },
-                ]
+_STRING = {"type": "string"}
+
+
+def _object(required: list[str], **properties) -> dict:
+    """A config object of these properties and no other key: a misspelt key
+    is a schema violation, not a silent default."""
+    return {"type": "object", "required": required, "additionalProperties": False,
+            "properties": properties}
+
+
+def _named(spec: dict) -> dict:
+    """A table of config objects by name."""
+    return {"type": "object", "additionalProperties": spec}
+
+
+CONFIG_SCHEMA = _object(
+    ["run"],
+    seed={"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
+    output_dir=_STRING,
+    algebras=_named({"oneOf": [_STRING, _object(
+        ["dim", "structure", "unit", "weights"],
+        dim={"type": "integer", "minimum": 1, "maximum": MAX_PRESET_DIM},
+        structure={"type": "array"}, unit={"type": "array"}, weights={"type": "array"},
+        label=_STRING,
+    )]}),
+    spaces=_named({
+        "type": "object",
+        "oneOf": [
+            {"required": ["points"]},
+            {"required": ["shape", "resolution"]},
+            {"required": ["sample_of", "strategies"]},
+        ],
+        "additionalProperties": False,
+        "properties": {
+            "points": {"type": "array", "items": _STRING, "maxItems": _MAX_POINTS},
+            "coords": {"type": "array", "items": _PAIR, "maxItems": _MAX_POINTS},
+            "metric": {
+                "type": "array",
+                "items": {"type": "array", "maxItems": _MAX_METRIC},
+                "maxItems": _MAX_METRIC,
             },
+            "shape": {"type": "array", "items": _object(
+                ["kind"],
+                kind={"enum": ["disk", "annulus"]},
+                center=_CENTRE, radius=_RADIUS, inner=_COORD, outer=_COORD,
+            )},
+            "resolution": {"type": "integer", "minimum": 8, "maximum": _MAX_RESOLUTION},
+            "sample_of": _STRING,
+            "strategies": {"type": "array", "maxItems": _MAX_STRATEGIES, "items": _object(
+                ["kind"],
+                kind={"enum": ["circle", "interior_grid", "boundary_uniform"]},
+                center=_CENTRE, radius=_RADIUS, count=_COUNT,
+                step={"type": "number", "minimum": _MIN_STEP},
+            )},
         },
-        "spaces": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "oneOf": [
-                    {"required": ["points"]},
-                    {"required": ["shape", "resolution"]},
-                    {"required": ["sample_of", "strategies"]},
-                ],
-                "properties": {
-                    "points": {
-                        "type": "array", "items": {"type": "string"}, "maxItems": _MAX_POINTS
-                    },
-                    "coords": {"type": "array", "items": _PAIR, "maxItems": _MAX_POINTS},
-                    "metric": {
-                        "type": "array",
-                        "items": {"type": "array", "maxItems": _MAX_METRIC},
-                        "maxItems": _MAX_METRIC,
-                    },
-                    "shape": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["kind"],
-                            "properties": {
-                                "kind": {"enum": ["disk", "annulus"]},
-                                "center": _CENTRE,
-                                "radius": _RADIUS,
-                                "inner": _COORD,
-                                "outer": _COORD,
-                            },
-                        },
-                    },
-                    "resolution": {"type": "integer", "minimum": 8, "maximum": _MAX_RESOLUTION},
-                    "sample_of": {"type": "string"},
-                    "strategies": {
-                        "type": "array",
-                        "maxItems": _MAX_STRATEGIES,
-                        "items": {
-                            "type": "object",
-                            "required": ["kind"],
-                            "properties": {
-                                "kind": {
-                                    "enum": ["circle", "interior_grid", "boundary_uniform"]
-                                },
-                                "center": _CENTRE,
-                                "radius": _RADIUS,
-                                "count": _COUNT,
-                                "step": {"type": "number", "minimum": _MIN_STEP},
-                            },
-                        },
-                    },
-                },
-            },
-        },
-        "systems": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["kind", "space", "algebra"],
-                "properties": {
-                    "kind": {"enum": ["cxe", "lip", "poly", "rational"]},
-                    "space": {"type": "string"},
-                    "algebra": {"type": "string"},
-                    "alpha": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                    "degree": {"type": "integer", "minimum": 0, "maximum": _MAX_DEGREE},
-                    "poles": {"type": "array", "items": _PAIR, "maxItems": _MAX_POLES},
-                    "close": {"type": "boolean"},
-                },
-            },
-        },
-        "quadruples": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["space", "algebra", "scalar_system", "vector_system"],
-                "properties": {
-                    "space": {"type": "string"},
-                    "algebra": {"type": "string"},
-                    "scalar_system": {"type": "string"},
-                    "vector_system": {"type": "string"},
-                },
-            },
-        },
-        "run": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["command", "target"],
-                "properties": {
-                    "command": {
-                        "enum": [
-                            "characters",
-                            "validate",
-                            "hull",
-                            "shilov",
-                            "verify-product",
-                            "verify-peaks",
-                            "peaker",
-                        ]
-                    },
-                    "target": {"type": "string"},
-                    "name": {"type": "string"},
-                    "tol": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                    "m": {"type": "integer", "minimum": 8, "maximum": _MAX_SIDES},
-                    "regime": {"enum": ["exact", "estimation"]},
-                    "raster": {"type": "string"},
-                    "point": {"type": "string"},
-                    "character": {"type": "integer", "minimum": 0},
-                },
-            },
-        },
-    },
-}
+    }),
+    systems=_named(_object(
+        ["kind", "space", "algebra"],
+        kind={"enum": ["cxe", "lip", "poly", "rational"]},
+        space=_STRING,
+        algebra=_STRING,
+        alpha={"type": "number", "exclusiveMinimum": 0, "maximum": 1},
+        degree={"type": "integer", "minimum": 0, "maximum": _MAX_DEGREE},
+        poles={"type": "array", "items": _PAIR, "maxItems": _MAX_POLES},
+        close={"type": "boolean"},
+    )),
+    quadruples=_named(_object(
+        ["space", "algebra", "scalar_system", "vector_system"],
+        space=_STRING, algebra=_STRING, scalar_system=_STRING, vector_system=_STRING,
+    )),
+    run={"type": "array", "items": _object(
+        ["command", "target"],
+        command={"enum": ["characters", "validate", "hull", "shilov", "verify-product",
+                          "verify-peaks", "peaker"]},
+        target=_STRING,
+        name=_STRING,
+        regime={"enum": ["exact", "estimation"]},
+        raster=_STRING,
+        point=_STRING,
+        character={"type": "integer", "minimum": 0},
+    )},
+)
 
 # built once, without re-checking CONFIG_SCHEMA against its metaschema on
 # every call (a test checks the schema itself)
@@ -412,8 +356,8 @@ def _check_references(config: dict) -> None:
     sampled space and its character index are checked when it runs, since
     they need the sampled points and E's characters.  Each run entry's file
     stem is a plain file name that no earlier entry uses.  A "close" system
-    meets _check_products here on a points space, when it is built on a
-    sampled one."""
+    meets _check_products, and a system a run entry sweeps _check_sweep,
+    here on a points space, when it is built on a sampled one."""
     algebras = set(config.get("algebras", {}))
     space_specs = config.get("spaces", {})
     spaces = set(space_specs)
@@ -488,6 +432,12 @@ def _check_references(config: dict) -> None:
             space = space_specs[quadruple_specs[target]["space"]]
             if "point" in entry and _space_kind(space) == "points":
                 need_kind(entry["point"], where, space["points"], f"point of {target!r}")
+        for system in _swept_systems(config, entry):
+            spec = config["systems"][system]
+            space = space_specs[spec["space"]]
+            if _space_kind(space) == "points":
+                dim = _algebra_dim(config, spec["algebra"])
+                _check_sweep(system, spec, len(space["points"]), dim)
         stem = _entry_stem(k, entry)
         if stem in ("", ".", "..") or Path(stem).name != stem:
             raise ConfigError(f"{where}: file stem {stem!r} is not a plain file name")
@@ -506,15 +456,22 @@ def _algebra_dim(config: dict, name: str) -> int:
     return sizes[0] if sizes else builder().dim
 
 
+def _scalar_functions(spec: dict) -> tuple[int, int, int]:
+    """A poly or rational system's degree, pole count and scalar basis
+    functions: degree + 1 powers of z and, for a rational one, degree powers
+    of 1 / (z - c) per pole c."""
+    degree = int(spec.get("degree", 1))
+    poles = len(spec.get("poles", [])) if spec["kind"] == "rational" else 0
+    return degree, poles, degree + 1 + poles * degree
+
+
 def _check_rational(config: dict) -> None:
     """Reject a rational system with more scalar basis functions than the
-    degree cap allows a polynomial one: degree + 1 powers of z and degree
-    powers of 1 / (z - c) per pole c."""
+    degree cap allows a polynomial one."""
     for name, spec in config.get("systems", {}).items():
         if spec["kind"] != "rational":
             continue
-        degree, poles = int(spec.get("degree", 1)), len(spec.get("poles", []))
-        functions = degree + 1 + poles * degree
+        degree, poles, functions = _scalar_functions(spec)
         if functions > _MAX_FUNCTIONS:
             raise ConfigError(
                 f"system {name!r}: degree {degree} with {poles} poles gives "
@@ -545,8 +502,9 @@ def _run_entry(ws: _Workspace, entry: dict, seed: int, stem: str, config_hash: s
     """Execute one run-list command; returns the payload plus extra files."""
     command = entry["command"]
     target = entry["target"]
-    tol = float(entry.get("tol", DEFAULT_TOL))
-    m = int(entry.get("m", DEFAULT_SIDES))
+    for name in _swept_systems(ws.config, entry):  # before a sampled space's system is built
+        spec = ws.config["systems"][name]
+        _check_sweep(name, spec, ws.space(spec["space"]).size, ws.algebra(spec["algebra"]).dim)
     payload: dict
     extras: dict[str, str] = {}
 
@@ -596,7 +554,7 @@ def _run_entry(ws: _Workspace, entry: dict, seed: int, stem: str, config_hash: s
     elif command == "shilov":
         system = ws.system(target)
         family = witnesses_from_system(system)
-        partition = shilov_estimate(family, tol=tol, m=m)
+        partition = shilov_estimate(family)
         payload = partition.to_dict()
         if family.coords is not None:
             extras[f"{stem}.csv"] = partition_to_csv(partition)
@@ -611,9 +569,9 @@ def _run_entry(ws: _Workspace, entry: dict, seed: int, stem: str, config_hash: s
         if regime == "exact":  # admissibility and naturality
             _check_closed(quadruple.scalar_system, quadruple.vector_system)
         if command == "verify-product":
-            payload = verify_product_theorem(quadruple, regime=regime, tol=tol, m=m).to_dict()
+            payload = verify_product_theorem(quadruple, regime=regime).to_dict()
         else:
-            payload = verify_peak_product(quadruple, regime=regime, tol=tol, m=m).to_dict()
+            payload = verify_peak_product(quadruple, regime=regime).to_dict()
 
     elif command == "peaker":
         quadruple = ws.quadruple(target)
@@ -634,7 +592,7 @@ def _run_entry(ws: _Workspace, entry: dict, seed: int, stem: str, config_hash: s
         # certified scalar peaker at the chosen point
         v = E.element(_algebra_peaker(E, char_index))
         fam_B = witnesses_from_system(B)
-        cert_f = certify_peak(fam_B, x_index, tol=tol, m=m)
+        cert_f = certify_peak(fam_B, x_index)
         if cert_f.status != "certified_peak":
             raise RuntimeError(
                 f"peaker: point {point!r} is not a certified peak point "
@@ -664,6 +622,41 @@ def _run_entry(ws: _Workspace, entry: dict, seed: int, stem: str, config_hash: s
         "payload": payload,
     }
     return report, extras
+
+
+def _swept_systems(config: dict, entry: dict) -> list[str]:
+    """The systems a run entry sweeps: a shilov entry's target, and both
+    systems of an estimation verify-product or verify-peaks entry (the exact
+    regime meets _check_closed first)."""
+    command, target = entry["command"], entry["target"]
+    if command == "shilov":
+        return [target]
+    if command in ("verify-product", "verify-peaks") and entry.get("regime") == "estimation":
+        spec = config["quadruples"][target]
+        return [spec["scalar_system"], spec["vector_system"]]
+    return []
+
+
+def _check_sweep(name: str, spec: dict, points: int, dim: int) -> None:
+    """Reject a swept system whose |X| dim E candidates, each certified by
+    at most min(|X| dim E, m) coefficients, exceed _MAX_SWEEP entries, with
+    m its basis bound: |X| dim E for cxe and lip, the scalar functions times
+    dim E for poly and rational.  A closure has m = |X| dim E too, and meets
+    the stricter (|X| dim E)^3 cap of _check_products instead."""
+    rows = points * dim
+    if spec.get("close"):
+        _check_products(name, rows, points, dim)
+        return
+    if spec["kind"] in ("cxe", "lip"):
+        functions = rows
+    else:
+        functions = _scalar_functions(spec)[2] * dim
+    entries = rows * min(rows, functions)
+    if entries > _MAX_SWEEP:
+        raise ConfigError(
+            f"system {name!r}: a sweep of {rows} candidates x {min(rows, functions)} "
+            f"coefficients = {entries} entries exceeds the cap of {_MAX_SWEEP}"
+        )
 
 
 def _check_products(name: str, m: int, points: int, dim: int) -> None:

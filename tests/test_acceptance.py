@@ -59,7 +59,7 @@ def annulus_rational_product(annulus_setup):
     B = sh.make_rational(X, sh.complex_field(), 16, [0])
     E = sh.preset_algebra("pointwise_2")
     Q = sh.Quadruple(X, E, B, sh.span_BE(B, E))
-    return sh.verify_product_theorem(Q, regime="estimation", tol=1e-4, m=32)
+    return sh.verify_product_theorem(Q, regime="estimation")
 
 
 def test_criterion_1_hausner_consistency():
@@ -114,7 +114,7 @@ def test_criterion_3_exact_regime_product_theorems():
         else:
             B, Bt = sh.make_CXE(X, scalars), sh.make_CXE(X, E)
         Q = sh.Quadruple(X, E, B, Bt, label=f"trial{trial}")
-        report = sh.verify_peak_product(Q, regime="exact", tol=1e-4, m=32)
+        report = sh.verify_peak_product(Q, regime="exact")
         base = report.base
         assert base.preconditions["natural"], Q.label
         assert base.missing == [] and base.extra == [], (Q.label, base.missing, base.extra)
@@ -132,14 +132,14 @@ def test_criterion_4_minimax_solver_brackets():
         k = int(rng.integers(1, min(7, n)))
         V = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
         W = sh.WitnessFamily(tuple(f"p{i}" for i in range(n)), V)
-        cert = sh.certify_peak(W, int(rng.integers(0, n)), tol=1e-4, m=32)
+        cert = sh.certify_peak(W, int(rng.integers(0, n)))
         assert cert.lp_lower <= cert.refined <= cert.lp_upper, trial
         assert cert.lp_upper <= cert.lp_lower * SEC32 + 1e-9, trial
     for trial in range(25):
         V = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
         W = sh.WitnessFamily(("a", "b", "c"), V)
         target = int(rng.integers(0, 3))
-        cert = sh.certify_peak(W, target, tol=1e-4, m=32)
+        cert = sh.certify_peak(W, target)
         oracle = minimax_grid_oracle(V, target)
         assert abs(cert.refined - oracle) <= 1e-3, (trial, cert.refined, oracle)
     note(4, "LP brackets on 100 random families; refined optimum matches grid oracle")
@@ -148,13 +148,13 @@ def test_criterion_4_minimax_solver_brackets():
 def test_criterion_5_estimation_soundness(disk_setup, annulus_setup, annulus_rational_product):
     _, X_disk, n_circle = disk_setup
     poly = sh.make_poly(X_disk, sh.complex_field(), 16)
-    part = sh.shilov_estimate(sh.witnesses_from_system(poly), tol=1e-4, m=32)
+    part = sh.shilov_estimate(sh.witnesses_from_system(poly))
     interior = [i for i in part.peak if i >= n_circle]
     assert interior == [], f"interior disk samples certified: {interior}"
 
     _, X_ann, n_outer, n_inner = annulus_setup
     poly_ann = sh.make_poly(X_ann, sh.complex_field(), 16)
-    part_poly = sh.shilov_estimate(sh.witnesses_from_system(poly_ann), tol=1e-4, m=32)
+    part_poly = sh.shilov_estimate(sh.witnesses_from_system(poly_ann))
     inner_certified = [i for i in part_poly.peak if n_outer <= i < n_outer + n_inner]
     assert inner_certified == [], "polynomial witnesses certified inner-circle points"
 

@@ -161,6 +161,25 @@ def test_reverify_rederives_the_peak_verdict():
     assert not sh.reverify_certificate(W, replace(cert, refined=1.0))
 
 
+def test_reverify_rederives_every_status():
+    # the annulus demo's rational system leaves candidates undecided: a
+    # certificate relabelled to another status no longer re-verifies
+    workspace = cli._Workspace(cli.validate_config(DEMO_CONFIG_DIR / "annulus_demo.json"))
+    W = sh.witnesses_from_system(workspace.system("rational"))
+    part = sh.shilov_estimate(W)
+    assert part.undecided and part.not_peak
+    assert all(sh.reverify_certificate(W, c) for c in part.certificates)
+    undecided = part.certificates[part.undecided[0]]
+    not_peak = part.certificates[part.not_peak[0]]
+    assert not_peak.lp_lower < math.inf  # decided by its bound, not unseen
+    for cert, status in [
+        (undecided, "certified_not_peak"),
+        (undecided, "certified_peak"),
+        (not_peak, "undecided"),
+    ]:
+        assert not sh.reverify_certificate(W, replace(cert, status=status))
+
+
 def test_lone_candidate_peaks_trivially():
     v = np.array([[2.0 - 1.0j]])
     single = sh.WitnessFamily(("only",), v)
@@ -175,13 +194,8 @@ def test_lone_candidate_peaks_trivially():
 
 def test_certify_validates_inputs():
     W = affine_family()
-    with pytest.raises(sh.CertificationError):
-        sh.certify_peak(W, 0, m=4)
     with pytest.raises(IndexError):
         sh.certify_peak(W, 7)
-    for tol in (0.0, 1.0, -1e-4):
-        with pytest.raises(sh.CertificationError, match="tol"):
-            sh.certify_peak(W, 0, tol=tol)
 
 
 def test_witness_family_rejects_dependent_columns():
@@ -238,19 +252,6 @@ def test_bracket_invariants_random():
         assert sh.reverify_certificate(W, cert)
 
 
-def test_bracket_never_widens_16_to_64():
-    rng = np.random.default_rng(7)
-    for _ in range(15):
-        n = int(rng.integers(3, 10))
-        k = int(rng.integers(1, min(5, n)))
-        V = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-        W = sh.WitnessFamily(tuple(f"p{i}" for i in range(n)), V)
-        tgt = int(rng.integers(0, n))
-        w16 = sh.certify_peak(W, tgt, m=16)
-        w64 = sh.certify_peak(W, tgt, m=64)
-        assert (w64.lp_upper - w64.lp_lower) <= (w16.lp_upper - w16.lp_lower) + 1e-12
-
-
 def test_monotone_in_witnesses():
     rng = np.random.default_rng(11)
     for _ in range(10):
@@ -296,12 +297,12 @@ def test_is_boundary_finds_a_grid_point_the_circle_samples_miss():
     g0 = int(np.argmax(f))
     assert g0 >= 12 and X.coords[g0] == pytest.approx(-0.0625 - 0.8625j)
     assert f[g0] == pytest.approx(1.0, abs=1e-9)
-    assert f[:12].max() < 1 - sh.boundary.DEFAULT_TOL
+    assert f[:12].max() < 1 - sh.boundary.PEAK_TOL
 
 
 def test_is_boundary_is_undecided_on_a_peak_inside_the_tolerance_band():
     # a + b z on {0, 1, 1 + 1e-5}: the optimum at the last point over the
-    # first two is 1 / (1 + 2e-5), above 1 - DEFAULT_TOL, so that point is
+    # first two is 1 / (1 + 2e-5), above 1 - PEAK_TOL, so that point is
     # neither a certified peak nor certified not to be one
     V = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 1.0 + 1e-5]], dtype=complex)
     W = sh.WitnessFamily(("x0", "x1", "x2"), V)
@@ -597,9 +598,7 @@ def test_dense_lp_survives_highs_error(shift, target):
     scaled = W._scaled
     v_t = scaled.values[target]
     V_off = np.delete(scaled.values, target, axis=0)
-    c, p = sh.boundary._solve_polygon_lp(
-        V_off, v_t, 32, scaled.seed(target)[0], scaled.sigma_min, stop_lower=1.0
-    )
+    c, p = sh.boundary._solve_polygon_lp(V_off, v_t, scaled.seed(target)[0], scaled.sigma_min)
     c = c / np.dot(v_t, c)
     # the polygon optimum is at most the true optimum, and its point's max
     # modulus at most sec(pi/32) times it
@@ -726,8 +725,8 @@ def test_certificates_take_the_better_of_the_lp_point_and_the_seed(monkeypatch):
     solve = sh.boundary._solve_polygon_lp
     points = {}  # the scaled target row -> (V_off, v_t, LP point, seed)
 
-    def recording(V_off, v_t, m, seed, *args, **kwargs):
-        c, p = solve(V_off, v_t, m, seed, *args, **kwargs)
+    def recording(V_off, v_t, seed, *args, **kwargs):
+        c, p = solve(V_off, v_t, seed, *args, **kwargs)
         points[v_t.tobytes()] = (V_off, v_t, c, seed)
         return c, p
 

@@ -394,16 +394,17 @@ def bounded_config():
         "systems": {
             "lip": {"kind": "lip", "space": "samples", "algebra": "complex", "alpha": 1.0}
         },
-        "run": [{"command": "shilov", "target": "lip", "tol": 1e-4}],
+        "run": [{"command": "shilov", "target": "lip"}],
     }
 
 
 @pytest.mark.parametrize(
     "path, value",
     [
-        (("run", 0, "tol"), 0),
-        (("run", 0, "tol"), 1),
-        (("run", 0, "tol"), 2.0),
+        # the peak margin and the polygon are constants: naming either is an error
+        (("run", 0, "tol"), 1e-4),
+        (("run", 0, "m"), 32),
+        (("spaces", "disk", "resolution"), 7),
         (("spaces", "samples", "strategies", 1, "step"), 0),
         (("spaces", "samples", "strategies", 1, "step"), -0.5),
         (("systems", "lip", "alpha"), 0),
@@ -427,9 +428,44 @@ def test_schema_bounds_config_values(tmp_path, capsys, path, value):
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
+def strict_config():
+    """bounded_config plus a config algebra, a points space and a quadruple:
+    one object of each kind whose keys the schema fixes."""
+    config = bounded_config()
+    config["algebras"] = {"E": sh.pointwise_algebra(2).to_dict()}
+    config["spaces"]["explicit"] = {"points": ["a", "b"], "coords": [[0, 0], [1, 0]]}
+    config["quadruples"] = {
+        "Q": {"space": "samples", "algebra": "complex", "scalar_system": "lip",
+              "vector_system": "lip"}
+    }
+    return config
+
+
+@pytest.mark.parametrize(
+    "path, key",
+    [
+        (("algebras", "E"), "dimm"),
+        (("spaces", "explicit"), "coord"),
+        (("spaces", "disk", "shape", 0), "centre"),
+        (("spaces", "samples", "strategies", 0), "steps"),
+        (("systems", "lip"), "degre"),  # read as the default degree 1 if let through
+        (("quadruples", "Q"), "scalar"),
+        (("run", 0), "regmie"),  # read as the exact regime if let through
+    ],
+)
+def test_schema_refuses_unknown_keys(tmp_path, capsys, path, key):
+    config = strict_config()
+    validate_config(write_config(tmp_path, config))
+    node = config
+    for step in path:
+        node = node[step]
+    node[key] = 2
+    _assert_refused(tmp_path, capsys, config, "schema violation")
+
+
 def sized_config():
     """bounded_config plus an annulus, an explicit space with a metric, a
-    poly system and polygon sides."""
+    poly system and a rational system."""
     config = bounded_config()
     config["spaces"]["explicit"] = {
         "points": ["a", "b", "c"],
@@ -447,7 +483,6 @@ def sized_config():
         "kind": "rational", "space": "samples", "algebra": "complex", "degree": 1,
         "poles": [[2, 0]],
     }
-    config["run"][0]["m"] = 32
     return config
 
 
@@ -462,7 +497,7 @@ _CIRCLE = {"kind": "circle", "center": [0, 0], "radius": 1.0, "count": 4}
         (("spaces", "samples", "strategies", 0, "count"), cli._MAX_POINTS, cli._MAX_POINTS + 1),
         (("spaces", "samples", "strategies", 1, "step"), cli._MIN_STEP, cli._MIN_STEP / 2),
         (("systems", "poly", "degree"), cli._MAX_DEGREE, cli._MAX_DEGREE + 1),
-        (("run", 0, "m"), cli._MAX_SIDES, cli._MAX_SIDES + 1),
+        (("seed",), 2**64 - 1, 2**64),
         (("spaces", "disk", "shape", 0, "radius"), cli._MAX_COORD, 2 * cli._MAX_COORD),
         (("spaces", "samples", "strategies", 0, "radius"), cli._MAX_COORD, 2 * cli._MAX_COORD),
         (("spaces", "ring", "shape", 0, "outer"), cli._MAX_COORD, 2 * cli._MAX_COORD),
@@ -646,7 +681,7 @@ def test_estimation_product_check_is_not_capped(tmp_path, monkeypatch):
         def to_dict(self):
             return {}
 
-    def stub(quadruple, regime, tol, m):
+    def stub(quadruple, regime):
         regimes.append(regime)
         return Report()
 
@@ -655,6 +690,93 @@ def test_estimation_product_check_is_not_capped(tmp_path, monkeypatch):
     path = write_config(tmp_path, product_config(entry))
     assert main(["--config", str(path), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 0
     assert regimes == ["estimation"]
+
+
+def test_sweep_cap_is_the_entry_budget_over_64():
+    # C(X) on 512 points: 512 candidates of 512 coefficients, at the cap
+    assert cli._MAX_SWEEP == 2**18
+    cli._check_sweep("B", {"kind": "cxe"}, 512, 1)
+    with pytest.raises(ConfigError, match="513 candidates x 513 coefficients"):
+        cli._check_sweep("B", {"kind": "lip"}, 513, 1)
+    # P_2 (x) C^2 on 2^14 points: certificates of at most 3 x 2 coefficients;
+    # R_1 with three poles has 1 + 1 + 3 scalar functions
+    cli._check_sweep("P", {"kind": "poly", "degree": 2}, 2**14, 2)
+    with pytest.raises(ConfigError, match="32768 candidates x 10 coefficients"):
+        cli._check_sweep("P", {"kind": "rational", "degree": 1, "poles": [[2, 0]] * 3}, 2**14, 2)
+
+
+def sweep_config(points, entry):
+    """C(X) and P_2 on an explicit space of the given points, with a sample
+    of the unit disk beside it, the quadruple (X, C, C(X), C(X)), and the
+    run list [_FIRST, entry]."""
+    angles = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
+    return minimal_config(
+        spaces={
+            "X": {"points": [f"p{i}" for i in range(points)],
+                  "coords": [[math.cos(t), math.sin(t)] for t in angles]},
+            "disk": _DISK,
+            "s": {"sample_of": "disk", "strategies": [{**_CIRCLE, "count": points}]},
+        },
+        systems={
+            "B": {"kind": "cxe", "space": "X", "algebra": "complex"},
+            "P": {"kind": "poly", "space": "X", "algebra": "complex", "degree": 2},
+            "S": {"kind": "poly", "space": "s", "algebra": "complex", "degree": 2},
+        },
+        quadruples={
+            "Q": {"space": "X", "algebra": "complex", "scalar_system": "B", "vector_system": "B"}
+        },
+        run=[_FIRST, entry],
+    )
+
+
+@pytest.mark.parametrize(
+    "entry, cap, message",
+    [
+        ({"command": "shilov", "target": "B"}, 36, "6 candidates x 6 coefficients = 36"),
+        ({"command": "verify-product", "target": "Q", "regime": "estimation"}, 36,
+         "6 candidates x 6 coefficients = 36"),
+        ({"command": "verify-peaks", "target": "Q", "regime": "estimation"}, 36,
+         "6 candidates x 6 coefficients = 36"),
+        ({"command": "shilov", "target": "P"}, 18, "6 candidates x 3 coefficients = 18"),
+    ],
+)
+def test_sweeps_on_a_points_space_are_capped_before_any_output(tmp_path, capsys, monkeypatch,
+                                                               entry, cap, message):
+    # one entry over the cap, here lowered (C(X) reaches 2^18 at 512 points)
+    monkeypatch.setattr(cli, "_MAX_SWEEP", cap - 1)
+    _assert_refused(tmp_path, capsys, sweep_config(6, entry), f"{message} entries exceeds")
+    monkeypatch.setattr(cli, "_MAX_SWEEP", cap)  # at the cap, it runs
+    out = tmp_path / "out"
+    assert main(["--config", str(write_config(tmp_path, sweep_config(6, entry))),
+                 "--output-dir", str(out), "--quiet"]) == 0
+    assert len(list(out.glob("*.report.json"))) == 2
+
+
+def test_exact_and_peaker_entries_are_not_sweep_capped(tmp_path, monkeypatch):
+    # the exact regime meets the product cap instead, and peaker certifies one point
+    monkeypatch.setattr(cli, "_MAX_SWEEP", 1)
+    for entry in ({"command": "verify-product", "target": "Q"},
+                  {"command": "peaker", "target": "Q", "point": "p1"}):
+        config_path = write_config(tmp_path, sweep_config(6, entry))
+        assert main(["--config", str(config_path), "--output-dir", str(tmp_path / "out"),
+                     "--quiet"]) == 0
+
+
+def test_sweep_on_a_sampled_space_is_capped_before_its_system_is_built(tmp_path, capsys,
+                                                                      monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the system was built before the sweep check")
+
+    monkeypatch.setattr(cli, "make_poly", refuse)
+    monkeypatch.setattr(cli, "_MAX_SWEEP", 6 * 3 - 1)
+    out = tmp_path / "out"
+    config_path = write_config(tmp_path, sweep_config(6, {"command": "shilov", "target": "S"}))
+    assert main(["--config", str(config_path), "--output-dir", str(out), "--quiet"]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "config"
+    assert "system 'S': a sweep of 6 candidates x 3 coefficients" in error["message"]
+    # |X| is known only once the space is sampled, after the first entry ran
+    assert [p.name for p in out.iterdir()] == ["first.report.json"]
 
 
 def test_peaker_unknown_point_is_a_config_error(tmp_path, capsys):
