@@ -68,33 +68,32 @@ from .spaces import (
     validate_metric,
 )
 
-# Size caps from one memory budget: no array that one config value sizes
-# holds more than about _MAX_ENTRIES complex entries (256 MiB).  Centres and
-# radii within _MAX_COORD keep a raster within 4 _MAX_COORD units, 2**12
-# pixels a side at _MAX_RESOLUTION.  A sampling strategy yields at most about
-# _MAX_POINTS points (an interior grid 2**7 a side at _MIN_STEP), and a
-# sampled space at most _MAX_POINTS in all: it is sampled strategy by
-# strategy, at most _MAX_STRATEGIES of them, and rejected once it passes the
-# cap.  An explicit space lists at most _MAX_POINTS points and coordinates,
-# and a metric at most _MAX_METRIC rows of at most _MAX_METRIC entries:
-# validate_metric's triangle check stays cubic in them (3.4 s at 2**10
-# points on 2 vCPUs).  On such a space a system's points x functions table
-# caps its scalar basis functions (_MAX_FUNCTIONS): 1, z, ..., z^degree, and
-# for a rational system also (z - c)^-k, k <= degree, per pole c
-# (_check_rational).  A sweep of a system of m basis functions writes a
-# certificate of at most min(|X| dim E, m) coefficients for each of its
-# |X| dim E candidates, at about 700 B of peak memory per coefficient (229 MB
-# for C(X) on 512 points on 2 vCPUs), so _check_sweep caps that count at
-# _MAX_SWEEP.
-# Products of values meet the same budget before they are formed: a system of
-# m basis functions whose closure is read, and the closure "close" asks for,
-# may count at most m^2 |X| dim E entries (_check_products; with the config
-# for "close" on a points space).  That count bounds the products
-# FunctionSystem.basis_products forms and keeps, and as_algebra's dense m^3
-# structure tensor, as an independent basis has m <= |X| dim E.  dim E itself,
-# of a preset name or of a config algebra, is at most MAX_PRESET_DIM, so E's
-# own n^3 structure tensor meets the budget too; a name is checked before its
-# algebra is built (parse_preset).
+# Size caps from one memory budget: no array that the config sizes holds more
+# than about _MAX_ENTRIES complex entries (256 MiB).  The schema bounds single
+# values.  Centres and radii within _MAX_COORD keep a raster within
+# 4 _MAX_COORD units, 2**12 pixels a side at _MAX_RESOLUTION.  A strategy
+# samples at most about _MAX_POINTS points (an interior grid 2**7 a side at
+# _MIN_STEP), a space at most _MAX_STRATEGIES strategies, and a sampled space
+# is refused once it passes _MAX_POINTS points.  An explicit space lists at
+# most _MAX_POINTS points, and a metric at most _MAX_METRIC rows of
+# _MAX_METRIC entries (validate_metric's triangle check is cubic in them:
+# 3.4 s at 2**10 points on 2 vCPUs).  A system offers at most _MAX_FUNCTIONS
+# scalar functions: 1, z, ..., z^degree and, if rational, (z - c)^-k,
+# k <= degree, per pole c (_check_rational).  dim E is at most MAX_PRESET_DIM,
+# so E's own n^3 structure tensor meets the budget; a preset name is checked
+# before its algebra is built (parse_preset).
+# Sizes that several values set meet one gate, run_config's _check_sizes, for
+# each system a run entry builds, before anything is built or written.  Its
+# constructor forms f |X| dim E entries before Span drops a row, f being
+# |X| dim E for cxe and lip and the scalar functions times dim E for poly and
+# rational.  A sweep writes m = min(|X| dim E, f) coefficients, about 700 B
+# each at peak (229 MB for C(X) on 512 points on 2 vCPUs), for each of
+# |X| dim E candidates, capped at _MAX_SWEEP (_check_sweep).  A system whose
+# closure is read (validate, exact verify-product and verify-peaks), or that
+# is "close" (m = |X| dim E), counts m^2 |X| dim E entries (_check_products):
+# the products basis_products keeps, and as_algebra's dense m^3 tensor, which
+# _naturality forms for validate of a quadruple and for exact verify-product
+# and verify-peaks, not for validate of a system, "close", shilov or peaker.
 _MAX_ENTRIES, _MAX_POINTS, _MAX_COORD = MAX_ENTRIES, 2**14, 4
 _MAX_METRIC = 2**10
 _MAX_RESOLUTION = (2**12 - 3) // (4 * _MAX_COORD)
@@ -283,8 +282,7 @@ class _Workspace:
                 system = make_rational(
                     space, E, int(spec.get("degree", 1)), poles, label=name
                 )
-            if spec.get("close"):  # the closure has at most |X| dim E basis functions
-                _check_products(name, space.size * E.dim, space.size, E.dim)
+            if spec.get("close"):
                 system = system if system.closed else close_under_products(system)
             self._systems[name] = system
         return self._systems[name]
@@ -302,16 +300,15 @@ class _Workspace:
         return self._quadruples[name]
 
     def resolve_any(self, name: str):
-        """Target of `validate`: algebra, system, or quadruple, in that order."""
+        """Target of `validate`: algebra, system, quadruple or space, in that order."""
         for table, getter in (
             ("algebras", self.algebra),
             ("systems", self.system),
             ("quadruples", self.quadruple),
+            ("spaces", self.space),
         ):
             if name in self.config.get(table, {}):
                 return getter(name)
-        if name in self.config.get("spaces", {}):
-            return self.space(name)
         return preset_algebra(name)  # a preset name (_check_references)
 
 
@@ -355,9 +352,8 @@ def _check_references(config: dict) -> None:
     quadruple's points when that space lists them.  A peaker's point on a
     sampled space and its character index are checked when it runs, since
     they need the sampled points and E's characters.  Each run entry's file
-    stem is a plain file name that no earlier entry uses.  A "close" system
-    meets _check_products, and a system a run entry sweeps _check_sweep,
-    here on a points space, when it is built on a sampled one."""
+    stem is a plain file name that no earlier entry uses.  Sizes are
+    checked once these resolve, by run_config's _check_sizes."""
     algebras = set(config.get("algebras", {}))
     space_specs = config.get("spaces", {})
     spaces = set(space_specs)
@@ -400,10 +396,6 @@ def _check_references(config: dict) -> None:
     for name, spec in config.get("systems", {}).items():
         need_space(spec["space"], f"system {name!r}")
         need_algebra(spec["algebra"], f"system {name!r}")
-        space = space_specs[spec["space"]]
-        if spec.get("close") and _space_kind(space) == "points":
-            points, dim = len(space["points"]), _algebra_dim(config, spec["algebra"])
-            _check_products(name, points * dim, points, dim)
     for name, spec in config.get("quadruples", {}).items():
         need_space(spec["space"], f"quadruple {name!r}")
         need_algebra(spec["algebra"], f"quadruple {name!r}")
@@ -432,12 +424,6 @@ def _check_references(config: dict) -> None:
             space = space_specs[quadruple_specs[target]["space"]]
             if "point" in entry and _space_kind(space) == "points":
                 need_kind(entry["point"], where, space["points"], f"point of {target!r}")
-        for system in _swept_systems(config, entry):
-            spec = config["systems"][system]
-            space = space_specs[spec["space"]]
-            if _space_kind(space) == "points":
-                dim = _algebra_dim(config, spec["algebra"])
-                _check_sweep(system, spec, len(space["points"]), dim)
         stem = _entry_stem(k, entry)
         if stem in ("", ".", "..") or Path(stem).name != stem:
             raise ConfigError(f"{where}: file stem {stem!r} is not a plain file name")
@@ -502,9 +488,6 @@ def _run_entry(ws: _Workspace, entry: dict, seed: int, stem: str, config_hash: s
     """Execute one run-list command; returns the payload plus extra files."""
     command = entry["command"]
     target = entry["target"]
-    for name in _swept_systems(ws.config, entry):  # before a sampled space's system is built
-        spec = ws.config["systems"][name]
-        _check_sweep(name, spec, ws.space(spec["space"]).size, ws.algebra(spec["algebra"]).dim)
     payload: dict
     extras: dict[str, str] = {}
 
@@ -526,11 +509,8 @@ def _run_entry(ws: _Workspace, entry: dict, seed: int, stem: str, config_hash: s
         if isinstance(obj, AlgebraSpec):
             payload = obj.validation.to_dict()
         elif isinstance(obj, FunctionSystem):
-            _check_closed(obj)
             payload = validate_system(obj).to_dict()
         elif isinstance(obj, Quadruple):
-            # condition (3) reads B's algebra, and condition (4) B~'s closure
-            _check_closed(obj.scalar_system, obj.vector_system)
             payload = check_admissible(obj).to_dict()
         else:  # a finite space: _check_references keeps raster regions out
             payload = validate_metric(obj).to_dict()
@@ -566,8 +546,6 @@ def _run_entry(ws: _Workspace, entry: dict, seed: int, stem: str, config_hash: s
     elif command in ("verify-product", "verify-peaks"):
         quadruple = ws.quadruple(target)
         regime = entry.get("regime", "exact")
-        if regime == "exact":  # admissibility and naturality
-            _check_closed(quadruple.scalar_system, quadruple.vector_system)
         if command == "verify-product":
             payload = verify_product_theorem(quadruple, regime=regime).to_dict()
         else:
@@ -624,62 +602,78 @@ def _run_entry(ws: _Workspace, entry: dict, seed: int, stem: str, config_hash: s
     return report, extras
 
 
-def _swept_systems(config: dict, entry: dict) -> list[str]:
-    """The systems a run entry sweeps: a shilov entry's target, and both
-    systems of an estimation verify-product or verify-peaks entry (the exact
-    regime meets _check_closed first)."""
+def _entry_systems(config: dict, entry: dict) -> list[tuple[str, bool, bool]]:
+    """(system, swept, closure read) for each system a run entry builds: a
+    shilov target, swept; a validated system, or a validated quadruple's two,
+    read; and a quadruple's two for verify-product and verify-peaks, swept
+    in the estimation regime and read in the exact one, and for peaker."""
     command, target = entry["command"], entry["target"]
-    if command == "shilov":
-        return [target]
-    if command in ("verify-product", "verify-peaks") and entry.get("regime") == "estimation":
-        spec = config["quadruples"][target]
-        return [spec["scalar_system"], spec["vector_system"]]
-    return []
+    if command == "validate" and target in config.get("algebras", {}):
+        return []  # resolve_any's order: algebras, systems, quadruples
+    if command == "shilov" or command == "validate" and target in config.get("systems", {}):
+        return [(target, command == "shilov", command == "validate")]
+    spec = config.get("quadruples", {}).get(target)
+    if spec is None or command in ("characters", "hull"):
+        return []  # or a validated space or preset
+    verify = command in ("verify-product", "verify-peaks")
+    swept = verify and entry.get("regime") == "estimation"
+    read = command == "validate" or verify and not swept
+    return [(spec[key], swept, read) for key in ("scalar_system", "vector_system")]
+
+
+def _offered(spec: dict, points: int, dim: int) -> int:
+    """The functions a system's constructor offers Span: |X| dim E for cxe
+    and lip, the scalar functions times dim E for poly and rational."""
+    return points * dim if spec["kind"] in ("cxe", "lip") else _scalar_functions(spec)[2] * dim
+
+
+def _check_sizes(ws: _Workspace) -> None:
+    """The one size gate (see the caps comment): |X| from a points space's
+    list or a sampled space, sampled once for the run, and dim E from
+    _algebra_dim.  A closure within _check_products meets _check_sweep."""
+    config = ws.config
+    for entry in config["run"]:
+        for name, swept, read in _entry_systems(config, entry):
+            spec = config["systems"][name]
+            listed = config["spaces"][spec["space"]].get("points")
+            points = ws.space(spec["space"]).size if listed is None else len(listed)
+            dim = _algebra_dim(config, spec["algebra"])
+            rows, offered = points * dim, _offered(spec, points, dim)
+            if offered * rows > _MAX_ENTRIES:
+                raise ConfigError(
+                    f"system {name!r}: its constructor forms {offered} functions x {points}"
+                    f" x {dim} = {offered * rows} entries, over the cap of {_MAX_ENTRIES}"
+                )
+            if read or spec.get("close"):
+                _check_products(name, rows if spec.get("close") else min(rows, offered),
+                                points, dim)
+            if swept:
+                _check_sweep(name, spec, points, dim)
 
 
 def _check_sweep(name: str, spec: dict, points: int, dim: int) -> None:
     """Reject a swept system whose |X| dim E candidates, each certified by
-    at most min(|X| dim E, m) coefficients, exceed _MAX_SWEEP entries, with
-    m its basis bound: |X| dim E for cxe and lip, the scalar functions times
-    dim E for poly and rational.  A closure has m = |X| dim E too, and meets
-    the stricter (|X| dim E)^3 cap of _check_products instead."""
+    at most min(|X| dim E, f) coefficients, exceed _MAX_SWEEP entries, f
+    being the functions its constructor offers (_offered)."""
     rows = points * dim
-    if spec.get("close"):
-        _check_products(name, rows, points, dim)
-        return
-    if spec["kind"] in ("cxe", "lip"):
-        functions = rows
-    else:
-        functions = _scalar_functions(spec)[2] * dim
-    entries = rows * min(rows, functions)
-    if entries > _MAX_SWEEP:
+    m = min(rows, _offered(spec, points, dim))
+    if rows * m > _MAX_SWEEP:
         raise ConfigError(
-            f"system {name!r}: a sweep of {rows} candidates x {min(rows, functions)} "
-            f"coefficients = {entries} entries exceeds the cap of {_MAX_SWEEP}"
+            f"system {name!r}: a sweep of {rows} candidates x {m} "
+            f"coefficients = {rows * m} entries exceeds the cap of {_MAX_SWEEP}"
         )
 
 
 def _check_products(name: str, m: int, points: int, dim: int) -> None:
-    """Reject a system of m basis functions on |X| = points with values in
-    E, dim E = dim, whose m^2 |X| dim E entries exceed the _MAX_ENTRIES
-    budget: they bound its m^3 structure tensor (m <= |X| dim E for an
-    independent basis) and its at most m^2 basis products of |X| dim E
-    entries each."""
+    """Reject a system of m <= |X| dim E basis functions, |X| = points and
+    dim E = dim, whose m^2 |X| dim E entries, bounding its m^3 structure
+    tensor and its m^2 basis products, exceed _MAX_ENTRIES."""
     entries = m * m * points * dim
     if entries > _MAX_ENTRIES:
         raise ConfigError(
             f"system {name!r}: product table of {m}^2 x {points} x {dim} = "
             f"{entries} entries exceeds the cap of {_MAX_ENTRIES}"
         )
-
-
-def _check_closed(*systems: FunctionSystem) -> None:
-    """_check_products for each system whose closure is read: the verdict
-    (FunctionSystem.closed) forms the products of the basis pairs whose
-    supports meet and keeps them on the system (basis_products), and
-    as_algebra reads those and writes its dense m^3 structure tensor."""
-    for S in systems:
-        _check_products(S.label, S.dim, S.space.size, S.scalars.dim)
 
 
 def _algebra_peaker(E: AlgebraSpec, char_index: int) -> np.ndarray:
@@ -697,8 +691,10 @@ def _algebra_peaker(E: AlgebraSpec, char_index: int) -> np.ndarray:
 
 @single_threaded()
 def run_config(config: dict, output_dir: Path, seed: int, quiet: bool = False) -> int:
-    """Execute every command in the run list; returns a process exit code."""
+    """Execute every command in the run list once _check_sizes passes (it
+    refuses before any file is written); returns a process exit code."""
     ws = _Workspace(config)
+    _check_sizes(ws)
     config_hash = hashlib.sha256(
         json.dumps(config, sort_keys=True).encode()
     ).hexdigest()
@@ -727,7 +723,10 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = validate_config(args.config)
-        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+        seed = int(config.get("seed", 0)) if args.seed is None else args.seed
+        bound = CONFIG_SCHEMA["properties"]["seed"]  # the override meets the config's bound
+        if not bound["minimum"] <= seed <= bound["maximum"]:
+            raise ConfigError(f"--seed {seed} is outside [{bound['minimum']}, {bound['maximum']}]")
         out_dir = Path(args.output_dir or config.get("output_dir", "shilov-out"))
         return run_config(config, out_dir, seed, quiet=args.quiet)
     except ConfigError as exc:

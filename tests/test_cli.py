@@ -597,9 +597,8 @@ def product_config(entry):
         },
         "systems": {
             "B": {"kind": "cxe", "space": "X", "algebra": "complex"},
-            # declared only where an entry reads it: validate_config refuses it
-            **({"P": {"kind": "poly", "space": "X", "algebra": "complex", "degree": 2,
-                      "close": True}} if entry["target"] == "P" else {}),
+            # over the cap, and checked only where an entry builds it
+            "P": {"kind": "poly", "space": "X", "algebra": "complex", "degree": 2, "close": True},
         },
         "quadruples": {
             "Q": {"space": "X", "algebra": "complex", "scalar_system": "B", "vector_system": "B"}
@@ -762,21 +761,114 @@ def test_exact_and_peaker_entries_are_not_sweep_capped(tmp_path, monkeypatch):
                      "--quiet"]) == 0
 
 
-def test_sweep_on_a_sampled_space_is_capped_before_its_system_is_built(tmp_path, capsys,
-                                                                      monkeypatch):
+def test_sweep_on_a_sampled_space_is_capped_before_any_output(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the system was built before the sweep check")
 
     monkeypatch.setattr(cli, "make_poly", refuse)
     monkeypatch.setattr(cli, "_MAX_SWEEP", 6 * 3 - 1)
+    # the space is sampled for its |X| before the first entry runs
+    config = sweep_config(6, {"command": "shilov", "target": "S"})
+    _assert_refused(tmp_path, capsys, config, "system 'S': a sweep of 6 candidates x 3 coefficients")
+
+
+def gate_config(points, space, entry):
+    """C(X) on X, listed or a circle sample of the unit disk, with the
+    quadruple (X, C, C(X), C(X)), and the run list [_FIRST, entry]."""
+    spaces = {"disk": _DISK, "X": {"points": [f"p{i}" for i in range(points)]}}
+    if space == "sampled":
+        spaces["X"] = {"sample_of": "disk", "strategies": [{**_CIRCLE, "count": points}]}
+    return minimal_config(
+        spaces=spaces,
+        systems={"B": {"kind": "cxe", "space": "X", "algebra": "complex"}},
+        quadruples={
+            "Q": {"space": "X", "algebra": "complex", "scalar_system": "B", "vector_system": "B"}
+        },
+        run=[_FIRST, entry],
+    )
+
+
+@pytest.mark.parametrize("space", ["points", "sampled"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"command": "validate", "target": "B"},
+        {"command": "validate", "target": "Q"},
+        {"command": "verify-product", "target": "Q"},
+        {"command": "verify-product", "target": "Q", "regime": "estimation"},
+        {"command": "verify-peaks", "target": "Q", "regime": "exact"},
+        {"command": "verify-peaks", "target": "Q", "regime": "estimation"},
+        {"command": "shilov", "target": "B"},
+        {"command": "peaker", "target": "Q"},
+    ],
+)
+def test_every_entry_is_refused_before_any_system_is_built(tmp_path, capsys, monkeypatch, entry,
+                                                           space):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a system or an algebra was built before the size gate")
+
+    for name in ("make_CXE", "make_lip", "make_poly", "make_rational", "close_under_products",
+                 "preset_algebra"):
+        monkeypatch.setattr(cli, name, refuse)
+    # C(X) on 4097 points: its constructor's (4097, 4097, 1) basis is over the cap
+    _assert_refused(tmp_path, capsys, gate_config(4097, space, entry),
+                    "system 'B': its constructor forms 4097 functions x 4097 x 1 = 16785409")
+
+
+def test_peaker_meets_the_constructor_cap():
+    # the gate alone: C(X) on 4096 points has 2^24 basis entries, at the cap
+    entry = {"command": "peaker", "target": "Q"}
+    cli._check_sizes(cli._Workspace(gate_config(4096, "points", entry)))
+    with pytest.raises(ConfigError, match="4097 functions x 4097 x 1"):
+        cli._check_sizes(cli._Workspace(gate_config(4097, "points", entry)))
+
+
+def poly_config(points, algebra, degree):
+    """A shilov entry of P_degree (x) E on listed points in [0, 1)."""
+    return minimal_config(
+        spaces={"X": {"points": [f"p{i}" for i in range(points)],
+                      "coords": [[i / points, 0] for i in range(points)]}},
+        systems={"P": {"kind": "poly", "space": "X", "algebra": algebra, "degree": degree}},
+        run=[{"command": "shilov", "target": "P"}],
+    )
+
+
+def test_constructor_tables_are_counted_before_span_drops_a_row(tmp_path, capsys, monkeypatch):
+    # P_1023 (x) C^256 on one point sweeps 256 x 256 entries, but make_poly
+    # forms (1024 x 256) x 256 = 2^26 before Span keeps 256 rows; P_255 is at 2^24
+    cli._check_sizes(cli._Workspace(poly_config(1, "pointwise_256", 255)))
+    with pytest.raises(ConfigError, match="262144 functions x 1 x 256 = 67108864 entries"):
+        cli._check_sizes(cli._Workspace(poly_config(1, "pointwise_256", 1023)))
+    # the same edge through main, at a smaller E: 1024 x 64 functions x 4 x 64 = 2^24.
+    # At the cap the spy stops the run, as the table itself is 256 MiB.
+    tables = []
+
+    def spy(fs, E):
+        tables.append((len(fs) * E.dim, len(fs[0]) * E.dim))
+        raise RuntimeError("spy")
+
+    monkeypatch.setattr(sh.function_algebras, "_times_units", spy)
+    _assert_refused(tmp_path, capsys, poly_config(5, "pointwise_64", 1023),
+                    "65536 functions x 5 x 64 = 20971520 entries")
+    assert tables == []
+    path = write_config(tmp_path, poly_config(4, "pointwise_64", 1023))
+    assert main(["--config", str(path), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 1
+    assert json.loads(capsys.readouterr().err)["message"] == "spy"
+    assert tables == [(65536, 256)]
+
+
+@pytest.mark.parametrize("seed", [-5, -1, 2**64, 10**37])
+def test_seed_override_meets_the_config_seed_bound(tmp_path, capsys, seed):
     out = tmp_path / "out"
-    config_path = write_config(tmp_path, sweep_config(6, {"command": "shilov", "target": "S"}))
-    assert main(["--config", str(config_path), "--output-dir", str(out), "--quiet"]) == 2
+    path = write_config(tmp_path, minimal_config())
+    assert main(["--config", str(path), "--output-dir", str(out), "--seed", str(seed)]) == 2
     error = json.loads(capsys.readouterr().err)
-    assert error["error"] == "config"
-    assert "system 'S': a sweep of 6 candidates x 3 coefficients" in error["message"]
-    # |X| is known only once the space is sampled, after the first entry ran
-    assert [p.name for p in out.iterdir()] == ["first.report.json"]
+    assert error["error"] == "config" and f"--seed {seed} is outside" in error["message"]
+    assert not out.exists()
+    for seed in (0, 2**64 - 1):  # both ends of the bound run
+        argv = ["--config", str(path), "--output-dir", str(out), "--seed", str(seed), "--quiet"]
+        assert main(argv) == 0
+        assert json.loads((out / "chars.report.json").read_text())["seed"] == seed
 
 
 def test_peaker_unknown_point_is_a_config_error(tmp_path, capsys):
@@ -1022,19 +1114,14 @@ def test_close_cap_is_checked_before_any_output(tmp_path, capsys, monkeypatch, a
     assert validate_config(write_config(tmp_path, config)) == config
 
 
-def test_close_cap_on_a_sampled_space_is_checked_when_it_is_built(tmp_path, capsys):
-    # |X| is known only once the space is sampled, after the first entry ran
+def test_close_cap_on_a_sampled_space_is_checked_before_any_output(tmp_path, capsys):
+    # the space is sampled for its |X| before the first entry runs
     config = minimal_config(
         spaces={"disk": _DISK, "s": _SAMPLES},
         systems={"P": {"kind": "cxe", "space": "s", "algebra": "pointwise_64", "close": True}},
         run=[_FIRST, {"command": "shilov", "target": "P"}],
     )
-    out = tmp_path / "out"
-    assert main(["--config", str(write_config(tmp_path, config)), "--output-dir", str(out),
-                 "--quiet"]) == 2
-    error = json.loads(capsys.readouterr().err)
-    assert error["error"] == "config" and "system 'P': product table of" in error["message"]
-    assert [p.name for p in out.iterdir()] == ["first.report.json"]
+    _assert_refused(tmp_path, capsys, config, "system 'P': product table of")
 
 
 _CXE = {"kind": "cxe", "space": "X", "algebra": "complex"}
